@@ -1,9 +1,33 @@
 """Exact linear programming over rationals, sized for desk-scale decision procedures.
 
-Two-phase dense simplex with Bland's rule on `fractions.Fraction`.  Every
+Two-phase dense simplex with Bland's rule, pivoted fraction-free in Python
+integers (Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp. 1968).  Every
 refinement / difference / distance decision in this package reduces to small
 LPs (tens of variables), where exactness matters far more than speed: the
 logical layer must not depend on floating-point tolerances.
+
+The rows `A x = b` (slack columns included, right-hand sides made >= 0) are
+multiplied by one common positive integer L, the least common multiple of
+every denominator in the system, and an artificial identity is appended.
+Multiplying all rows by L and keeping unit slack and artificial columns is
+the same as rescaling each slack and artificial variable by the positive
+factor L.  A positive rescaling keeps the sign of every reduced cost and the
+order of every ratio-test quotient, so Bland's rule picks the same entering
+and leaving columns as on the unscaled rationals, and the phase-1 cost
+(the sum of the artificials) keeps its meaning up to the factor L.
+
+With integer start tableau M and current basis B, the tableau holds
+
+    T = D * B^-1 * M,    D = |det B| > 0,
+
+so every entry is a minor of M and an integer.  A pivot on (p, q) sets
+T[i] = (T[p][q] * T[i] - T[i][q] * T[p]) // D for i != p, where the division
+is exact, and the pivot becomes the next D.  The reduced-cost row is kept in
+the same form, D * (c - c_B B^-1 M) with the costs scaled to integers, and
+updated by the same pivot.  Quotients in the ratio test are compared by
+cross-multiplication, so `Fraction`s are made only for the returned value
+and point.  A pivot that drives a zero-level artificial out of the basis may
+be negative; the tableau and D are then negated, which keeps D > 0.
 
 All variables are implicitly >= 0, which covers every use here (probability
 masses, coupling masses, slack variables).  Callers fix the variable order;
@@ -14,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Hashable, Mapping, Sequence
 
 Var = Hashable
@@ -35,72 +60,53 @@ class LpResult:
         return self.status == "optimal"
 
 
-class _Tableau:
-    """Dense simplex tableau: rows are equality constraints A x = b, x >= 0."""
-
-    def __init__(self, num_vars: int):
-        self.num_vars = num_vars
-        self.rows: list[list[Fraction]] = []  # each row: coefficients + [rhs]
-        self.basis: list[int] = []
-
-    def add_row(self, coeffs: list[Fraction], rhs: Fraction) -> None:
-        self.rows.append(coeffs + [rhs])
-
-    def pivot(self, row: int, col: int) -> None:
-        piv = self.rows[row][col]
-        inv = ONE / piv
-        self.rows[row] = [x * inv for x in self.rows[row]]
-        for r in range(len(self.rows)):
-            if r != row and self.rows[r][col] != 0:
-                factor = self.rows[r][col]
-                self.rows[r] = [a - factor * b for a, b in zip(self.rows[r], self.rows[row])]
-        self.basis[row] = col
-
-    def solution(self) -> list[Fraction]:
-        x = [ZERO] * self.num_vars
-        for r, col in enumerate(self.basis):
-            if col < self.num_vars:
-                x[col] = self.rows[r][-1]
-        return x
+def _rational(c) -> int | Fraction:
+    """`c` as an exact int or Fraction (anything else as `Fraction(c)` reads it)."""
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
 
-def _simplex_phase(tab: _Tableau, cost: list[Fraction]) -> tuple[str, Fraction]:
-    """Minimize cost over the tableau's feasible region, Bland's rule throughout."""
-    m = len(tab.rows)
-    n = len(cost)
-    # Reduced-cost row: z_j - c_j computed fresh each pivot from the basis.
+def _pivot(rows: list[list[int]], cost: list[int] | None, basis: list[int],
+           p: int, q: int, det: int) -> int:
+    """Bareiss pivot on (p, q) of rows and, if given, the reduced-cost row;
+    returns the new determinant, the pivot."""
+    prow = rows[p]
+    a = prow[q]
+    for i, row in enumerate(rows):
+        if i == p:
+            continue
+        b = row[q]
+        if b:
+            rows[i] = [(a * x - b * y) // det for x, y in zip(row, prow)]
+        elif a != det:
+            rows[i] = [a * x // det for x in row]
+    if cost is not None:
+        b = cost[q]
+        cost[:] = [(a * x - b * y) // det for x, y in zip(cost, prow)]
+    basis[p] = q
+    return a
+
+
+def _simplex_phase(rows: list[list[int]], cost: list[int], basis: list[int],
+                   det: int) -> tuple[bool, int]:
+    """Minimize over the tableau from reduced-cost row `cost` (last entry:
+    -det times the objective value), Bland's rule throughout.  Returns
+    (bounded, det) and leaves the optimum in rows, cost and basis."""
     while True:
-        # y = c_B applied through the current (already reduced) rows.
-        reduced = list(cost)
-        obj = ZERO
-        for r in range(m):
-            cb = cost[tab.basis[r]]
-            if cb != 0:
-                row = tab.rows[r]
-                obj += cb * row[-1]
-                for j in range(n):
-                    if row[j] != 0:
-                        reduced[j] -= cb * row[j]
-        entering = -1
-        for j in range(n):
-            if reduced[j] < 0:
-                entering = j
-                break
+        entering = next((j for j, c in enumerate(cost[:-1]) if c < 0), -1)
         if entering < 0:
-            return "optimal", obj
-        # Ratio test, Bland tiebreak on basis index.
+            return True, det
+        # Ratio test rhs/a over a > 0, by cross-multiplication; Bland tiebreak on basis index.
         leaving = -1
-        best: Fraction | None = None
-        for r in range(m):
-            a = tab.rows[r][entering]
+        best_rhs = best_a = 0
+        for r, row in enumerate(rows):
+            a = row[entering]
             if a > 0:
-                ratio = tab.rows[r][-1] / a
-                if best is None or ratio < best or (ratio == best and tab.basis[r] < tab.basis[leaving]):
-                    best = ratio
-                    leaving = r
+                lhs, rhs = row[-1] * best_a, best_rhs * a
+                if leaving < 0 or lhs < rhs or (lhs == rhs and basis[r] < basis[leaving]):
+                    leaving, best_rhs, best_a = r, row[-1], a
         if leaving < 0:
-            return "unbounded", obj
-        tab.pivot(leaving, entering)
+            return False, det
+        det = _pivot(rows, cost, basis, leaving, entering, det)
 
 
 def solve(
@@ -118,74 +124,86 @@ def solve(
         raise ValueError("duplicate variables")
     n = len(variables)
 
-    # Normalize to equalities with slack/surplus columns and rhs >= 0.
-    rows: list[tuple[list[Fraction], Fraction, str]] = []
-    num_slacks = 0
+    parsed = []
+    scale = 1  # common denominator of the whole system
     for coeffs, rel, rhs in constraints:
-        row = [ZERO] * n
-        for v, c in coeffs.items():
-            row[var_index[v]] += Fraction(c)
-        rhs = Fraction(rhs)
-        if rel == ">=":
-            row = [-c for c in row]
-            rhs = -rhs
-            rel = "<="
-        if rel == "<=":
-            num_slacks += 1
-        elif rel != "==":
+        terms = [(var_index[v], _rational(c)) for v, c in coeffs.items()]
+        rhs = _rational(rhs)
+        if rel not in ("<=", ">=", "=="):
             raise ValueError(f"unknown relation {rel!r}")
-        rows.append((row, rhs, rel))
+        scale = lcm(scale, rhs.denominator, *[c.denominator for _, c in terms])
+        parsed.append((terms, rel, rhs))
 
+    # Columns: variables, one slack per inequality, one artificial per row, rhs.
+    # ">=" rows are negated to "<=", then rows with negative rhs are negated;
+    # each row's sign enters the phase-1 cost, so this order is part of the
+    # pivot path.
+    m = len(parsed)
+    num_slacks = sum(rel != "==" for _, rel, _ in parsed)
     total = n + num_slacks
-    tab = _Tableau(total)
+    rows: list[list[int]] = []
     slack_at = n
-    for row, rhs, rel in rows:
-        full = row + [ZERO] * num_slacks
-        if rel == "<=":
-            full[slack_at] = ONE
+    for r, (terms, rel, rhs) in enumerate(parsed):
+        row = [0] * (total + m + 1)
+        for j, c in terms:
+            row[j] = c.numerator * (scale // c.denominator)
+        row[-1] = rhs.numerator * (scale // rhs.denominator)
+        if rel == ">=":
+            row = [-x for x in row]
+        if rel != "==":
+            row[slack_at] = 1
             slack_at += 1
-        if rhs < 0:
-            full = [-c for c in full]
-            rhs = -rhs
-        tab.add_row(full, rhs)
+        if row[-1] < 0:
+            row = [-x for x in row]
+        row[total + r] = 1
+        rows.append(row)
 
-    m = len(tab.rows)
-    # Phase 1: artificial basis.
+    # Phase 1: artificial basis, D = 1, cost 1 on each artificial.
     art_start = total
-    for r in range(m):
-        for row in tab.rows:
-            row.insert(-1, ZERO)
-        tab.rows[r][art_start + r] = ONE
-        tab.basis.append(art_start + r)
-    tab.num_vars = total + m
-    phase1_cost = [ZERO] * total + [ONE] * m
-    status, value = _simplex_phase(tab, phase1_cost)
-    if status != "optimal" or value != 0:
+    basis = list(range(art_start, art_start + m))
+    cost = [0] * (total + m + 1)
+    for row in rows:
+        cost = [c - x for c, x in zip(cost, row)]
+    cost[art_start:art_start + m] = [0] * m
+    _, det = _simplex_phase(rows, cost, basis, 1)
+    if cost[-1] != 0:
         return LpResult("infeasible", None, None)
     # Drive artificials out of the basis where possible; drop redundant rows.
     for r in range(m - 1, -1, -1):
-        if tab.basis[r] >= art_start:
-            pivot_col = next((j for j in range(total) if tab.rows[r][j] != 0), None)
+        if basis[r] >= art_start:
+            pivot_col = next((j for j in range(total) if rows[r][j] != 0), None)
             if pivot_col is None:
-                del tab.rows[r]
-                del tab.basis[r]
+                del rows[r]
+                del basis[r]
             else:
-                tab.pivot(r, pivot_col)
+                det = _pivot(rows, None, basis, r, pivot_col, det)
+                if det < 0:
+                    rows[:] = [[-x for x in row] for row in rows]
+                    det = -det
     # Truncate artificial columns.
-    for r in range(len(tab.rows)):
-        tab.rows[r] = tab.rows[r][:total] + [tab.rows[r][-1]]
-    tab.num_vars = total
+    rows[:] = [row[:total] + [row[-1]] for row in rows]
 
-    sign = Fraction(-1) if maximize else ONE
-    cost = [ZERO] * total
-    for v, c in objective.items():
-        cost[var_index[v]] += sign * Fraction(c)
-    status, value = _simplex_phase(tab, cost)
-    if status == "unbounded":
+    # Phase 2 minimizes the objective, negated to maximize, scaled to integers.
+    terms = [(var_index[v], _rational(c)) for v, c in objective.items()]
+    cost_scale = lcm(*[c.denominator for _, c in terms])
+    sign = -1 if maximize else 1
+    int_cost = [0] * total
+    for j, c in terms:
+        int_cost[j] = sign * c.numerator * (cost_scale // c.denominator)
+    cost = [det * c for c in int_cost] + [0]
+    for r, col in enumerate(basis):
+        cb = int_cost[col]
+        if cb:
+            cost = [c - cb * x for c, x in zip(cost, rows[r])]
+    bounded, det = _simplex_phase(rows, cost, basis, det)
+    if not bounded:
         return LpResult("unbounded", None, None)
-    x = tab.solution()
+    x = [ZERO] * n
+    for r, col in enumerate(basis):
+        if col < n:
+            x[col] = Fraction(rows[r][-1], det)
     point = {v: x[i] for v, i in var_index.items()}
-    return LpResult("optimal", sign * value if maximize else value, point)
+    return LpResult("optimal", Fraction(sign * -cost[-1], det * cost_scale), point)
 
 
 def feasible_point(

@@ -113,11 +113,14 @@ def enumerate_implementations(n: APA, grid: GridSpec | None = None) -> Iterator[
     grid distribution satisfying its constraint, per May transition either
     absence or such a distribution.
 
-    A Must transition with no grid point in its satisfaction set makes the
-    result set empty in a way finer grids would fix, so it raises; a May
-    transition in the same situation only loses presence choices, so it
-    warns and stays absent.  Duplicates (possible when two transitions of
-    one state share action and grid point) are suppressed.
+    A Must transition with an empty constraint makes its source state
+    inconsistent, which no grid can fix, so it raises PreconditionError.  A
+    Must transition with no grid point in a nonempty satisfaction set makes
+    the result set empty in a way finer grids would fix, so it raises
+    GridTooCoarseError; a May transition in the same situation only loses
+    presence choices, so it warns and stays absent.  Duplicates (possible
+    when two transitions of one state share action and grid point) are
+    suppressed.
     """
     grid = grid or GridSpec()
     if not is_svnf(n):
@@ -140,6 +143,10 @@ def enumerate_implementations(n: APA, grid: GridSpec | None = None) -> Iterator[
                                         grid.denominator)
             if tr.modality is Modality.MUST:
                 if not dists:
+                    if C.sat_nonempty(n.constraint(tr.constraint_id), n.states) is None:
+                        raise PreconditionError(
+                            f"state {s!r} is inconsistent: its required transition "
+                            f"--{tr.action!r}--> {tr.constraint_id!r} has an empty constraint")
                     raise GridTooCoarseError(
                         f"no grid point (denominator {grid.denominator}) satisfies the "
                         f"required transition {s!r} --{tr.action!r}--> {tr.constraint_id!r}")

@@ -277,6 +277,11 @@ def _require_analysable(n1: APA, n2: APA) -> None:
 def compute_refinement(n1: APA, n2: APA) -> RefinementAnalysis:
     """Greatest fixed point of the pair-elimination sweep, with bookkeeping."""
     _require_analysable(n1, n2)
+    return _refinement_fixpoint(n1, n2)
+
+
+def _refinement_fixpoint(n1: APA, n2: APA) -> RefinementAnalysis:
+    """`compute_refinement` on inputs already known to be analysable."""
     pairs = [(s1, s2) for s1 in n1.states for s2 in n2.states]
     current = frozenset(pairs)
     history = [current]
@@ -335,7 +340,7 @@ def refines(n1: APA, n2: APA) -> bool:
     answer False on a refinement it fails to witness, never True wrongly.
     """
     if _deterministic_pair(n1, n2):
-        return compute_refinement(n1, n2).refines
+        return _refinement_fixpoint(n1, n2).refines
     return _refines_nondet(n1, n2)
 
 
@@ -613,11 +618,14 @@ def _pa_val(p: PA, s: State):
     return p.valuation_of(s)
 
 
-def _match_by_pushforward(p: PA, n: APA, mu_p: Distribution, s2: State, a: Action,
-                          phi, relation: frozenset) -> bool:
-    """Deterministic fast path: push mu_p through the forced map, test membership."""
+def _match_by_pushforward(p: PA, n: APA, mu_p: Distribution, phi,
+                          supportable: tuple[State, ...], relation: frozenset) -> bool:
+    """Deterministic fast path: push mu_p through the forced map, test membership.
+
+    `supportable` is `C.supportable_states(phi, n.states)`.
+    """
     def target(p_state: State) -> State | None:
-        candidates = [t for t in C.supportable_states(phi, n.states)
+        candidates = [t for t in supportable
                       if n.valuations(t) == (_pa_val(p, p_state),) and (p_state, t) in relation]
         if len(candidates) > 1:
             raise PreconditionError("constraint admits two equally-labeled successors; "
@@ -694,6 +702,7 @@ def satisfies(p: PA, n: APA, budget: int | None = None) -> tuple[bool, frozenset
     limit = budget if budget is not None else node_budget()
     fast = is_deterministic(n)
     checks = 0
+    supportable: dict = {}  # constraint id -> supportable states of n, for this call only
 
     def pair_ok(ps: State, s2: State, relation: frozenset) -> bool:
         nonlocal checks
@@ -704,21 +713,22 @@ def satisfies(p: PA, n: APA, budget: int | None = None) -> tuple[bool, frozenset
             return False
         for a in p.actions:
             mus = [t.distribution for t in p.transitions_from(ps, a)]
-            phis = [(n.constraint(t.constraint_id), t.modality)
+            phis = [(t.constraint_id, n.constraint(t.constraint_id), t.modality)
                     for t in n.transitions_from(s2, a)]
-            for phi, modality in phis:
+            for cid, phi, modality in phis:
                 if modality is Modality.MUST:
-                    if not any(_matches(mu, ps, s2, a, phi, relation) for mu in mus):
+                    if not any(_matches(mu, cid, phi, relation) for mu in mus):
                         return False
             for mu in mus:
-                if not any(_matches(mu, ps, s2, a, phi, relation) for phi, _ in phis):
+                if not any(_matches(mu, cid, phi, relation) for cid, phi, _ in phis):
                     return False
         return True
 
-    def _matches(mu: Distribution, ps: State, s2: State, a: Action, phi,
-                 relation: frozenset) -> bool:
+    def _matches(mu: Distribution, cid, phi, relation: frozenset) -> bool:
         if fast:
-            return _match_by_pushforward(p, n, mu, s2, a, phi, relation)
+            if cid not in supportable:
+                supportable[cid] = C.supportable_states(phi, n.states)
+            return _match_by_pushforward(p, n, mu, phi, supportable[cid], relation)
         return _match_by_coupling(p, n, mu, phi, relation)
 
     current = frozenset((ps, s2) for ps in p.states for s2 in n.states)

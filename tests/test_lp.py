@@ -124,3 +124,100 @@ def test_simplex_matches_vertex_enumeration(instance):
     assert all(x >= 0 for x in res.point.values())
     achieved = sum((c * res.point[v] for v, c in objective.items()), ZERO)
     assert achieved == res.value
+
+
+# -- the fraction-free kernel ------------------------------------------------
+
+_mixed = st.builds(F, st.integers(min_value=-4, max_value=4), st.sampled_from([1, 2, 3, 7, 10]))
+# Float-derived rationals carry denominators up to 2**53, as in the distance costs.
+_float_coeff = st.floats(min_value=-3, max_value=3, allow_nan=False).map(F)
+
+
+@st.composite
+def _mixed_instances(draw):
+    n_vars = draw(st.integers(min_value=1, max_value=3))
+    variables = [f"v{i}" for i in range(n_vars)]
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        coeffs = {v: draw(_mixed) for v in variables}
+        rel = draw(st.sampled_from(["<=", ">=", "=="]))
+        rows.append((coeffs, rel, draw(_mixed)))
+    for v in variables:
+        rows.append(({v: F(1)}, "<=", draw(_mixed.filter(lambda b: b >= 0))))
+    objective = {v: draw(st.one_of(_mixed, _float_coeff)) for v in variables}
+    return objective, rows, variables
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_instances())
+def test_mixed_denominators_and_float_costs_match_vertex_enumeration(instance):
+    objective, rows, variables = instance
+    oracle = brute_lp_max(objective, rows, variables)
+    for maximize in (True, False):
+        res = _lp.solve(objective, rows, variables, maximize=maximize)
+        if oracle is None:
+            assert res.status == "infeasible"
+            continue
+        assert res.status == "optimal"
+        best = oracle[0] if maximize else -brute_lp_max(
+            {v: -c for v, c in objective.items()}, rows, variables)[0]
+        assert res.value == best
+        assert res.point in basic_points(rows, variables)
+        assert sum((c * res.point[v] for v, c in objective.items()), ZERO) == res.value
+
+
+def test_zero_level_artificial_driven_out_on_a_negative_pivot(monkeypatch):
+    # x + y/3 == 1 and -2x + y/3 >= 1 leave the single point (0, 3).  Phase 1
+    # ends with the second row's artificial basic at level zero, and its
+    # first nonzero entry (on x) is negative; phase 2 pivots after the flip.
+    pivots = []  # (carries a cost row, returned determinant)
+    pivot = _lp._pivot
+
+    def spy(rows, cost, basis, p, q, det):
+        new = pivot(rows, cost, basis, p, q, det)
+        pivots.append((cost is not None, new))
+        return new
+
+    monkeypatch.setattr(_lp, "_pivot", spy)
+    res = _lp.solve({"x": F(1), "y": F(1)},
+                    [({"x": F(1), "y": F(1, 3)}, "==", F(1)),
+                     ({"x": F(-2), "y": F(1, 3)}, ">=", F(1))],
+                    ["x", "y"])
+    assert res.status == "optimal"
+    assert res.value == 3
+    assert res.point == {"x": F(0), "y": F(3)}
+    drive_out = [i for i, (simplex, _) in enumerate(pivots) if not simplex]
+    assert drive_out and pivots[drive_out[0]][1] < 0
+    assert any(simplex for simplex, _ in pivots[drive_out[0] + 1:])
+
+
+def test_redundant_equality_row_is_deleted(monkeypatch):
+    # 2x + 2y == 2 repeats x + y == 1: its artificial stays basic with an
+    # all-zero row, which must be dropped before phase 2.
+    phases = []
+    phase = _lp._simplex_phase
+
+    def spy(rows, cost, basis, det):
+        phases.append(len(rows))
+        return phase(rows, cost, basis, det)
+
+    monkeypatch.setattr(_lp, "_simplex_phase", spy)
+    res = _lp.solve({"x": F(1)},
+                    [({"x": F(1), "y": F(1)}, "==", F(1)),
+                     ({"x": F(2), "y": F(2)}, "==", F(2))],
+                    ["x", "y"])
+    assert phases == [2, 1]
+    assert res.status == "optimal"
+    assert res.value == 1
+    assert res.point == {"x": F(1), "y": F(0)}
+
+
+def test_feasible_point_on_mixed_denominator_rows_is_a_vertex():
+    variables = ["x", "y", "z"]
+    rows = [({"x": F(1, 3), "y": F(1, 2)}, "<=", F(1)),
+            ({"x": F(1, 7), "y": F(1, 10), "z": F(1)}, "==", F(3, 10)),
+            ({"x": F(1), "y": F(1)}, ">=", F(1, 2)),
+            ({"y": F(2, 3), "z": F(-1, 7)}, ">=", F(1, 10))]
+    point = _lp.feasible_point(rows, variables)
+    assert point is not None
+    assert point in basic_points(rows, variables)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 import warnings
 from fractions import Fraction as F
 
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apa_toolkit import constraints as C
-from apa_toolkit.errors import GridTooCoarseError, InputError, ResourceLimitError
+from apa_toolkit.difference import under_diff
+from apa_toolkit.errors import (GridTooCoarseError, InputError, PreconditionError,
+                                 ResourceLimitError)
 from apa_toolkit.generators import random_pair
 from apa_toolkit.model import Modality, make_apa, pa_as_apa, validate_pa
 from apa_toolkit.oracle import (GridSpec, brute_satisfies,
@@ -64,6 +67,15 @@ def test_grid_too_coarse_for_a_required_transition():
         list(enumerate_implementations(n, GridSpec(denominator=10)))
     # The finer grid resolves it.
     assert len(list(enumerate_implementations(n, GridSpec(denominator=4)))) == 1
+
+
+def test_required_transition_with_empty_constraint_names_the_state():
+    # under_diff emits a reachable state q2|r2|b|1 whose required constraint
+    # is empty; no grid can help, so the error blames the state, not the grid.
+    n = under_diff(*random_pair(random.Random(8)), 2)
+    state = next(s for s in n.states if str(s) == "q2|r2|b|1")
+    with pytest.raises(PreconditionError, match=re.escape(repr(state))):
+        list(enumerate_implementations(n, GridSpec(denominator=10, max_states=20)))
 
 
 def test_optional_transition_without_grid_point_warns_and_drops():

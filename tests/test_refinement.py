@@ -3,14 +3,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from apa_toolkit import constraints as C
+from apa_toolkit import refinement
 from apa_toolkit.errors import PreconditionError
 from apa_toolkit.generators import random_apa, random_pair
-from apa_toolkit.model import pa_as_apa
+from apa_toolkit.model import is_deterministic, pa_as_apa
 from apa_toolkit.oracle import GridSpec, enumerate_implementations
 from apa_toolkit.refinement import (CaseLabel, breaking, classify_pair,
                                     compute_refinement, lemma_indplus_witness,
@@ -164,6 +166,21 @@ def test_every_automaton_satisfies_its_own_lift(seed):
         assert satisfies(p, n)[0]
 
 
+def test_satisfaction_computes_supportable_states_once_per_constraint(monkeypatch):
+    calls = []
+    supportable = C.supportable_states
+    monkeypatch.setattr(C, "supportable_states",
+                        lambda phi, states, *rest: calls.append(phi) or supportable(phi, states, *rest))
+    for n in (interval_pair()[0], deferral_pair()[0]):
+        p = next(islice(enumerate_implementations(n, GridSpec(denominator=10)), 3, None))
+        calls.clear()
+        is_deterministic(n)
+        determinism = len(calls)
+        calls.clear()
+        assert satisfies(p, n)[0]
+        assert len(calls) - determinism <= len(n.constraints)
+
+
 def test_satisfaction_against_nondeterministic_targets():
     d1, d2 = deferral_pair()
     from apa_toolkit.difference import under_diff
@@ -182,3 +199,12 @@ def test_refines_matches_relation_membership():
     # History is a decreasing chain ending in a fixed point.
     for earlier, later in zip(analysis.history, analysis.history[1:]):
         assert later <= earlier
+
+
+def test_refines_checks_determinism_once_per_automaton(monkeypatch):
+    calls = []
+    check = refinement.is_deterministic
+    monkeypatch.setattr(refinement, "is_deterministic", lambda n: calls.append(n) or check(n))
+    n1, n2 = random_pair(random.Random(0))
+    refines(n1, n2)
+    assert len(calls) == 2
