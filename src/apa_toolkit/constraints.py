@@ -640,12 +640,87 @@ def sat_nonempty(phi: ConstraintExpr, states: Sequence[State],
     return None
 
 
+@dataclass(frozen=True)
+class _Box:
+    """A piece whose rows each name at most one state: mu(t) ranges over an
+    interval per state, cut by the simplex.  `lo` and `hi` hold the ends that
+    rows set, as (bound, open) pairs; every other end is the closed 0 or 1
+    that the simplex implies."""
+
+    lo: dict
+    hi: dict
+    nonempty: bool
+
+    @staticmethod
+    def of(piece: Piece, states: Sequence[State]) -> "_Box | None":
+        """The piece's intervals over `states`, or None if a row names two
+        states or a state outside `states`."""
+        lo: dict = {}
+        hi: dict = {}
+        consistent = True
+        for coeffs, rel, rhs in piece.rows:
+            if len(coeffs) > 1 or (coeffs and coeffs[0][0] not in states):
+                return None
+            t, c = coeffs[0] if coeffs else (None, ZERO)
+            if c == 0:
+                consistent = consistent and {"<=": 0 <= rhs, "<": 0 < rhs, "==": 0 == rhs}[rel]
+                continue
+            end = (Fraction(rhs) / c, rel == "<")
+            # of two ends at the same bound, the open one is tighter
+            if c > 0 or rel == "==":
+                hi[t] = min(hi.get(t, (ONE, False)), end, key=lambda b: (b[0], not b[1]))
+            if c < 0 or rel == "==":
+                lo[t] = max(lo.get(t, (ZERO, False)), end)
+        return _Box(lo, hi, consistent and _meets_simplex(lo, hi, len(states)))
+
+    def max_mass(self, s: State) -> Fraction:
+        """The maximum of mu(s) over the closure of the piece, if nonempty."""
+        rest = sum((b for t, (b, _) in self.lo.items() if t != s), ZERO)
+        return min(self.hi.get(s, (ONE, False))[0], 1 - rest)
+
+
+def _meets_simplex(lo: dict, hi: dict, n: int) -> bool:
+    """Do n intervals, with the ends in `lo` and `hi` and closed 0 and 1
+    elsewhere, hold a distribution?  Iff each is nonempty and 1 lies in their
+    Minkowski sum, whose lower (upper) end is open iff some lower (upper) end is."""
+    for t in lo.keys() | hi.keys():
+        low, low_open = lo.get(t, (ZERO, False))
+        high, high_open = hi.get(t, (ONE, False))
+        if low > high or (low == high and (low_open or high_open)):
+            return False
+    lo_sum = sum((b for b, _ in lo.values()), ZERO)
+    hi_sum = sum((b for b, _ in hi.values()), ZERO) + (n - len(hi))
+    return ((lo_sum < 1 or (lo_sum == 1 and not any(o for _, o in lo.values())))
+            and (hi_sum > 1 or (hi_sum == 1 and not any(o for _, o in hi.values()))))
+
+
 def support_reachable(phi: ConstraintExpr, s: State, states: Sequence[State],
                       cap: int = DNF_BRANCH_CAP) -> bool:
-    """True iff some mu in Sat(phi) has mu(s) > 0."""
+    """True iff some mu in Sat(phi) has mu(s) > 0.
+
+    Decided piece by piece.  A piece whose rows each name at most one state
+    (every interval constraint gives such pieces) is decided in closed form:
+    mu(t) ranges over an interval [lo_t, hi_t], each end open or closed.  The
+    piece is nonempty iff every interval is, and 1 lies in their Minkowski
+    sum, whose lower end is included iff all the lower ends are and likewise
+    for the upper end; then s is supportable iff
+    min(hi_s, 1 - sum of lo_t over t != s) > 0.  Any other piece takes two
+    LPs: emptiness of the half-open piece, then the maximum of mu(s) over its
+    closure.  Either way the closure stands in for the piece only once the
+    piece is known nonempty: then the piece is dense in its closure (the
+    segment from a point of the piece to a point of the closure lies in the
+    piece except at its far end), so mu(s) > 0 somewhere on the closure iff
+    somewhere on the piece.  A half-open piece can be empty while its
+    closure is not, so emptiness is always decided first.
+    """
     for piece in dnf_cover(phi, cap):
+        box = _Box.of(piece, states)
+        if box is not None:
+            if box.nonempty and box.max_mass(s) > 0:
+                return True
+            continue
         if piece.has_strict() and piece_point(piece, states) is None:
-            continue  # empty half-open piece; its closure would lie
+            continue
         best = piece_max(piece, states, {s: ONE})
         if best is not None and best[0] > 0:
             return True

@@ -280,18 +280,31 @@ def compute_refinement(n1: APA, n2: APA) -> RefinementAnalysis:
     return _refinement_fixpoint(n1, n2)
 
 
-def _refinement_fixpoint(n1: APA, n2: APA) -> RefinementAnalysis:
-    """`compute_refinement` on inputs already known to be analysable."""
-    pairs = [(s1, s2) for s1 in n1.states for s2 in n2.states]
+def _greatest_fixpoint(pairs: Iterable[Pair],
+                       pair_ok: Callable[[State, State, frozenset], bool]) -> tuple[frozenset, ...]:
+    """Pair elimination R_{k+1} = {p in R_k : pair_ok(p, R_k)} from R_0 = `pairs`
+    until R_{k+1} = R_k; returns R_0 ... R_K.
+
+    Each sweep checks every surviving pair against the relation as it stood
+    when the sweep began, so R_k is the k-th approximant that `breaking` and
+    the difference constructions read back as `history[k]`.
+    """
     current = frozenset(pairs)
     history = [current]
     while True:
-        nxt = frozenset(p for p in current if _pair_ok(n1, n2, p[0], p[1], current))
+        nxt = frozenset(p for p in current if pair_ok(p[0], p[1], current))
         if nxt == current:
-            break
+            return tuple(history)
         history.append(nxt)
         current = nxt
-    analysis = RefinementAnalysis(n1, n2, tuple(history))
+
+
+def _refinement_fixpoint(n1: APA, n2: APA) -> RefinementAnalysis:
+    """`compute_refinement` on inputs already known to be analysable."""
+    pairs = [(s1, s2) for s1 in n1.states for s2 in n2.states]
+    history = _greatest_fixpoint(
+        pairs, lambda s1, s2, relation: _pair_ok(n1, n2, s1, s2, relation))
+    analysis = RefinementAnalysis(n1, n2, history)
     K = analysis.fixpoint_index
     for p in pairs:
         analysis.ind[p] = max(k for k, r in enumerate(history) if p in r) if p in history[0] else 0
@@ -353,7 +366,6 @@ def _deterministic_pair(n1: APA, n2: APA) -> bool:
 # -- sound refinement for non-deterministic automata ------------------------
 
 _MAP_TEST_BUDGET = 256  # complete successor maps tried per constraint piece
-_map_condition_memo: dict = {}
 
 
 def _candidate_order(s: State):
@@ -406,21 +418,9 @@ def _map_condition(phi1, states1: tuple, phi2, states2: tuple,
     Witness shape: per piece of Sat(phi1), one deterministic successor map T
     (relation-compatible); the pushforward condition T#piece being inside
     Sat(phi2) is then exact, decided against the complement cover.  Searching
-    only deterministic maps is the conservative part.
+    only deterministic maps is the conservative part.  Only pairs whose left
+    state is supportable in phi1 are ever read.
     """
-    supp1 = C.supportable_states(phi1, states1)
-    slice_key = frozenset(p for p in relation if p[0] in supp1)
-    memo_key = (phi1, states1, phi2, states2, slice_key)
-    hit = _map_condition_memo.get(memo_key)
-    if hit is not None:
-        return hit
-    result = _map_condition_raw(phi1, states1, phi2, states2, slice_key)
-    _map_condition_memo[memo_key] = result
-    return result
-
-
-def _map_condition_raw(phi1, states1: tuple, phi2, states2: tuple,
-                       relation: frozenset) -> bool:
     neg_pieces = _complement_pieces(phi2)
     for piece in C.dnf_cover(phi1):
         probe = C.piece_point(piece, states1)
@@ -482,24 +482,21 @@ def _map_condition_raw(phi1, states1: tuple, phi2, states2: tuple,
     return True
 
 
-def _nondet_pair_ok(n1: APA, n2: APA, s1: State, s2: State, relation: frozenset) -> bool:
-    states1, states2 = tuple(n1.states), tuple(n2.states)
+def _nondet_pair_ok(n1: APA, n2: APA, s1: State, s2: State, relation: frozenset,
+                    map_ok: Callable[[str, str, frozenset], bool]) -> bool:
+    """`map_ok(cid1, cid2, relation)` is `_map_condition` on the two constraints."""
     for a in n1.actions:
         ts1 = n1.transitions_from(s1, a)
         ts2 = n2.transitions_from(s2, a)
         for tr2 in ts2:
             if tr2.modality is not Modality.MUST:
                 continue
-            phi2 = n2.constraint(tr2.constraint_id)
             if not any(tr1.modality is Modality.MUST and
-                       _map_condition(n1.constraint(tr1.constraint_id), states1,
-                                      phi2, states2, relation)
+                       map_ok(tr1.constraint_id, tr2.constraint_id, relation)
                        for tr1 in ts1):
                 return False
         for tr1 in ts1:
-            phi1 = n1.constraint(tr1.constraint_id)
-            if not any(_map_condition(phi1, states1,
-                                      n2.constraint(tr2.constraint_id), states2, relation)
+            if not any(map_ok(tr1.constraint_id, tr2.constraint_id, relation)
                        for tr2 in ts2):
                 return False
     return True
@@ -511,13 +508,26 @@ def _refines_nondet(n1: APA, n2: APA) -> bool:
             raise PreconditionError(f"{name} automaton is not in single-valuation normal form")
     if set(n1.actions) != set(n2.actions):
         raise InputError("automata must share the same action alphabet")
-    relation = frozenset((s1, s2) for s1 in n1.states for s2 in n2.states
-                         if n1.valuation_of(s1) == n2.valuation_of(s2))
-    while True:
-        nxt = frozenset(p for p in relation if _nondet_pair_ok(n1, n2, p[0], p[1], relation))
-        if nxt == relation:
-            break
-        relation = nxt
+    states1, states2 = tuple(n1.states), tuple(n2.states)
+    # Both memos live for this call only, so memory stays bounded by one analysis.
+    supportable: dict = {}  # constraint id of n1 -> its supportable states
+    decided: dict = {}      # (cid1, cid2, relation on supportable x S2) -> verdict
+
+    def map_ok(cid1: str, cid2: str, relation: frozenset) -> bool:
+        if cid1 not in supportable:
+            supportable[cid1] = frozenset(C.supportable_states(n1.constraint(cid1), states1))
+        supp1 = supportable[cid1]
+        relation_slice = frozenset(p for p in relation if p[0] in supp1)
+        key = (cid1, cid2, relation_slice)
+        if key not in decided:
+            decided[key] = _map_condition(n1.constraint(cid1), states1,
+                                          n2.constraint(cid2), states2, relation_slice)
+        return decided[key]
+
+    initial = [(s1, s2) for s1 in n1.states for s2 in n2.states
+               if n1.valuation_of(s1) == n2.valuation_of(s2)]
+    relation = _greatest_fixpoint(
+        initial, lambda s1, s2, rel: _nondet_pair_ok(n1, n2, s1, s2, rel, map_ok))[-1]
     return all(any((s1, s2) in relation for s2 in n2.initial) for s1 in n1.initial)
 
 
@@ -691,10 +701,13 @@ def _match_by_coupling(p: PA, n: APA, mu_p: Distribution, phi,
 def satisfies(p: PA, n: APA, budget: int | None = None) -> tuple[bool, frozenset | None]:
     """Does the concrete automaton implement the abstract one?
 
-    Runs a greatest-fixed-point pair elimination; each surviving pair is
-    re-checked against the current relation.  Deterministic abstract inputs
-    use forced-pushforward membership; non-deterministic ones (differences)
-    fall back to per-distribution coupling feasibility.
+    Runs a greatest-fixed-point pair elimination; every sweep checks each
+    surviving pair, at most `budget` pair checks in all.  Deterministic
+    abstract inputs use forced-pushforward membership; non-deterministic ones
+    (differences) fall back to per-distribution coupling feasibility.  Either
+    test of a distribution mu against a constraint reads the relation only on
+    supp(mu) x states(n), so each test is decided once per call and
+    relation slice, and a recheck whose slice is unchanged solves no LP.
     """
     if not is_svnf(n):
         raise PreconditionError("satisfaction requires the abstract side in "
@@ -702,7 +715,9 @@ def satisfies(p: PA, n: APA, budget: int | None = None) -> tuple[bool, frozenset
     limit = budget if budget is not None else node_budget()
     fast = is_deterministic(n)
     checks = 0
-    supportable: dict = {}  # constraint id -> supportable states of n, for this call only
+    # Both memos live for this call only.
+    supportable: dict = {}  # constraint id -> supportable states of n
+    matched: dict = {}      # (mu, constraint id, relation on supp(mu) x S) -> verdict
 
     def pair_ok(ps: State, s2: State, relation: frozenset) -> bool:
         nonlocal checks
@@ -725,17 +740,20 @@ def satisfies(p: PA, n: APA, budget: int | None = None) -> tuple[bool, frozenset
         return True
 
     def _matches(mu: Distribution, cid, phi, relation: frozenset) -> bool:
-        if fast:
-            if cid not in supportable:
-                supportable[cid] = C.supportable_states(phi, n.states)
-            return _match_by_pushforward(p, n, mu, phi, supportable[cid], relation)
-        return _match_by_coupling(p, n, mu, phi, relation)
+        relation_slice = frozenset((s, t) for s in mu.support() for t in n.states
+                                   if (s, t) in relation)
+        key = (mu, cid, relation_slice)
+        if key not in matched:
+            if fast:
+                if cid not in supportable:
+                    supportable[cid] = C.supportable_states(phi, n.states)
+                matched[key] = _match_by_pushforward(p, n, mu, phi, supportable[cid],
+                                                     relation_slice)
+            else:
+                matched[key] = _match_by_coupling(p, n, mu, phi, relation_slice)
+        return matched[key]
 
-    current = frozenset((ps, s2) for ps in p.states for s2 in n.states)
-    while True:
-        nxt = frozenset(pair for pair in current if pair_ok(pair[0], pair[1], current))
-        if nxt == current:
-            break
-        current = nxt
+    pairs = [(ps, s2) for ps in p.states for s2 in n.states]
+    current = _greatest_fixpoint(pairs, pair_ok)[-1]
     ok = any((p.initial, s0) in current for s0 in n.initial)
     return (ok, current if ok else None)

@@ -188,6 +188,84 @@ def test_piece_points_land_inside_their_piece(expr):
             assert best is not None and best[0] >= point.get("s0", F(0))
 
 
+_support_coeff = st.sampled_from([-3, -2, -1, 1, 2, 3]).map(F)
+_support_rhs = st.integers(min_value=-2, max_value=7).map(lambda k: F(k, 6))
+
+
+@st.composite
+def _support_atoms(draw):
+    """One-state rows (any relation, coefficients other than +-1), constant
+    rows, and rows over two or three states."""
+    kind = draw(st.sampled_from(["one", "one", "one", "constant", "multi"]))
+    rel = draw(st.sampled_from(["<=", "<", "==", ">=", ">"]))
+    rhs = draw(_support_rhs)
+    if kind == "constant":
+        return C.atom({}, rel, rhs)
+    if kind == "one":
+        return C.atom({draw(st.sampled_from(STATES)): draw(_support_coeff)}, rel, rhs)
+    states = draw(st.sets(st.sampled_from(STATES), min_size=2))
+    return C.atom({s: draw(_support_coeff) for s in states}, rel, rhs)
+
+
+@st.composite
+def _support_trees(draw, depth=3):
+    if depth == 0 or draw(st.booleans()):
+        return draw(_support_atoms())
+    op = draw(st.sampled_from(["and", "and", "or", "not"]))
+    if op == "not":
+        return C.not_(draw(_support_trees(depth=depth - 1)))
+    items = draw(st.lists(_support_trees(depth=depth - 1), min_size=1, max_size=3))
+    return (C.and_ if op == "and" else C.or_)(*items)
+
+
+def _supportable_by_lp(phi, states):
+    return tuple(s for s in states
+                 if C.sat_nonempty(C.and_(phi, C.atom({s: 1}, ">", 0)), states) is not None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_support_trees())
+def test_supportable_states_agree_with_strict_support_lps(expr):
+    assert C.supportable_states(expr, STATES) == _supportable_by_lp(expr, STATES)
+
+
+@pytest.mark.parametrize("phi, states, expected", [
+    # 1 lies at the open upper end of [0, 1/2) + [0, 1/2)
+    (C.and_(C.atom({"s0": 1}, "<", F(1, 2)), C.atom({"s1": 1}, "<", F(1, 2))),
+     ("s0", "s1"), ()),
+    # ... and at the closed one of [0, 1/2] + [0, 1/2]
+    (C.and_(C.atom({"s0": 1}, "<=", F(1, 2)), C.atom({"s1": 1}, "<=", F(1, 2))),
+     ("s0", "s1"), ("s0", "s1")),
+    # point intervals [b, b]
+    (C.interval_constraint({"s0": (F(1, 3), F(1, 3)), "s1": (F(2, 3), F(2, 3))}),
+     ("s0", "s1"), ("s0", "s1")),
+    (C.interval_constraint({"s0": (F(1, 3), F(1, 3))}), ("s0", "s1", "s2"),
+     ("s0", "s1", "s2")),
+    (C.interval_constraint({"s0": (0, 0)}), ("s0", "s1"), ("s1",)),
+    (C.interval_constraint({"s0": (F(1, 2), F(1, 2)), "s1": (F(1, 3), F(1, 3))}),
+     ("s0", "s1"), ()),
+    # >= rows with negative coefficients: -2 mu(s0) >= -1/2 is mu(s0) <= 1/4
+    (C.atom({"s0": -2}, ">=", F(-1, 2)), ("s0", "s1"), ("s0", "s1")),
+    (C.atom({"s0": -2}, ">=", 0), ("s0", "s1"), ("s1",)),
+    (C.and_(C.atom({"s0": -1}, ">=", F(-1, 4)), C.atom({"s1": -1}, ">=", F(-1, 4))),
+     ("s0", "s1"), ()),
+    # mu(s1) > 1/2 leaves mu(s0) < 1/2, still positive
+    (C.and_(C.atom({"s0": 2}, ">=", 0), C.atom({"s1": -3}, "<", F(-3, 2))),
+     ("s0", "s1"), ("s0", "s1")),
+    # of an open and a closed end at the same bound, the open one holds
+    (C.and_(C.atom({"s0": 1}, ">", F(1, 2)), C.atom({"s0": 1}, ">=", F(1, 2)),
+            C.atom({"s1": 1}, ">=", F(1, 2))), ("s0", "s1"), ()),
+    (C.and_(C.atom({"s0": 1}, "<", F(1, 2)), C.atom({"s0": 1}, "<=", F(1, 2)),
+            C.atom({"s1": 1}, "<=", F(1, 2))), ("s0", "s1"), ()),
+    # a false constant row empties the piece
+    (C.and_(C.atom({}, ">", 0), C.atom({"s0": 1}, "<=", F(1, 2))), ("s0", "s1"), ()),
+])
+def test_supportable_states_of_interval_pieces(phi, states, expected):
+    assert C.supportable_states(phi, states) == expected
+    assert _supportable_by_lp(phi, states) == expected
+    assert (C.sat_nonempty(phi, states) is None) == (expected == ())
+
+
 # ---------------------------------------------------------------------------
 # Vertex enumeration vs. the square-subsystem oracle
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from apa_toolkit import constraints as C
 from apa_toolkit import refinement
 from apa_toolkit.errors import PreconditionError
 from apa_toolkit.generators import random_apa, random_pair
-from apa_toolkit.model import is_deterministic, pa_as_apa
+from apa_toolkit.model import Modality, is_deterministic, make_apa, pa_as_apa
 from apa_toolkit.oracle import GridSpec, enumerate_implementations
 from apa_toolkit.refinement import (CaseLabel, breaking, classify_pair,
                                     compute_refinement, lemma_indplus_witness,
@@ -190,6 +190,23 @@ def test_satisfaction_against_nondeterministic_targets():
     assert satisfies(p_late, under_diff(d1, d2, 3))[0]
 
 
+def test_satisfaction_decides_each_coupling_once_per_relation_slice(monkeypatch):
+    d1, d2 = deferral_pair()
+    from apa_toolkit.difference import under_diff
+    diff = under_diff(d1, d2, 1)
+    seen = []
+    couple = refinement._match_by_coupling
+
+    def recording(p, n, mu, phi, relation):
+        support = set(mu.support())
+        seen.append((mu, phi, frozenset(pair for pair in relation if pair[0] in support)))
+        return couple(p, n, mu, phi, relation)
+
+    monkeypatch.setattr(refinement, "_match_by_coupling", recording)
+    assert not satisfies(deferral_implementation_late(), diff)[0]
+    assert seen and len(seen) == len(set(seen))
+
+
 def test_refines_matches_relation_membership():
     n1, n2 = refining_pair()
     analysis = compute_refinement(n1, n2)
@@ -208,3 +225,44 @@ def test_refines_checks_determinism_once_per_automaton(monkeypatch):
     n1, n2 = random_pair(random.Random(0))
     refines(n1, n2)
     assert len(calls) == 2
+
+
+def test_nondeterministic_refinement_computes_support_once_per_constraint(monkeypatch):
+    d1, d2 = deferral_pair()
+    from apa_toolkit.difference import under_diff
+    u1, u2 = under_diff(d1, d2, 1), under_diff(d1, d2, 2)
+    calls = []
+    supportable = C.supportable_states
+    monkeypatch.setattr(C, "supportable_states",
+                        lambda phi, states, *rest: calls.append(phi) or supportable(phi, states, *rest))
+    assert refinement._refines_nondet(u1, u2)
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_nondeterministic_refinement_leaves_no_module_state():
+    d1, d2 = deferral_pair()
+    from apa_toolkit.difference import under_diff
+    assert refines(under_diff(d1, d2, 1), under_diff(d1, d2, 2))
+    filled = [name for name, value in vars(refinement).items()
+              if isinstance(value, dict) and value and not name.startswith("__")]
+    assert filled == []
+
+
+def _chain(prefix: str, must_at_end: bool):
+    """x0 -a-> x1 -a-> x2, each step onto one state, every state labeled apart;
+    x2 -a-> x3 is Must when `must_at_end`, absent otherwise."""
+    states = [f"{prefix}{i}" for i in range(4)]
+    steps = [(0, "c0"), (1, "c1")] + ([(2, "c2")] if must_at_end else [])
+    return make_apa(
+        states=states, actions=["a"], ap=["p0", "p1", "p2", "p3"],
+        labeling={s: [[f"p{i}"]] for i, s in enumerate(states)},
+        transitions=[(states[i], "a", cid, Modality.MUST) for i, cid in steps],
+        initial=[states[0]],
+        constraints={cid: C.point_constraint({states[i + 1]: 1}) for i, cid in steps})
+
+
+def test_nondeterministic_refinement_rechecks_pairs_after_a_removal():
+    n1, n2 = _chain("s", must_at_end=False), _chain("t", must_at_end=True)
+    # (s2, t2) falls in the first sweep, (s1, t1) in the second, (s0, t0) in the third
+    assert compute_refinement(n1, n2).fixpoint_index == 3
+    assert not refinement._refines_nondet(n1, n2)
