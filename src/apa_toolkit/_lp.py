@@ -32,6 +32,17 @@ be negative; the tableau and D are then negated, which keeps D > 0.
 All variables are implicitly >= 0, which covers every use here (probability
 masses, coupling masses, slack variables).  Callers fix the variable order;
 solutions returned are basic, i.e. vertices of the feasible polyhedron.
+
+`solve` is `prepare` followed by `reprice`.  `prepare` runs phase 1 once and
+returns the tableau at a feasible basis (None if the system is infeasible);
+`reprice` prices an objective on that tableau and runs phase 2 from its
+current basis, leaving the tableau at the new optimum.  A caller that
+optimizes many objectives over one system prepares it once and re-prices it:
+Bland's rule terminates from any feasible basis, and the optimal value does
+not depend on where phase 2 starts.  The optimal vertex does, when the
+optimum is not unique, so only a caller that reads the value alone may
+re-price; a caller that builds on the vertex calls `solve`, whose pivot path
+starts from the phase-1 basis every time.
 """
 
 from __future__ import annotations
@@ -40,6 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Hashable, Mapping, Sequence
+
+from .errors import InputError
 
 Var = Hashable
 ZERO = Fraction(0)
@@ -109,16 +122,26 @@ def _simplex_phase(rows: list[list[int]], cost: list[int], basis: list[int],
         det = _pivot(rows, cost, basis, leaving, entering, det)
 
 
-def solve(
-    objective: Mapping[Var, Fraction],
-    constraints: Sequence[Constraint],
-    variables: Sequence[Var],
-    maximize: bool = True,
-) -> LpResult:
-    """Solve max/min objective subject to `constraints`, all variables >= 0.
+@dataclass
+class Tableau:
+    """The integer tableau of one constraint system at a feasible basis.
 
-    The returned point is a basic feasible solution (a vertex).
+    `rows` hold D * B^-1 * M over the `columns` variable and slack columns
+    plus the right-hand side, with `det` = D > 0 and `basis[r]` the column
+    basic in row r; redundant rows are gone.  `reprice` moves it from basis
+    to basis.
     """
+
+    var_index: dict[Var, int]
+    columns: int
+    rows: list[list[int]]
+    basis: list[int]
+    det: int
+
+
+def prepare(constraints: Sequence[Constraint], variables: Sequence[Var]) -> Tableau | None:
+    """Phase 1: the tableau of `constraints` at a feasible basis, all
+    variables >= 0, or None if the system is infeasible."""
     var_index = {v: i for i, v in enumerate(variables)}
     if len(var_index) != len(variables):
         raise ValueError("duplicate variables")
@@ -126,13 +149,17 @@ def solve(
 
     parsed = []
     scale = 1  # common denominator of the whole system
-    for coeffs, rel, rhs in constraints:
-        terms = [(var_index[v], _rational(c)) for v, c in coeffs.items()]
-        rhs = _rational(rhs)
-        if rel not in ("<=", ">=", "=="):
-            raise ValueError(f"unknown relation {rel!r}")
-        scale = lcm(scale, rhs.denominator, *[c.denominator for _, c in terms])
-        parsed.append((terms, rel, rhs))
+    try:
+        for coeffs, rel, rhs in constraints:
+            terms = [(var_index[v], _rational(c)) for v, c in coeffs.items()]
+            rhs = _rational(rhs)
+            if rel not in ("<=", ">=", "=="):
+                raise ValueError(f"unknown relation {rel!r}")
+            scale = lcm(scale, rhs.denominator, *[c.denominator for _, c in terms])
+            parsed.append((terms, rel, rhs))
+    except KeyError as err:
+        raise InputError(f"a constraint names {err.args[0]!r}, which is not among "
+                         f"the variables") from None
 
     # Columns: variables, one slack per inequality, one artificial per row, rhs.
     # ">=" rows are negated to "<=", then rows with negative rhs are negated;
@@ -158,7 +185,7 @@ def solve(
         row[total + r] = 1
         rows.append(row)
 
-    # Phase 1: artificial basis, D = 1, cost 1 on each artificial.
+    # Artificial basis, D = 1, cost 1 on each artificial.
     art_start = total
     basis = list(range(art_start, art_start + m))
     cost = [0] * (total + m + 1)
@@ -167,7 +194,7 @@ def solve(
     cost[art_start:art_start + m] = [0] * m
     _, det = _simplex_phase(rows, cost, basis, 1)
     if cost[-1] != 0:
-        return LpResult("infeasible", None, None)
+        return None
     # Drive artificials out of the basis where possible; drop redundant rows.
     for r in range(m - 1, -1, -1):
         if basis[r] >= art_start:
@@ -182,20 +209,37 @@ def solve(
                     det = -det
     # Truncate artificial columns.
     rows[:] = [row[:total] + [row[-1]] for row in rows]
+    return Tableau(var_index, total, rows, basis, det)
 
-    # Phase 2 minimizes the objective, negated to maximize, scaled to integers.
-    terms = [(var_index[v], _rational(c)) for v, c in objective.items()]
+
+def reprice(tableau: Tableau, objective: Mapping[Var, Fraction],
+            maximize: bool = True) -> LpResult:
+    """Phase 2: optimize `objective` from the tableau's current basis.
+
+    The tableau is left at the optimal basis, or at the last feasible basis
+    if the objective is unbounded, so it can be re-priced again.  The optimal
+    value does not depend on the starting basis, but the returned vertex may.
+    """
+    var_index, rows, basis = tableau.var_index, tableau.rows, tableau.basis
+    n, total = len(var_index), tableau.columns
+    try:
+        terms = [(var_index[v], _rational(c)) for v, c in objective.items()]
+    except KeyError as err:
+        raise InputError(f"the objective names {err.args[0]!r}, which is not among "
+                         f"the variables") from None
     cost_scale = lcm(*[c.denominator for _, c in terms])
     sign = -1 if maximize else 1
     int_cost = [0] * total
     for j, c in terms:
         int_cost[j] = sign * c.numerator * (cost_scale // c.denominator)
+    det = tableau.det
     cost = [det * c for c in int_cost] + [0]
     for r, col in enumerate(basis):
         cb = int_cost[col]
         if cb:
             cost = [c - cb * x for c, x in zip(cost, rows[r])]
     bounded, det = _simplex_phase(rows, cost, basis, det)
+    tableau.det = det
     if not bounded:
         return LpResult("unbounded", None, None)
     x = [ZERO] * n
@@ -204,6 +248,22 @@ def solve(
             x[col] = Fraction(rows[r][-1], det)
     point = {v: x[i] for v, i in var_index.items()}
     return LpResult("optimal", Fraction(sign * -cost[-1], det * cost_scale), point)
+
+
+def solve(
+    objective: Mapping[Var, Fraction],
+    constraints: Sequence[Constraint],
+    variables: Sequence[Var],
+    maximize: bool = True,
+) -> LpResult:
+    """Solve max/min objective subject to `constraints`, all variables >= 0.
+
+    The returned point is a basic feasible solution (a vertex).
+    """
+    tableau = prepare(constraints, variables)
+    if tableau is None:
+        return LpResult("infeasible", None, None)
+    return reprice(tableau, objective, maximize)
 
 
 def feasible_point(

@@ -10,6 +10,15 @@ The logical layer stays exact: the outer supremum is taken over the exact
 vertices of the constraint's polyhedral pieces, and every transport problem
 is solved by an exact rational LP.  Only the fixed-point iterate itself is
 a binary64 float, with the contraction giving a certified error bound.
+
+Every sweep poses the same transport polytopes with new costs: one per
+(left vertex, right piece) pair, and one per right piece for all point-mass
+vertices.  Within one `state_distances` call, phase 1 runs once per polytope
+(`_lp.prepare`), and each sweep re-prices the prepared tableau from its last
+optimal basis (`_lp.reprice`).  Bland's rule terminates from any feasible
+basis, and the optimal value does not depend on the basis phase 2 starts
+from; the optimal coupling may, but the distance reads the value alone.  The
+tableaux are dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from . import _lp
 from . import constraints as C
@@ -119,43 +128,56 @@ def _outer_points(phi: ConstraintExpr, states: tuple, cap: int,
     return tuple(points)
 
 
-def _transport_value(mu: Distribution, rows2: Iterable, states2: tuple,
+def _transport_tableau(tableaux: dict, mu: Distribution, piece: Piece,
+                       states2: tuple) -> _lp.Tableau:
+    """The prepared tableau of the transport LP from mu into the closure of a
+    right piece (the couplings of mu with any distribution in it), taken from
+    `tableaux` or made by phase 1 and added there.  The polytope of a point
+    mass is the piece itself, so all point masses share one tableau per
+    piece, under the key (None, piece); any other mu keys as (mu, piece)."""
+    supp = mu.support()
+    key = (mu if len(supp) > 1 else None, piece)
+    tableau = tableaux.get(key)
+    if tableau is not None:
+        return tableau
+    rows = piece.closure_rows()
+    if len(supp) == 1:
+        variables = list(states2)
+        rows.append(({t: ONE for t in states2}, "==", ONE))
+    else:
+        variables = [(s, t) for s in supp for t in states2]
+        rows = [({(s, t): ONE for t in states2}, "==", mu[s]) for s in supp] + \
+            [({(s, t): c for t, c in coeffs.items() for s in supp}, rel, rhs)
+             for coeffs, rel, rhs in rows]
+    tableau = tableaux[key] = _lp.prepare(rows, variables)
+    assert tableau is not None, "a nonempty piece admits a coupling with mu"
+    return tableau
+
+
+def _transport_value(tableau: _lp.Tableau, mu: Distribution, states2: tuple,
                      dval: Callable[[State, State], float]) -> Fraction:
-    """Cheapest coupling of mu with any distribution in the given closed
-    right-hand region; cost of a (left, right) cell is the current distance."""
+    """Cheapest coupling over the prepared transport tableau of mu; cost of a
+    (left, right) cell is the current distance.  Phase 2 starts from the
+    tableau's last optimal basis."""
     supp = mu.support()
     if len(supp) == 1:
         s = supp[0]
-        rows = [(dict(coeffs), rel, rhs) for coeffs, rel, rhs in rows2]
-        rows.append(({t: ONE for t in states2}, "==", ONE))
         obj = {t: Fraction(dval(s, t)) for t in states2}
-        res = _lp.solve(obj, rows, list(states2), maximize=False)
-        assert res.optimal, "the right-hand region was checked nonempty"
-        return res.value
-    variables = [(s, t) for s in supp for t in states2]
-    rows = []
-    for s in supp:
-        rows.append(({(s, t): ONE for t in states2}, "==", mu[s]))
-    for coeffs, rel, rhs in rows2:
-        row = {}
-        for t, c in dict(coeffs).items():
-            for s in supp:
-                row[(s, t)] = c
-        rows.append((row, rel, rhs))
-    obj = {(s, t): Fraction(dval(s, t)) for s in supp for t in states2}
-    res = _lp.solve(obj, rows, variables, maximize=False)
-    assert res.optimal, "a product coupling always exists"
-    return res.value
+    else:
+        obj = {(s, t): Fraction(dval(s, t)) for s in supp for t in states2}
+    return _lp.reprice(tableau, obj, maximize=False).value
 
 
 def _expr_distance(phi1: ConstraintExpr, states1: tuple,
                    phi2: ConstraintExpr, states2: tuple,
                    dval: Callable[[State, State], float],
-                   params: DistanceParams) -> tuple[float, bool]:
+                   params: DistanceParams, tableaux: dict) -> tuple[float, bool]:
     """(value, exact): distance between two constraint expressions.
 
     With a multi-piece right cover the inner value is only piecewise convex,
     so the vertex scan yields a certified lower bound (exact=False).
+    `tableaux` holds the prepared transport tableaux of one
+    `state_distances` call (see `_transport_tableau`).
     """
     pieces2 = _feasible_pieces(phi2, states2, params.dnf_cap)
     if not pieces2:
@@ -164,37 +186,14 @@ def _expr_distance(phi1: ConstraintExpr, states1: tuple,
     if not pieces1:
         return 0.0, True  # supremum over an empty set
     exact = len(pieces2) == 1
-    rows2 = [p.closure_rows() for p in pieces2]
     best = Fraction(0)
     for mu in _outer_points(phi1, states1, params.dnf_cap, params.vertex_dim_cap):
-        inner = min(_transport_value(mu, rows, states2, dval) for rows in rows2)
+        inner = min(_transport_value(_transport_tableau(tableaux, mu, piece, states2),
+                                     mu, states2, dval)
+                    for piece in pieces2)
         if inner > best:
             best = inner
     return min(float(best), 1.0), exact
-
-
-def constraint_distance(phi1: Polytope, phi2: Polytope,
-                        d: DistanceTable | Mapping, params: DistanceParams | None = None) -> float:
-    """Distance between two convex constraints, given next-step distances.
-
-    Pairs missing from the table cost 1 (the conservative worst case).
-    """
-    params = params or DistanceParams()
-    dmap = d.d if isinstance(d, DistanceTable) else dict(d)
-
-    def dval(s: State, t: State) -> float:
-        return dmap.get((s, t), 1.0)
-
-    rows2 = [(dict(coeffs), rel, rhs) for coeffs, rel, rhs in phi2.rows]
-    if _lp.feasible_point(rows2 + [({t: ONE for t in phi2.states}, "==", ONE)],
-                          list(phi2.states)) is None:
-        return 1.0  # empty right-hand region, by convention
-    best = Fraction(0)
-    for mu in _vertices_cached(phi1, params.vertex_dim_cap):
-        val = _transport_value(mu, phi2.rows, phi2.states, dval)
-        if val > best:
-            best = val
-    return min(float(best), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +235,22 @@ def state_distances(n1: APA, n2: APA, params: DistanceParams | None = None) -> D
     incompat = {p for p in pairs if not compatible(n1, n2, *p)}
     terms = {p: _pair_terms(n1, n2, *p) for p in pairs if p not in incompat}
 
-    # Constraint-pair metadata reused across sweeps: which left states can
-    # carry mass (the d-slice that feeds the transport objective).
+    # Constraint pairs by index, with metadata reused across sweeps: which
+    # left states can carry mass (the d-slice that feeds the transport
+    # objective).  The sweep cache keys on the index, not the expressions.
     combos = sorted({cp for tl in terms.values() for opts in tl for cp in opts},
                     key=lambda cp: (str(cp[0]), str(cp[1])))
-    dims1 = {}
+    combo_index = {cp: i for i, cp in enumerate(combos)}
+    terms = {p: [[combo_index[cp] for cp in opts] for opts in tl] for p, tl in terms.items()}
+    dims1 = []
     for l, r in combos:
         pts = _outer_points(l, states1, params.dnf_cap, params.vertex_dim_cap)
-        dims1[(l, r)] = tuple(sorted({s for v in pts for s in v.support()}, key=str))
+        dims1.append(tuple(sorted({s for v in pts for s in v.support()}, key=str)))
 
     d = {p: (1.0 if p in incompat else 0.0) for p in pairs}
     threshold = params.epsilon * (1 - lam) / lam
     cache: dict = {}
+    tableaux: dict = {}  # prepared transport tableaux, see _transport_tableau
     exact = True
     residual = float("inf")
     iterations = 0
@@ -267,10 +270,12 @@ def state_distances(n1: APA, n2: APA, params: DistanceParams | None = None) -> D
             best = 0.0
             for opts in terms[p]:
                 inner = 1.0
-                for l, r in opts:
-                    key = (l, r, tuple(d[(s, t)] for s in dims1[(l, r)] for t in states2))
+                for i in opts:
+                    key = (i, tuple(d[(s, t)] for s in dims1[i] for t in states2))
                     if key not in cache:
-                        cache[key] = _expr_distance(l, states1, r, states2, dval, params)
+                        l, r = combos[i]
+                        cache[key] = _expr_distance(l, states1, r, states2, dval, params,
+                                                    tableaux)
                     val, ex = cache[key]
                     exact = exact and ex
                     inner = min(inner, lam * val)

@@ -394,3 +394,15 @@ def test_membership_rejects_mass_outside_the_cells():
         pytest.skip("every state is a cell here")
     cell = expr.cells[0]
     assert not C.sat_member(expr, {outside[0]: F(1, 2), cell: F(1, 2)})
+
+
+def test_state_outside_the_given_states_is_an_input_error():
+    phi = C.atom({"zz": 1}, "<=", F(1, 2))
+    piece = C.dnf_cover(phi)[0]
+    states = ("s0", "s1")
+    for call in (lambda: C.supportable_states(phi, states),
+                 lambda: C.sat_nonempty(phi, states),
+                 lambda: C.piece_point(piece, states),
+                 lambda: C.piece_max(piece, states, {"s0": F(1)})):
+        with pytest.raises(InputError, match="'zz'"):
+            call()

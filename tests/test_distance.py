@@ -7,12 +7,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from apa_toolkit import _lp, distance
+from apa_toolkit import constraints as C
 from apa_toolkit.distance import (DistanceParams, compatible,
                                   state_distances, syntactic_distance,
                                   thorough_distance_lower_bound)
 from apa_toolkit.errors import InputError
 from apa_toolkit.generators import random_apa, random_pair
-from apa_toolkit.model import valuation
+from apa_toolkit.model import Modality, make_apa, valuation
 from apa_toolkit.oracle import GridSpec, enumerate_implementations
 from apa_toolkit.refinement import refines
 from tests.fixtures import (all_failing_pairs, deferral_pair, interval_pair,
@@ -126,3 +128,119 @@ def test_thorough_bound_hits_one_on_disjoint_roots():
     # Roots share valuations but no implementation of one satisfies the
     # other and every cross pairing starts with an unmatchable action.
     assert thorough_distance_lower_bound(m1, m2, _grid_sampler) == 1.0
+
+
+# -- warm-started transport LPs -----------------------------------------------
+
+
+def _interval_bounds(rng, support):
+    """Per-state bounds on a grid of tenths with sum(lo) <= 1 <= sum(hi)."""
+    while True:
+        lows = [rng.randint(0, 10) for _ in support]
+        highs = [rng.randint(lo, 10) for lo in lows]
+        if sum(lows) <= 10 <= sum(highs):
+            return {s: (F(lo, 10), F(hi, 10)) for s, lo, hi in zip(support, lows, highs)}
+
+
+def _same_skeleton_pair(seed):
+    """Two automata on one random skeleton (states, valuations, transitions
+    with their supports and modalities) with independent interval bounds."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    vals = [[], ["p"], ["q"], ["p", "q"]]
+    rng.shuffle(vals)
+    skeleton = [(i, a, rng.sample(range(n), rng.randint(1, min(3, n))),
+                 rng.choice([Modality.MUST, Modality.MAY]))
+                for i in range(n) for a in ("a", "b") if rng.random() < 0.75]
+
+    def draw(prefix):
+        states = [f"{prefix}{i}" for i in range(n)]
+        cons = {}
+        for i, a, support, _ in skeleton:
+            bounds = _interval_bounds(rng, [states[j] for j in support])
+            cons[f"c{i}{a}"] = C.interval_constraint(
+                bounds, zero=[s for s in states if s not in bounds])
+        return make_apa(states=states, actions=["a", "b"], ap=["p", "q"],
+                        labeling={s: [v] for s, v in zip(states, vals)},
+                        transitions=[(states[i], a, f"c{i}{a}", m)
+                                     for i, a, _, m in skeleton],
+                        initial=[states[0]], constraints=cons)
+
+    return draw("s"), draw("t")
+
+
+def _distance_inputs():
+    pairs = dict(all_failing_pairs())
+    pairs["refining"] = refining_pair()
+    for name, (a, b) in list(pairs.items()):
+        pairs[f"{name}-reversed"] = (b, a)
+    for seed in range(24):
+        pairs[f"skeleton{seed}"] = _same_skeleton_pair(seed)
+    return pairs
+
+
+class _ColdLp:
+    """`_lp` as `distance` sees it, with each re-pricing replaced by a cold
+    `solve` of the whole transport LP."""
+
+    def prepare(self, constraints, variables):
+        return list(constraints), list(variables)
+
+    def reprice(self, system, objective, maximize=True):
+        return _lp.solve(objective, *system, maximize=maximize)
+
+
+def test_warm_started_tables_equal_cold_solves(monkeypatch):
+    inputs = _distance_inputs()
+    params = [DistanceParams(lam=0.5), DistanceParams(lam=0.9)]
+    warm = {(name, p): state_distances(a, b, p)
+            for name, (a, b) in inputs.items() for p in params}
+    monkeypatch.setattr(distance, "_lp", _ColdLp())
+    for (name, p), table in warm.items():
+        cold = state_distances(*inputs[name], p)
+        assert (table.d, table.iterations, table.residual, table.exact) == \
+            (cold.d, cold.iterations, cold.residual, cold.exact), (name, p.lam)
+
+
+def _system_key(constraints, variables):
+    return (tuple((tuple(sorted(coeffs.items(), key=str)), rel, rhs)
+                  for coeffs, rel, rhs in constraints), tuple(variables))
+
+
+class _CountingLp:
+    """`_lp` as `distance` sees it, recording every phase-1 run by
+    constraint system: each `prepare`, and each `solve`, which runs its own."""
+
+    def __init__(self):
+        self.phase1 = []
+        self.reprices = 0
+
+    def prepare(self, constraints, variables):
+        self.phase1.append(_system_key(constraints, variables))
+        return _lp.prepare(constraints, variables)
+
+    def reprice(self, tableau, objective, maximize=True):
+        self.reprices += 1
+        return _lp.reprice(tableau, objective, maximize)
+
+    def solve(self, objective, constraints, variables, maximize=True):
+        self.phase1.append(_system_key(constraints, variables))
+        return _lp.solve(objective, constraints, variables, maximize)
+
+
+def test_phase_one_runs_once_per_transport_polytope(monkeypatch):
+    pairs = {"deferral": deferral_pair(), "interval": interval_pair(),
+             **{f"skeleton{seed}": _same_skeleton_pair(seed) for seed in range(6)}}
+    sweeps = 0
+    for name, (a, b) in pairs.items():
+        first_sweep = _CountingLp()
+        monkeypatch.setattr(distance, "_lp", first_sweep)
+        state_distances(a, b, DistanceParams(max_iter=1))
+        counted = _CountingLp()
+        monkeypatch.setattr(distance, "_lp", counted)
+        table = state_distances(a, b)
+        sweeps += table.iterations
+        assert len(counted.phase1) == len(set(counted.phase1)), name
+        assert set(counted.phase1) == set(first_sweep.phase1), name
+    # the deferral pair alone needs dozens of sweeps, each re-pricing
+    assert sweeps > 2 * len(pairs)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apa_toolkit import _lp
+from apa_toolkit.errors import InputError
 from tests.oracles import basic_points, brute_lp_max
 
 ZERO = F(0)
@@ -221,3 +222,80 @@ def test_feasible_point_on_mixed_denominator_rows_is_a_vertex():
     point = _lp.feasible_point(rows, variables)
     assert point is not None
     assert point in basic_points(rows, variables)
+
+
+# -- prepare once, re-price many times ----------------------------------------
+
+
+def _holds(point, rows):
+    """Is `point` a nonnegative solution of `rows`?"""
+    for coeffs, rel, rhs in rows:
+        lhs = sum((c * point[v] for v, c in coeffs.items()), ZERO)
+        if not {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[rel]:
+            return False
+    return all(x >= 0 for x in point.values())
+
+
+@st.composite
+def _repriced_systems(draw):
+    """A system as in `_mixed_instances` whose variables are each boxed or
+    left free above (so some objectives are unbounded), with 2-5 objectives."""
+    n_vars = draw(st.integers(min_value=1, max_value=3))
+    variables = [f"v{i}" for i in range(n_vars)]
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        coeffs = {v: draw(_mixed) for v in variables}
+        rel = draw(st.sampled_from(["<=", ">=", "=="]))
+        rows.append((coeffs, rel, draw(_mixed)))
+    for v in variables:
+        if draw(st.booleans()):
+            rows.append(({v: F(1)}, "<=", draw(_mixed.filter(lambda b: b >= 0))))
+    objectives = draw(st.lists(
+        st.tuples(st.dictionaries(st.sampled_from(variables), st.one_of(_mixed, _float_coeff)),
+                  st.booleans()),
+        min_size=2, max_size=5))
+    return rows, variables, objectives
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repriced_systems())
+def test_repricing_a_prepared_tableau_matches_cold_solves(system):
+    rows, variables, objectives = system
+    tableau = _lp.prepare(rows, variables)
+    for objective, maximize in objectives:
+        cold = _lp.solve(objective, rows, variables, maximize=maximize)
+        if tableau is None:
+            assert cold.status == "infeasible"
+            continue
+        warm = _lp.reprice(tableau, objective, maximize=maximize)
+        assert warm.status == cold.status
+        assert warm.value == cold.value
+        if warm.optimal:
+            assert _holds(warm.point, rows)
+            assert sum((c * warm.point[v] for v, c in objective.items()), ZERO) == warm.value
+
+
+def test_unbounded_repricing_leaves_the_tableau_usable():
+    rows = [({"x": F(1), "y": F(1)}, ">=", F(1)), ({"y": F(1)}, "<=", F(2, 3))]
+    tableau = _lp.prepare(rows, ["x", "y"])
+    first = _lp.reprice(tableau, {"x": F(1), "y": F(2)}, maximize=False)
+    assert first.status == "optimal" and first.value == 1
+    assert _lp.reprice(tableau, {"x": F(1)}).status == "unbounded"
+    for objective, maximize, value in (({"y": F(3)}, True, 2),
+                                       ({"x": F(1), "y": F(1, 7)}, False, F(3, 7))):
+        res = _lp.reprice(tableau, objective, maximize=maximize)
+        assert res.status == "optimal" and res.value == value
+        assert res.value == _lp.solve(objective, rows, ["x", "y"], maximize=maximize).value
+        assert _holds(res.point, rows)
+
+
+def test_prepare_reports_an_infeasible_system():
+    assert _lp.prepare([({"x": F(1)}, ">=", F(2)), ({"x": F(1)}, "<=", F(1))], ["x"]) is None
+
+
+def test_unknown_variable_is_an_input_error():
+    with pytest.raises(InputError, match="'z'"):
+        _lp.solve({}, [({"z": F(1)}, "<=", F(1))], ["x"])
+    tableau = _lp.prepare([({"x": F(1)}, "<=", F(1))], ["x"])
+    with pytest.raises(InputError, match="'z'"):
+        _lp.reprice(tableau, {"z": F(1)})
