@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from apa_toolkit.counterexample import counterexample
 from apa_toolkit.difference import over_diff, prune_unreachable, under_diff
-from apa_toolkit.errors import GridTooCoarseError, PreconditionError
+from apa_toolkit.errors import GridTooCoarseError, PreconditionError, ResourceLimitError
 from apa_toolkit.generators import random_pair
 from apa_toolkit.oracle import (GridSpec, brute_satisfies,
                                 enumerate_implementations)
@@ -51,7 +51,7 @@ def over_suite(pairs, grid, cap) -> tuple[int, int]:
 
 
 def under_suite(pairs, grid, cap, max_level) -> tuple[int, int]:
-    checked = violations = skipped = inconsistent = 0
+    checked = violations = skipped = inconsistent = capped = 0
     for n1, n2 in pairs:
         # Pruning drops unreachable product states, which keeps the chain
         # check linear in the part of the construction that matters.
@@ -71,12 +71,17 @@ def under_suite(pairs, grid, cap, max_level) -> tuple[int, int]:
             skipped += 1
         except PreconditionError:
             inconsistent += 1
+        except ResourceLimitError:
+            capped += 1
     if skipped:
         print(f"    (membership sample skipped for {skipped} pairs: "
               f"no grid point inside the difference constraints)")
     if inconsistent:
         print(f"    (membership sample skipped for {inconsistent} pairs: "
               f"a reachable difference state requires an empty constraint)")
+    if capped:
+        print(f"    (membership sample skipped for {capped} pairs: "
+              f"the difference has more states than the enumerator takes)")
     return checked, violations
 
 

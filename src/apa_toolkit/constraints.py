@@ -129,10 +129,6 @@ class LinearAtom:
                           key=lambda kv: str(kv[0])))
         return LinearAtom(cs, rel, as_fraction(rhs))
 
-    @property
-    def coeff_map(self) -> dict[State, Fraction]:
-        return dict(self.coeffs)
-
     def evaluate(self, mu: Mapping[State, Fraction]) -> bool:
         lhs = sum((c * mu.get(s, ZERO) for s, c in self.coeffs), ZERO)
         return {"<=": lhs <= self.rhs, "<": lhs < self.rhs, "==": lhs == self.rhs,
@@ -344,22 +340,13 @@ def make_phi_B(phi1: ConstraintExpr, phi2: ConstraintExpr,
                source_states: Sequence[State], target_states: Sequence[State],
                succ_map: Mapping[State, State | None],
                b_map: Mapping[tuple[State, State], Iterable[str]],
-               cells: Sequence) -> PhiB:
+               cells: Sequence, k: int | None = None) -> PhiB:
+    """phi-B over `cells`, or its level-k variant phi-B-k when k is given."""
     succ = tuple(sorted(((s, succ_map.get(s)) for s in source_states), key=lambda kv: str(kv[0])))
     bm = tuple(sorted(((pair, tuple(sorted(acts))) for pair, acts in b_map.items()),
                       key=lambda kv: (str(kv[0][0]), str(kv[0][1]))))
-    return PhiB(phi1, phi2, tuple(source_states), tuple(target_states), succ, bm, tuple(cells))
-
-
-def make_phi_B_k(phi1: ConstraintExpr, phi2: ConstraintExpr,
-                 source_states: Sequence[State], target_states: Sequence[State],
-                 succ_map: Mapping[State, State | None],
-                 b_map: Mapping[tuple[State, State], Iterable[str]],
-                 k: int, cells: Sequence) -> PhiBK:
-    succ = tuple(sorted(((s, succ_map.get(s)) for s in source_states), key=lambda kv: str(kv[0])))
-    bm = tuple(sorted(((pair, tuple(sorted(acts))) for pair, acts in b_map.items()),
-                      key=lambda kv: (str(kv[0][0]), str(kv[0][1]))))
-    return PhiBK(phi1, phi2, tuple(source_states), tuple(target_states), succ, bm, tuple(cells), k=k)
+    args = (phi1, phi2, tuple(source_states), tuple(target_states), succ, bm, tuple(cells))
+    return PhiB(*args) if k is None else PhiBK(*args, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -767,14 +754,6 @@ class Polytope:
         rows = tuple((coeffs, "<=" if rel == "<" else rel, rhs) for coeffs, rel, rhs in piece.rows)
         return Polytope(tuple(states), rows)
 
-    @staticmethod
-    def from_expr(phi: ConstraintExpr, states: Sequence[State],
-                  cap: int = DNF_BRANCH_CAP) -> "Polytope":
-        cover = dnf_cover(phi, cap)
-        if len(cover) != 1 or cover[0].has_strict():
-            raise InputError("constraint is not convex (multi-piece or strict cover)")
-        return Polytope.from_piece(cover[0], states)
-
     def halfspaces(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
         """Rows as (normal vector over states, rhs), equalities split in two."""
         idx = {s: i for i, s in enumerate(self.states)}
@@ -868,7 +847,7 @@ def vertices(poly: Polytope, dim_cap: int = VERTEX_DIM_CAP) -> list[Distribution
 
 
 # ---------------------------------------------------------------------------
-# Image inclusion under a forced successor map (convex kernel)
+# Witness distributions: a left distribution and why it escapes the right side
 # ---------------------------------------------------------------------------
 
 
@@ -892,46 +871,3 @@ class ReachesPair:
 class WitnessDistribution:
     mu: Distribution
     reason: SupportAtState | FacetViolation | ReachesPair
-
-
-def image_subset(phi1: Polytope, mapping: Callable[[State], State | None],
-                 phi2: Polytope):
-    """Decide: every mu1 in Sat(phi1) maps fully and lands in Sat(phi2).
-
-    Returns True, or a WitnessDistribution realizing either a support state
-    with no image or a violated facet of phi2 under the linear pushforward.
-    """
-    rows1 = [(dict(coeffs), rel, rhs) for coeffs, rel, rhs in phi1.rows]
-    rows1.append(_simplex_row(phi1.states))
-    states1 = list(phi1.states)
-
-    unmapped = [s for s in phi1.states if mapping(s) is None]
-    for s in unmapped:
-        res = _lp.solve({s: ONE}, rows1, states1, maximize=True)
-        if res.optimal and res.value > 0:
-            return WitnessDistribution(Distribution.of(res.point), SupportAtState(s))
-    # Restrict to fully-mapped distributions and test each facet of phi2.
-    zero_rows = [({s: ONE}, "==", ZERO) for s in unmapped]
-    groups: dict[State, list[State]] = {}
-    for s in phi1.states:
-        t = mapping(s)
-        if t is not None:
-            groups.setdefault(t, []).append(s)
-    for coeffs, rel, rhs in phi2.rows:
-        # facet c . nu REL rhs becomes a linear functional of mu via the map
-        pulled: dict[State, Fraction] = {}
-        for t, c in coeffs:
-            for s in groups.get(t, ()):
-                pulled[s] = pulled.get(s, ZERO) + c
-        directions = []
-        if rel in ("<=", "=="):
-            directions.append((pulled, rhs, Atom(LinearAtom(coeffs, "<=", rhs)).atom))
-        if rel == "==":
-            neg = {s: -c for s, c in pulled.items()}
-            neg_atom = LinearAtom(tuple((t, -c) for t, c in coeffs), "<=", -rhs)
-            directions.append((neg, -rhs, neg_atom))
-        for obj, bound, facet in directions:
-            res = _lp.solve(obj, rows1 + zero_rows, states1, maximize=True)
-            if res.optimal and res.value > bound:
-                return WitnessDistribution(Distribution.of(res.point), FacetViolation(facet))
-    return True

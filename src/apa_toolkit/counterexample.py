@@ -60,14 +60,6 @@ class CounterexamplePA(PA):
 # ---------------------------------------------------------------------------
 
 
-def pick_default_distribution(poly: C.Polytope) -> Distribution:
-    """Lexicographically least vertex (coordinates read in state order)."""
-    vs = C.vertices(poly)
-    if not vs:
-        raise InputError("constraint has no satisfying distribution")
-    return min(vs, key=lambda d: tuple(d[s] for s in poly.states))
-
-
 def _default_member(phi: ConstraintExpr, states: tuple) -> Distribution:
     """Deterministic satisfying distribution for a general constraint: the
     lexicographically least piece-closure vertex that actually satisfies it,

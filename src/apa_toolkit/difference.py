@@ -110,20 +110,15 @@ class _Builder:
                 for c in (EPS,) + acts:
                     for lvl in levels:
                         candidates.append(ProductState(s1p, t, c, lvl))
-        if self.K is None:
-            trial = C.make_phi_B(phi1, phi2, n1.states, n2.states, succ_map, b_map, candidates)
-        else:
-            trial = C.make_phi_B_k(phi1, phi2, n1.states, n2.states, succ_map, b_map, k, candidates)
+        # k is None exactly when the construction is unlevelled (over_diff)
+        trial = C.make_phi_B(phi1, phi2, n1.states, n2.states, succ_map, b_map, candidates, k)
         supportable = C.supportable_states(trial, candidates)
         kept = tuple(c for c in candidates if c in supportable)
         if not kept:
             self.constraints[key] = C.FALSE
             self.succ_of_constraint[key] = ()
             return key
-        if self.K is None:
-            expr = C.make_phi_B(phi1, phi2, n1.states, n2.states, succ_map, b_map, kept)
-        else:
-            expr = C.make_phi_B_k(phi1, phi2, n1.states, n2.states, succ_map, b_map, k, kept)
+        expr = C.make_phi_B(phi1, phi2, n1.states, n2.states, succ_map, b_map, kept, k)
         self.constraints[key] = expr
         self.succ_of_constraint[key] = kept
         return key

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Any, Callable
@@ -28,7 +27,7 @@ from .refinement import CaseLabel, compute_refinement, refines, satisfies
 
 FORMAT_VERSION = 1
 
-_RELS = ("<=", ">=", "==", "<", ">", "!=")
+_RELS = ("<=", ">=", "==", "<", ">")
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +191,10 @@ def _expr_from_doc(d, table: dict, states: tuple, where: str):
             succ = {e["from"]: e.get("to") for e in spec.get("succ", [])}
             b_map = {(e["left"], e["right"]): tuple(e.get("actions", []))
                      for e in spec.get("b", [])}
-            if tag == "phi-B":
-                return C.make_phi_B(phi1, phi2, source, target, succ, b_map, cells)
-            if "k" not in spec:
+            k = spec.get("k") if tag == "phi-B-k" else None
+            if tag == "phi-B-k" and k is None:
                 raise InputError(f"{where}: phi-B-k needs a level k")
-            return C.make_phi_B_k(phi1, phi2, source, target, succ, b_map, spec["k"], cells)
+            return C.make_phi_B(phi1, phi2, source, target, succ, b_map, cells, k)
         raise InputError(f"{where}: unknown derived constraint tag {tag!r}")
     raise InputError(f"{where}: constraint needs one of linear/point/interval/derived")
 
@@ -533,7 +531,7 @@ def cmd_counterexample(args) -> int:
 
 def cmd_satisfy(args) -> int:
     p, n = _load_pa(args.p), _load_apa(args.n)
-    ok = satisfies(p, n)[0]
+    ok = satisfies(p, n, budget=args.budget)[0]
     _emit(args, {"satisfies": ok}, [f"satisfies: {'true' if ok else 'false'}"])
     return 0 if ok else 1
 
@@ -576,8 +574,8 @@ def cmd_oracle_check(args) -> int:
     if args.suite == "cex":
         cex = counterexample(n1, n2)
         results = {
-            "fast_sat_n1": satisfies(cex, n1)[0],
-            "fast_sat_n2": satisfies(cex, n2)[0],
+            "fast_sat_n1": satisfies(cex, n1, budget=args.budget)[0],
+            "fast_sat_n2": satisfies(cex, n2, budget=args.budget)[0],
             "brute_sat_n1": brute_satisfies(cex, n1),
             "brute_sat_n2": brute_satisfies(cex, n2),
         }
@@ -627,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--max-iter", type=int, default=None,
                     help="cap on distance value-iteration sweeps")
     ap.add_argument("--budget", type=int, default=None,
-                    help="node budget for satisfaction checks (mirrors APA_TOOLKIT_BUDGET)")
+                    help="cap on pair checks in each satisfaction search "
+                         "(satisfy and the cex oracle suite)")
     ap.add_argument("--jobs", type=int, default=1,
                     help="parallel workers for oracle checks")
     ap.add_argument("--json", dest="as_json", action="store_true",
@@ -692,8 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.budget is not None:
-        os.environ["APA_TOOLKIT_BUDGET"] = str(args.budget)
     try:
         return args.func(args)
     except (GridTooCoarseError, ResourceLimitError) as exc:

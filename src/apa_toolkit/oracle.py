@@ -30,14 +30,11 @@ class GridSpec:
     """Sampling resolution for implementation enumeration.
 
     Probabilities are restricted to multiples of 1/denominator.  max_states
-    guards the size of the automaton being enumerated; max_depth is reserved
-    for loop-unrolling enumeration strategies and unused by the skeleton
-    enumerator below.
+    guards the size of the automaton being enumerated.
     """
 
     denominator: int = 10
     max_states: int = 12
-    max_depth: int | None = None
 
     def __post_init__(self):
         if self.denominator < 1:

@@ -7,18 +7,33 @@ For deterministic targets in single-valuation normal form the correspondence
 function inside each pair check is forced: a left successor can only be
 matched with the unique equally-labeled potential successor on the right.
 Every quantifier over distributions then reduces to exact LPs over the
-disjunctive-normal-form pieces of the constraints involved.
+disjunctive-normal-form pieces of the constraints involved, built by two
+kernels plus `constraints.piece_point`:
+
+  * `_pull_back` turns a right-hand piece into rows over the left states
+    through a successor map.  `_sim_witness` adds them to a left piece and
+    reads the LP's vertex, which becomes a witness distribution and, through
+    `counterexample`, a transition of the separating implementation;
+    `push_ok` in `_map_condition` reads feasibility only.
+  * `_coupling_feasible` asks whether some distribution of a constraint
+    simulates one concrete distribution, over the joint coupling weights.
+    `satisfies` (non-deterministic targets) and the rejection filter of
+    `_map_condition` read feasibility only.
+  * "Mass at s" is `piece_point` with the strict row mu(s) > 0.
+    `_sim_witness` and `lemma_indplus_witness` read its vertex; the domain
+    of `_map_condition` reads feasibility only.
+
+Every LP whose vertex is read keeps its rows, row order and variable order,
+so witnesses and counterexamples do not depend on which caller built them.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from . import _lp
 from . import constraints as C
@@ -31,14 +46,6 @@ from .model import (APA, PA, Action, Modality, Transition, forced_successor,
 Pair = tuple[State, State]
 
 DEFAULT_NODE_BUDGET = 10 ** 6
-
-
-def node_budget() -> int:
-    raw = os.environ.get("APA_TOOLKIT_BUDGET", "")
-    try:
-        return int(raw) if raw else DEFAULT_NODE_BUDGET
-    except ValueError:
-        return DEFAULT_NODE_BUDGET
 
 
 class CaseLabel(enum.Enum):
@@ -76,40 +83,6 @@ class BSets:
     @property
     def all_actions(self) -> tuple[Action, ...]:
         return self.of("abcdef")
-
-
-@dataclass(frozen=True)
-class CorrespondenceFunction:
-    """Weighted matching of left successors to right successors."""
-
-    delta: tuple[tuple[State, tuple[tuple[State, Fraction], ...]], ...]
-
-    def weight(self, s: State, t: State) -> Fraction:
-        for src, row in self.delta:
-            if src == s:
-                return dict(row).get(t, ZERO)
-        return ZERO
-
-    def simulates(self, mu1: Distribution, mu2: Distribution,
-                  relation: frozenset) -> bool:
-        """Exact check of the three simulation clauses."""
-        rows = dict(self.delta)
-        for s, m in mu1.items:
-            if m > 0:
-                row = dict(rows.get(s, ()))
-                if sum(row.values(), ZERO) != 1:
-                    return False
-                for t, w in row.items():
-                    if w > 0 and (s, t) not in relation:
-                        return False
-        image: dict[State, Fraction] = {}
-        for s, row in rows.items():
-            for t, w in row:
-                image[t] = image.get(t, ZERO) + mu1[s] * w
-        for t in set(image) | {t for t, m in mu2.items}:
-            if image.get(t, ZERO) != mu2[t]:
-                return False
-        return True
 
 
 @dataclass(eq=False)
@@ -178,6 +151,23 @@ def forced_map(n1: APA, n2: APA, s2: State, a: Action,
     return tuple(out)
 
 
+def _pull_back(piece: C.Piece, image: Mapping[State, State]) -> tuple[list, list]:
+    """The rows of a right-hand piece as (nonstrict, strict) rows over left
+    states: a row c . nu REL rhs becomes c . T#mu REL rhs for the successor
+    map T = `image`.  Left states outside `image` get no coefficient, so the
+    caller pins their mass separately."""
+    nonstrict: list = []
+    strict: list = []
+    for coeffs, rel, rhs in piece.rows:
+        cm = dict(coeffs)
+        row = {s: cm[t] for s, t in image.items() if t in cm}
+        if rel == "<":
+            strict.append((row, rhs))
+        else:
+            nonstrict.append((row, rel, rhs))
+    return nonstrict, strict
+
+
 @lru_cache(maxsize=None)
 def _sim_witness(phi1, states1: tuple, mapping: tuple, phi2, states2: tuple):
     """A mu1 in Sat(phi1) that no mu2 in Sat(phi2) simulates under the forced
@@ -188,48 +178,63 @@ def _sim_witness(phi1, states1: tuple, mapping: tuple, phi2, states2: tuple):
     """
     mdict = dict(mapping)
     unmapped = [s for s in states1 if mdict.get(s) is None]
-    groups: dict[State, list[State]] = {}
-    for s in states1:
-        t = mdict.get(s)
-        if t is not None:
-            groups.setdefault(t, []).append(s)
+    image = {s: mdict[s] for s in states1 if mdict.get(s) is not None}
+    zero_rows = [({s: ONE}, "==", ZERO) for s in unmapped]
 
     for piece in C.dnf_cover(phi1):
-        nonstrict, strict = piece.lp_rows()
-        nonstrict = nonstrict + [({s: ONE for s in states1}, "==", ONE)]
         # (i) mass on an unmapped successor
         for s in unmapped:
-            point = _lp.strict_feasible_point(nonstrict, strict + [({s: -ONE}, ZERO)],
-                                              list(states1))
+            point = C.piece_point(piece, states1, extra_strict=[({s: -ONE}, ZERO)])
             if point is not None:
                 return WitnessDistribution(Distribution.of(point), SupportAtState(s))
         # (ii) fully mapped, image outside Sat(phi2)
-        zero_rows = [({s: ONE}, "==", ZERO) for s in unmapped]
         for neg_piece in C.dnf_cover(C.negate(phi2)):
-            pulled_nonstrict: list = []
-            pulled_strict: list = []
-            facet: LinearAtom | None = None
-            for coeffs, rel, rhs in neg_piece.rows:
-                pb: dict[State, Fraction] = {}
-                for t, c in coeffs:
-                    for s in groups.get(t, ()):
-                        pb[s] = pb.get(s, ZERO) + c
-                if rel == "<":
-                    pulled_strict.append((pb, rhs))
-                else:
-                    pulled_nonstrict.append((pb, rel, rhs))
-                if facet is None:
-                    # this row certifies the violation; name the right-hand
-                    # condition it refutes
-                    flipped = {"<": ">=", "<=": ">", "==": "=="}[rel]
-                    facet = LinearAtom(coeffs, flipped, rhs)
-            point = _lp.strict_feasible_point(nonstrict + zero_rows + pulled_nonstrict,
-                                              strict + pulled_strict, list(states1))
+            pulled_nonstrict, pulled_strict = _pull_back(neg_piece, image)
+            point = C.piece_point(piece, states1, zero_rows + pulled_nonstrict, pulled_strict)
             if point is not None:
-                return WitnessDistribution(Distribution.of(point),
-                                           FacetViolation(facet if facet is not None
-                                                          else LinearAtom((), "==", ONE)))
+                # the first row certifies the violation; name the right-hand
+                # condition it refutes
+                facet = LinearAtom((), "==", ONE)
+                if neg_piece.rows:
+                    coeffs, rel, rhs = neg_piece.rows[0]
+                    facet = LinearAtom(coeffs, {"<": ">=", "<=": ">", "==": "=="}[rel], rhs)
+                return WitnessDistribution(Distribution.of(point), FacetViolation(facet))
     return None
+
+
+def _coupling_feasible(mu: Mapping[State, Fraction], phi, states2: tuple,
+                       relation: frozenset) -> bool:
+    """Exact: does some mu2 in Sat(phi) simulate the concrete mu w.r.t. `relation`?
+
+    Decided as a feasibility problem over the joint weights
+    w(s, t) = mu(s) * delta(s)(t) on related pairs, one LP per piece of phi;
+    the image mass at t is the column sum of w at t.  A row that names no
+    related target compares 0 with its right-hand side and is decided
+    without the LP.
+    """
+    supp = [s for s, m in mu.items() if m > 0]
+    cands = {s: [t for t in states2 if (s, t) in relation] for s in supp}
+    if any(not cands[s] for s in supp):
+        return False
+    variables = [(s, t) for s in supp for t in cands[s]]
+    base = [({(s, t): ONE for t in cands[s]}, "==", mu[s]) for s in supp]
+    for piece in C.dnf_cover(phi):
+        nonstrict, strict = [], []
+        for coeffs, rel, rhs in piece.rows:
+            row = {(s, t): c for t, c in coeffs for s in supp if (s, t) in relation}
+            if not row:
+                if not {"<=": ZERO <= rhs, "<": ZERO < rhs, "==": ZERO == rhs}[rel]:
+                    break  # the piece is empty
+            elif rel == "<":
+                strict.append((row, rhs))
+            else:
+                nonstrict.append((row, rel, rhs))
+        else:
+            # Sat(phi) lives on the target simplex: the base rows already make
+            # the column sums total 1, since mu sums to 1.
+            if _lp.strict_feasible_point(base + nonstrict, strict, variables) is not None:
+                return True
+    return False
 
 
 def _sim_ok(n1: APA, n2: APA, phi1, s2: State, a: Action, phi2,
@@ -379,37 +384,6 @@ def _complement_pieces(phi2, cap: int = C.DNF_BRANCH_CAP):
     return C.dnf_cover(C.negate(phi2), cap)
 
 
-def _point_simulated(mu: Mapping[State, Fraction], phi2, states2: tuple,
-                     relation: frozenset) -> bool:
-    """Exact: does SOME mu2 in Sat(phi2) simulate this one concrete mu?
-
-    Couples mu's support fractionally onto relation-compatible targets and
-    asks each piece of Sat(phi2) for a feasible image.  Used as a cheap
-    complete rejection filter before the map search.
-    """
-    supp = [s for s, m in mu.items() if m > 0]
-    cands = {s: [t for t in states2 if (s, t) in relation] for s in supp}
-    if any(not cands[s] for s in supp):
-        return False
-    variables = [(s, t) for s in supp for t in cands[s]]
-    base = [({(s, t): ONE for t in cands[s]}, "==", mu[s]) for s in supp]
-    for piece in C.dnf_cover(phi2):
-        nonstrict, strict = [], []
-        for coeffs, rel, rhs in piece.rows:
-            row = {}
-            for t, c in coeffs:
-                for s in supp:
-                    if t in cands[s]:
-                        row[(s, t)] = row.get((s, t), ZERO) + c
-            if rel == "<":
-                strict.append((row, rhs))
-            else:
-                nonstrict.append((row, rel, rhs))
-        if _lp.strict_feasible_point(base + nonstrict, strict, variables) is not None:
-            return True
-    return False
-
-
 def _map_condition(phi1, states1: tuple, phi2, states2: tuple,
                    relation: frozenset) -> bool:
     """Sufficient check: every mu1 in Sat(phi1) simulated w.r.t. `relation` by
@@ -427,7 +401,7 @@ def _map_condition(phi1, states1: tuple, phi2, states2: tuple,
         if probe is None:
             continue
         # complete rejection filter: one concrete point with no simulating image
-        if not _point_simulated(probe, phi2, states2, relation):
+        if not _coupling_feasible(probe, phi2, states2, relation):
             return False
         dom = [s for s in states1
                if C.piece_point(piece, states1, extra_strict=[({s: -ONE}, ZERO)]) is not None]
@@ -436,26 +410,11 @@ def _map_condition(phi1, states1: tuple, phi2, states2: tuple,
         if any(not cands[s] for s in dom):
             return False
         dom.sort(key=lambda s: (len(cands[s]), str(s)))
-        nonstrict, strict = piece.lp_rows()
-        nonstrict = nonstrict + [({s: ONE for s in states1}, "==", ONE)]
 
         def push_ok(assign: dict) -> bool:
             for neg in neg_pieces:
-                extra_nonstrict, extra_strict = [], []
-                for coeffs, rel, rhs in neg.rows:
-                    cm = dict(coeffs)
-                    pulled: dict = {}
-                    for s in dom:
-                        c = cm.get(assign[s])
-                        if c:
-                            pulled[s] = pulled.get(s, ZERO) + c
-                    if rel == "<":
-                        extra_strict.append((pulled, rhs))
-                    else:
-                        extra_nonstrict.append((pulled, rel, rhs))
-                point = _lp.strict_feasible_point(nonstrict + extra_nonstrict,
-                                                  strict + extra_strict, list(states1))
-                if point is not None:
+                pulled_nonstrict, pulled_strict = _pull_back(neg, assign)
+                if C.piece_point(piece, states1, pulled_nonstrict, pulled_strict) is not None:
                     return False  # some mu1 in the piece escapes Sat(phi2)
             return True
 
@@ -531,10 +490,6 @@ def _refines_nondet(n1: APA, n2: APA) -> bool:
     return all(any((s1, s2) in relation for s2 in n2.initial) for s1 in n1.initial)
 
 
-def classify_pair(analysis: RefinementAnalysis, s1: State, s2: State) -> tuple[CaseLabel, BSets]:
-    return analysis.case_of(s1, s2), analysis.bsets_of(s1, s2)
-
-
 # ---------------------------------------------------------------------------
 # Breaking actions and witness distributions
 # ---------------------------------------------------------------------------
@@ -591,13 +546,10 @@ def lemma_indplus_witness(analysis: RefinementAnalysis, s1: State, s2: State,
 
     states1 = n1.states
     for piece in C.dnf_cover(phi1):
-        nonstrict, strict = piece.lp_rows()
-        nonstrict = nonstrict + [({s: ONE for s in states1}, "==", ONE)]
         # (1) support state with no potential successor at all
         for s in states1:
             if full.get(s) is None:
-                point = _lp.strict_feasible_point(nonstrict, strict + [({s: -ONE}, ZERO)],
-                                                  list(states1))
+                point = C.piece_point(piece, states1, extra_strict=[({s: -ONE}, ZERO)])
                 if point is not None:
                     return WitnessDistribution(Distribution.of(point), SupportAtState(s))
     # (2) fully mapped image misses Sat(phi2)
@@ -607,13 +559,10 @@ def lemma_indplus_witness(analysis: RefinementAnalysis, s1: State, s2: State,
         return witness
     # (3) mass on a successor pair rejected strictly earlier
     for piece in C.dnf_cover(phi1):
-        nonstrict, strict = piece.lp_rows()
-        nonstrict = nonstrict + [({s: ONE for s in states1}, "==", ONE)]
         for s in states1:
             t = full.get(s)
             if t is not None and (s, t) not in rel_k:
-                point = _lp.strict_feasible_point(nonstrict, strict + [({s: -ONE}, ZERO)],
-                                                  list(states1))
+                point = C.piece_point(piece, states1, extra_strict=[({s: -ONE}, ZERO)])
                 if point is not None:
                     return WitnessDistribution(Distribution.of(point), ReachesPair(s, t))
     raise AssertionError("breaking action admits no witness; analysis is inconsistent")
@@ -648,63 +597,14 @@ def _match_by_pushforward(p: PA, n: APA, mu_p: Distribution, phi,
     return C.sat_member(phi, image.mass)
 
 
-def _match_by_coupling(p: PA, n: APA, mu_p: Distribution, phi,
-                       relation: frozenset) -> bool:
-    """General path: is there mu2 in Sat(phi) simulating the concrete mu_p?
-
-    Decided as an exact feasibility problem over the joint weights
-    w(p',t) = mu_p(p') * delta(p')(t), one LP per piece of the constraint.
-    """
-    support = [s for s, m in mu_p.items if m > 0]
-    targets = {s: [t for t in n.states if (s, t) in relation] for s in support}
-    if any(not ts for ts in targets.values()):
-        return False
-    variables = [(s, t) for s in support for t in targets[s]]
-    base_rows: list = []
-    for s in support:
-        base_rows.append(({(s, t): ONE for t in targets[s]}, "==", mu_p[s]))
-    all_targets = sorted({t for ts in targets.values() for t in ts}, key=str)
-    # image mass at t is the column sum over the joint weights
-    col = {t: {(s, u): ONE for (s, u) in variables if u == t} for t in all_targets}
-
-    for piece in C.dnf_cover(phi):
-        rows = list(base_rows)
-        strict: list = []
-        feasible = True
-        for coeffs, rel, rhs in piece.rows:
-            expr: dict = {}
-            for t, cf in coeffs:
-                for var, one in col.get(t, {}).items():
-                    expr[var] = expr.get(var, ZERO) + cf
-            if not expr:
-                lhs = ZERO
-                ok = {"<=": lhs <= rhs, "<": lhs < rhs, "==": lhs == rhs}[rel]
-                if not ok:
-                    feasible = False
-                    break
-                continue
-            if rel == "<":
-                strict.append((expr, rhs))
-            else:
-                rows.append((expr, rel, rhs))
-        if not feasible:
-            continue
-        # Sat(phi) lives on the target simplex: column sums must total 1,
-        # which base rows already force (sum mu_p = 1); cells outside the
-        # product support do not exist as variables.
-        point = _lp.strict_feasible_point(rows, strict, variables)
-        if point is not None:
-            return True
-    return False
-
-
 def satisfies(p: PA, n: APA, budget: int | None = None) -> tuple[bool, frozenset | None]:
     """Does the concrete automaton implement the abstract one?
 
     Runs a greatest-fixed-point pair elimination; every sweep checks each
-    surviving pair, at most `budget` pair checks in all.  Deterministic
-    abstract inputs use forced-pushforward membership; non-deterministic ones
-    (differences) fall back to per-distribution coupling feasibility.  Either
+    surviving pair, at most `budget` pair checks in all (`DEFAULT_NODE_BUDGET`
+    when None).  Deterministic abstract inputs use forced-pushforward
+    membership; non-deterministic ones (differences) fall back to
+    per-distribution coupling feasibility, `_coupling_feasible`.  Either
     test of a distribution mu against a constraint reads the relation only on
     supp(mu) x states(n), so each test is decided once per call and
     relation slice, and a recheck whose slice is unchanged solves no LP.
@@ -712,7 +612,7 @@ def satisfies(p: PA, n: APA, budget: int | None = None) -> tuple[bool, frozenset
     if not is_svnf(n):
         raise PreconditionError("satisfaction requires the abstract side in "
                                 "single-valuation normal form")
-    limit = budget if budget is not None else node_budget()
+    limit = budget if budget is not None else DEFAULT_NODE_BUDGET
     fast = is_deterministic(n)
     checks = 0
     # Both memos live for this call only.
@@ -750,7 +650,7 @@ def satisfies(p: PA, n: APA, budget: int | None = None) -> tuple[bool, frozenset
                 matched[key] = _match_by_pushforward(p, n, mu, phi, supportable[cid],
                                                      relation_slice)
             else:
-                matched[key] = _match_by_coupling(p, n, mu, phi, relation_slice)
+                matched[key] = _coupling_feasible(mu.mass, phi, n.states, relation_slice)
         return matched[key]
 
     pairs = [(ps, s2) for ps in p.states for s2 in n.states]

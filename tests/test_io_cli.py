@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction as F
 
 import pytest
@@ -271,3 +272,27 @@ def test_cli_wrong_model_kind_exits_2(tmp_path, capsys):
     n = _write_fixture(tmp_path, "apa.json", interval_pair()[0])
     assert main(["check", p, n]) == 2
     assert main(["satisfy", n, n]) == 2
+
+
+def test_cli_budget_caps_satisfaction_without_touching_the_environment(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("APA_TOOLKIT_BUDGET", raising=False)
+    n1, _ = interval_pair()
+    f1 = _write_fixture(tmp_path, "n1.json", n1)
+    p = _write_fixture(tmp_path, "p.json", interval_implementation_diff())
+    assert main(["--budget", "1", "satisfy", p, f1]) == 3
+    assert "pair checks" in capsys.readouterr().err
+    assert "APA_TOOLKIT_BUDGET" not in os.environ
+    assert main(["satisfy", p, f1]) == 0
+
+
+def test_cli_unknown_relation_names_the_constraint(tmp_path, capsys):
+    doc = json.loads(serialize(interval_pair()[0]))
+    doc["constraints"]["phi1"] = {"linear": {"atom": {
+        "coeffs": {"s1": "1"}, "rel": "!=", "rhs": "1/2"}}}
+    path = tmp_path / "ne.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "constraints['phi1']: unknown relation '!='" in err
+    assert "want one of" in err

@@ -6,22 +6,22 @@ from fractions import Fraction as F
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apa_toolkit import constraints as C
-from apa_toolkit import refinement
+from apa_toolkit import oracle, refinement
 from apa_toolkit.errors import PreconditionError
 from apa_toolkit.generators import random_apa, random_pair
 from apa_toolkit.model import Modality, is_deterministic, make_apa, pa_as_apa
 from apa_toolkit.oracle import GridSpec, enumerate_implementations
-from apa_toolkit.refinement import (CaseLabel, breaking, classify_pair,
-                                    compute_refinement, lemma_indplus_witness,
-                                    refines, satisfies)
+from apa_toolkit.refinement import (CaseLabel, breaking, compute_refinement,
+                                    lemma_indplus_witness, refines, satisfies)
 from tests.fixtures import (all_failing_pairs, deferral_implementation_late,
                             deferral_implementation_split, deferral_pair,
                             interval_implementation_diff,
                             interval_implementation_in, interval_pair,
                             may_gap_pair, refining_pair)
+from tests.test_constraints import STATES, _coeff, _convex_rows, _rhs
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ def test_interval_pair_classification():
     analysis = compute_refinement(n1, n2)
     assert not analysis.refines
 
-    case, bs = classify_pair(analysis, "s0", "t0")
+    case, bs = analysis.case_of("s0", "t0"), analysis.bsets_of("s0", "t0")
     assert case is CaseLabel.CASE3
     assert bs.of("f") == ("a",)
     assert bs.of("abcde") == ()
@@ -88,7 +88,7 @@ def test_interval_pair_classification():
 def test_missing_action_buckets():
     n1, n2 = may_gap_pair()
     analysis = compute_refinement(n1, n2)
-    _, bs = classify_pair(analysis, "s0", "t0")
+    bs = analysis.bsets_of("s0", "t0")
     assert bs.of("a") == ("b",)   # left requires b, right allows none
     assert bs.of("e") == ("a",)   # right requires a, left merely may
     assert bs.of("bcdf") == ()
@@ -97,7 +97,7 @@ def test_missing_action_buckets():
 def test_deferral_pair_classification_and_index():
     d1, d2 = deferral_pair()
     analysis = compute_refinement(d1, d2)
-    case, bs = classify_pair(analysis, "u0", "v0")
+    case, bs = analysis.case_of("u0", "v0"), analysis.bsets_of("u0", "v0")
     assert case is CaseLabel.CASE3
     assert bs.of("f") == ("a",)
     # Removed in the very first sweep: the forced correspondence routes all
@@ -195,14 +195,15 @@ def test_satisfaction_decides_each_coupling_once_per_relation_slice(monkeypatch)
     from apa_toolkit.difference import under_diff
     diff = under_diff(d1, d2, 1)
     seen = []
-    couple = refinement._match_by_coupling
+    couple = refinement._coupling_feasible
 
-    def recording(p, n, mu, phi, relation):
-        support = set(mu.support())
-        seen.append((mu, phi, frozenset(pair for pair in relation if pair[0] in support)))
-        return couple(p, n, mu, phi, relation)
+    def recording(mu, phi, states2, relation):
+        support = {s for s, m in mu.items() if m > 0}
+        seen.append((tuple(mu.items()), phi,
+                     frozenset(pair for pair in relation if pair[0] in support)))
+        return couple(mu, phi, states2, relation)
 
-    monkeypatch.setattr(refinement, "_match_by_coupling", recording)
+    monkeypatch.setattr(refinement, "_coupling_feasible", recording)
     assert not satisfies(deferral_implementation_late(), diff)[0]
     assert seen and len(seen) == len(set(seen))
 
@@ -266,3 +267,100 @@ def test_nondeterministic_refinement_rechecks_pairs_after_a_removal():
     # (s2, t2) falls in the first sweep, (s1, t1) in the second, (s0, t0) in the third
     assert compute_refinement(n1, n2).fixpoint_index == 3
     assert not refinement._refines_nondet(n1, n2)
+
+
+# ---------------------------------------------------------------------------
+# The LP kernels against vertex enumeration and the brute-force coupling
+# ---------------------------------------------------------------------------
+
+TARGETS = ("t0", "t1")
+
+
+def _conjunction(rows):
+    return C.and_(*(C.atom(coeffs, rel, rhs) for coeffs, rel, rhs in rows))
+
+
+@st.composite
+def _mappings(draw):
+    return {s: draw(st.sampled_from(TARGETS + (None,))) for s in STATES}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_convex_rows(), _mappings(), _convex_rows(TARGETS))
+def test_sim_witness_agrees_with_vertex_pushforward(rows1, mapping, rows2):
+    """Every mu1 in Sat(phi1) maps fully into Sat(phi2) iff every vertex does,
+    since the pushforward is linear and Sat(phi2) is closed and convex."""
+    phi1, phi2 = _conjunction(rows1), _conjunction(rows2)
+    witness = refinement._sim_witness(phi1, STATES, tuple(mapping.items()), phi2, TARGETS)
+
+    def lands(mu) -> bool:
+        image = C.pushforward(mu, mapping.get)
+        return not isinstance(image, C.SupportGap) and C.sat_member(phi2, image)
+
+    vertices = C.vertices(C.Polytope.make(STATES, rows1))
+    assert (witness is None) == all(lands(v) for v in vertices)
+    if witness is not None:
+        # The returned witness must itself demonstrate the failure.
+        assert C.sat_member(phi1, witness.mu)
+        assert not lands(witness.mu)
+
+
+def test_sim_witness_names_the_pulled_back_facet():
+    # Two left states merge onto t0, whose mass the right side caps at 1/2.
+    phi1 = C.atom({"s0": 1}, ">=", F(1, 2))
+    phi2 = C.atom({"t0": 1}, "<=", F(1, 2))
+    mapping = (("s0", "t0"), ("s1", "t0"), ("s2", "t1"))
+    witness = refinement._sim_witness(phi1, STATES, mapping, phi2, TARGETS)
+    # the refuted condition mu(t0) <= 1/2, in the row form -mu(t0) >= -1/2
+    assert witness.reason == C.FacetViolation(C.LinearAtom((("t0", F(-1)),), ">=", F(-1, 2)))
+    assert witness.mu["s0"] + witness.mu["s1"] > F(1, 2)
+
+
+@st.composite
+def _distributions(draw, states=STATES, denominator=4):
+    left = denominator
+    mass = {}
+    for s in states[:-1]:
+        mass[s] = F(draw(st.integers(min_value=0, max_value=left)), denominator)
+        left -= mass[s] * denominator
+    mass[states[-1]] = F(left, denominator)
+    return C.Distribution.of(mass)
+
+
+@st.composite
+def _target_constraints(draw):
+    kind = draw(st.sampled_from(["interval", "linear", "disjunction"]))
+    if kind == "interval":
+        bounds = {}
+        for t in draw(st.sets(st.sampled_from(TARGETS))):
+            lo, hi = sorted(draw(st.integers(min_value=0, max_value=4)) for _ in range(2))
+            bounds[t] = (F(lo, 4), F(hi, 4))
+        return C.interval_constraint(bounds)
+
+    def conjunction():
+        atoms = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            coeffs = {t: draw(_coeff) for t in draw(st.sets(st.sampled_from(TARGETS),
+                                                            min_size=1))}
+            rel = draw(st.sampled_from(["<=", "<", "==", ">=", ">"]))
+            atoms.append(C.atom(coeffs, rel, draw(_rhs)))
+        return C.and_(*atoms)
+
+    return conjunction() if kind == "linear" else C.or_(conjunction(), conjunction())
+
+
+_PAIRS = [(s, t) for s in STATES for t in TARGETS]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_distributions(), _target_constraints(),
+       st.sets(st.sampled_from(_PAIRS)).map(frozenset))
+# a row over unrelated targets only is the constant 0 REL rhs
+@example(C.Distribution.of({"s0": 1}), C.atom({"t1": 1}, ">", 0), frozenset({("s0", "t0")}))
+@example(C.Distribution.of({"s0": 1}), C.atom({"t1": 1}, "<=", 0), frozenset({("s0", "t0")}))
+def test_coupling_kernel_agrees_with_brute_force_coupling(mu, phi, relation):
+    n = make_apa(states=list(TARGETS), actions=["a"], ap=["p"],
+                 labeling={t: [[]] for t in TARGETS}, transitions=[],
+                 initial=[TARGETS[0]], constraints={})
+    assert (refinement._coupling_feasible(mu.mass, phi, TARGETS, relation)
+            == oracle._coupling_ok(mu, phi, n, relation))
