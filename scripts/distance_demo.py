@@ -11,7 +11,8 @@ import warnings
 from itertools import islice
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from apa_toolkit.difference import over_diff, under_diff
 from apa_toolkit.distance import (DistanceParams, syntactic_distance,

@@ -9,7 +9,8 @@ import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from apa_toolkit.counterexample import counterexample
 from apa_toolkit.difference import over_diff, prune_unreachable, under_diff

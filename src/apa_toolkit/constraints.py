@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import _lp
 from .errors import InputError, ResourceLimitError
@@ -82,28 +82,6 @@ class Distribution:
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"{s}: {m}" for s, m in self.items) + "}"
-
-
-@dataclass(frozen=True)
-class SupportGap:
-    """A support state with no image under a partial successor map."""
-
-    state: State
-
-
-def pushforward(mu: Mapping[State, Fraction] | Distribution,
-                mapping: Callable[[State], State | None]) -> Distribution | SupportGap:
-    """Image distribution under a partial map; SupportGap names an unmapped support state."""
-    mass = mu.mass if isinstance(mu, Distribution) else dict(mu)
-    out: dict[State, Fraction] = {}
-    for s, m in sorted(mass.items(), key=lambda kv: str(kv[0])):
-        if m == 0:
-            continue
-        t = mapping(s)
-        if t is None:
-            return SupportGap(s)
-        out[t] = out.get(t, ZERO) + m
-    return Distribution.of(out)
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +528,11 @@ def _atom_rows(a: LinearAtom) -> list[tuple[tuple[tuple[State, Fraction], ...], 
 
 
 @lru_cache(maxsize=None)
-def dnf_cover(phi: ConstraintExpr, cap: int = DNF_BRANCH_CAP) -> tuple[Piece, ...]:
+def dnf_cover(phi: ConstraintExpr) -> tuple[Piece, ...]:
     """Disjunctive normal form as a tuple of half-open polyhedral pieces.
 
     Pieces are purely syntactic here; emptiness is decided by the callers'
-    LPs.  Raises ResourceLimitError beyond `cap` branches.
+    LPs.  Raises ResourceLimitError beyond `DNF_BRANCH_CAP` branches.
     """
     expr = expand(phi)
 
@@ -571,16 +549,16 @@ def dnf_cover(phi: ConstraintExpr, cap: int = DNF_BRANCH_CAP) -> tuple[Piece, ..
             out: list[tuple] = []
             for i in e.items:
                 out.extend(rec(i))
-                if len(out) > cap:
-                    raise ResourceLimitError(f"DNF cover exceeds branch cap {cap}")
+                if len(out) > DNF_BRANCH_CAP:
+                    raise ResourceLimitError(f"DNF cover exceeds branch cap {DNF_BRANCH_CAP}")
             return out
         if isinstance(e, And):
             acc: list[tuple] = [()]
             for i in e.items:
                 branches = rec(i)
                 acc = [a + b for a in acc for b in branches]
-                if len(acc) > cap:
-                    raise ResourceLimitError(f"DNF cover exceeds branch cap {cap}")
+                if len(acc) > DNF_BRANCH_CAP:
+                    raise ResourceLimitError(f"DNF cover exceeds branch cap {DNF_BRANCH_CAP}")
             return acc
         raise InputError(f"unknown constraint node {type(e).__name__}")
 
@@ -617,10 +595,9 @@ def piece_max(piece: Piece, states: Sequence[State],
     return res.value, res.point
 
 
-def sat_nonempty(phi: ConstraintExpr, states: Sequence[State],
-                 cap: int = DNF_BRANCH_CAP) -> Distribution | None:
+def sat_nonempty(phi: ConstraintExpr, states: Sequence[State]) -> Distribution | None:
     """A satisfying distribution, or None iff Sat(phi) is empty."""
-    for piece in dnf_cover(phi, cap):
+    for piece in dnf_cover(phi):
         point = piece_point(piece, states)
         if point is not None:
             return Distribution.of(point)
@@ -681,8 +658,7 @@ def _meets_simplex(lo: dict, hi: dict, n: int) -> bool:
             and (hi_sum > 1 or (hi_sum == 1 and not any(o for _, o in hi.values()))))
 
 
-def support_reachable(phi: ConstraintExpr, s: State, states: Sequence[State],
-                      cap: int = DNF_BRANCH_CAP) -> bool:
+def support_reachable(phi: ConstraintExpr, s: State, states: Sequence[State]) -> bool:
     """True iff some mu in Sat(phi) has mu(s) > 0.
 
     Decided piece by piece.  A piece whose rows each name at most one state
@@ -700,7 +676,7 @@ def support_reachable(phi: ConstraintExpr, s: State, states: Sequence[State],
     somewhere on the piece.  A half-open piece can be empty while its
     closure is not, so emptiness is always decided first.
     """
-    for piece in dnf_cover(phi, cap):
+    for piece in dnf_cover(phi):
         box = _Box.of(piece, states)
         if box is not None:
             if box.nonempty and box.max_mass(s) > 0:
@@ -714,9 +690,8 @@ def support_reachable(phi: ConstraintExpr, s: State, states: Sequence[State],
     return False
 
 
-def supportable_states(phi: ConstraintExpr, states: Sequence[State],
-                       cap: int = DNF_BRANCH_CAP) -> tuple[State, ...]:
-    return tuple(s for s in states if support_reachable(phi, s, states, cap))
+def supportable_states(phi: ConstraintExpr, states: Sequence[State]) -> tuple[State, ...]:
+    return tuple(s for s in states if support_reachable(phi, s, states))
 
 
 # ---------------------------------------------------------------------------

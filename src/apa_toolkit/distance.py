@@ -43,7 +43,6 @@ class DistanceParams:
     epsilon: float = 1e-9
     max_iter: int = 10 ** 6
     vertex_dim_cap: int = C.VERTEX_DIM_CAP
-    dnf_cap: int = C.DNF_BRANCH_CAP
 
     def __post_init__(self):
         if not 0 < self.lam < 1:
@@ -101,10 +100,10 @@ def _vertices_cached(poly: Polytope, dim_cap: int) -> tuple[Distribution, ...]:
 
 
 @lru_cache(maxsize=None)
-def _feasible_pieces(phi: ConstraintExpr, states: tuple, cap: int) -> tuple[Piece, ...]:
+def _feasible_pieces(phi: ConstraintExpr, states: tuple) -> tuple[Piece, ...]:
     """Pieces of the DNF cover that are nonempty as half-open sets."""
     out = []
-    for piece in C.dnf_cover(phi, cap):
+    for piece in C.dnf_cover(phi):
         if C.piece_point(piece, states) is None:
             continue
         out.append(piece)
@@ -112,8 +111,7 @@ def _feasible_pieces(phi: ConstraintExpr, states: tuple, cap: int) -> tuple[Piec
 
 
 @lru_cache(maxsize=None)
-def _outer_points(phi: ConstraintExpr, states: tuple, cap: int,
-                  dim_cap: int) -> tuple[Distribution, ...]:
+def _outer_points(phi: ConstraintExpr, states: tuple, dim_cap: int) -> tuple[Distribution, ...]:
     """Candidate maximizers: vertices of the closure of each nonempty piece.
 
     Exact for the supremum whenever the inner value is convex (single-piece
@@ -121,7 +119,7 @@ def _outer_points(phi: ConstraintExpr, states: tuple, cap: int,
     the inner value is continuous.
     """
     points: list[Distribution] = []
-    for piece in _feasible_pieces(phi, states, cap):
+    for piece in _feasible_pieces(phi, states):
         for v in _vertices_cached(Polytope.from_piece(piece, states), dim_cap):
             if v not in points:
                 points.append(v)
@@ -179,15 +177,15 @@ def _expr_distance(phi1: ConstraintExpr, states1: tuple,
     `tableaux` holds the prepared transport tableaux of one
     `state_distances` call (see `_transport_tableau`).
     """
-    pieces2 = _feasible_pieces(phi2, states2, params.dnf_cap)
+    pieces2 = _feasible_pieces(phi2, states2)
     if not pieces2:
         return 1.0, True  # nothing to transport into
-    pieces1 = _feasible_pieces(phi1, states1, params.dnf_cap)
+    pieces1 = _feasible_pieces(phi1, states1)
     if not pieces1:
         return 0.0, True  # supremum over an empty set
     exact = len(pieces2) == 1
     best = Fraction(0)
-    for mu in _outer_points(phi1, states1, params.dnf_cap, params.vertex_dim_cap):
+    for mu in _outer_points(phi1, states1, params.vertex_dim_cap):
         inner = min(_transport_value(_transport_tableau(tableaux, mu, piece, states2),
                                      mu, states2, dval)
                     for piece in pieces2)
@@ -244,7 +242,7 @@ def state_distances(n1: APA, n2: APA, params: DistanceParams | None = None) -> D
     terms = {p: [[combo_index[cp] for cp in opts] for opts in tl] for p, tl in terms.items()}
     dims1 = []
     for l, r in combos:
-        pts = _outer_points(l, states1, params.dnf_cap, params.vertex_dim_cap)
+        pts = _outer_points(l, states1, params.vertex_dim_cap)
         dims1.append(tuple(sorted({s for v in pts for s in v.support()}, key=str)))
 
     d = {p: (1.0 if p in incompat else 0.0) for p in pairs}
@@ -291,13 +289,20 @@ def state_distances(n1: APA, n2: APA, params: DistanceParams | None = None) -> D
                          iterations=iterations, converged=converged, exact=exact)
 
 
-def syntactic_distance(n1: APA, n2: APA, params: DistanceParams | None = None) -> float:
-    """Distance between automata: worst left initial state against its best
-    right initial state."""
+def syntactic_distance_table(n1: APA, n2: APA, params: DistanceParams | None = None
+                             ) -> tuple[float, DistanceTable]:
+    """Distance between automata, worst left initial state against its best
+    right initial state, with the state table it is read from."""
     if not n1.initial or not n2.initial:
         raise InputError("both automata need at least one initial state")
     table = state_distances(n1, n2, params)
-    return max(min(table.value(s1, s2) for s2 in n2.initial) for s1 in n1.initial)
+    return max(min(table.value(s1, s2) for s2 in n2.initial) for s1 in n1.initial), table
+
+
+def syntactic_distance(n1: APA, n2: APA, params: DistanceParams | None = None) -> float:
+    """Distance between automata: worst left initial state against its best
+    right initial state."""
+    return syntactic_distance_table(n1, n2, params)[0]
 
 
 def thorough_distance_lower_bound(n1: APA, n2: APA,

@@ -18,12 +18,12 @@ from typing import Any, Callable
 from . import constraints as C
 from .counterexample import CexState, CounterexamplePA, counterexample
 from .difference import DifferenceAPA, ProductState, over_diff, under_diff
-from .distance import DistanceParams, state_distances
+from .distance import DistanceParams, syntactic_distance_table
 from .errors import (GridTooCoarseError, InputError, PreconditionError,
                      ResourceLimitError, ToolkitError)
 from .model import APA, Modality, PA, make_apa, make_pa, validate, validate_pa
 from .oracle import GridSpec, brute_satisfies, enumerate_implementations
-from .refinement import CaseLabel, compute_refinement, refines, satisfies
+from .refinement import CaseLabel, compute_refinement, satisfies
 
 FORMAT_VERSION = 1
 
@@ -494,10 +494,7 @@ def cmd_distance(args) -> int:
     n1, n2 = _load_apa(args.n1), _load_apa(args.n2)
     params = DistanceParams(lam=args.lam, epsilon=args.eps,
                             **({"max_iter": args.max_iter} if args.max_iter else {}))
-    table = state_distances(n1, n2, params)
-    if not n1.initial or not n2.initial:
-        raise InputError("both automata need at least one initial state")
-    value = max(min(table.value(s1, s2) for s2 in n2.initial) for s1 in n1.initial)
+    value, table = syntactic_distance_table(n1, n2, params)
     if args.table:
         rows = ["s1,s2,value,guaranteed_error"]
         rows += [f"{_ref(s1)},{_ref(s2)},{v!r},{table.guaranteed_error!r}"

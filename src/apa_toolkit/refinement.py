@@ -17,8 +17,11 @@ kernels plus `constraints.piece_point`:
     `push_ok` in `_map_condition` reads feasibility only.
   * `_coupling_feasible` asks whether some distribution of a constraint
     simulates one concrete distribution, over the joint coupling weights.
-    `satisfies` (non-deterministic targets) and the rejection filter of
-    `_map_condition` read feasibility only.
+    It is the one matching test of `satisfies`, for every target, and the
+    rejection filter of `_map_condition`.  When each support state has a
+    single related state, as on a deterministic target whose states carry
+    distinct valuations, the coupling is forced and membership of its image
+    decides it, with no LP.
   * "Mass at s" is `piece_point` with the strict row mu(s) > 0.
     `_sim_witness` and `lemma_indplus_witness` read its vertex; the domain
     of `_map_condition` reads feasibility only.
@@ -133,18 +136,12 @@ def _single_transition(n: APA, s: State, a: Action) -> Transition | None:
     return ts[0] if ts else None
 
 
-@lru_cache(maxsize=None)
-def _forced_succ(n2: APA, s2: State, a: Action, v) -> State | None:
-    """The unique equally-labeled potential successor, if any."""
-    return forced_successor(n2, s2, a, v)
-
-
 def forced_map(n1: APA, n2: APA, s2: State, a: Action,
                relation: frozenset | None = None) -> tuple[tuple[State, State | None], ...]:
     """succ-induced successor map S1 -> S2, optionally filtered by a relation."""
     out = []
     for s1p in n1.states:
-        t = _forced_succ(n2, s2, a, n1.valuation_of(s1p))
+        t = forced_successor(n2, s2, a, n1.valuation_of(s1p))
         if t is not None and relation is not None and (s1p, t) not in relation:
             t = None
         out.append((s1p, t))
@@ -208,14 +205,21 @@ def _coupling_feasible(mu: Mapping[State, Fraction], phi, states2: tuple,
 
     Decided as a feasibility problem over the joint weights
     w(s, t) = mu(s) * delta(s)(t) on related pairs, one LP per piece of phi;
-    the image mass at t is the column sum of w at t.  A row that names no
-    related target compares 0 with its right-hand side and is decided
-    without the LP.
+    the image mass at t is the column sum of w at t.  When every support
+    state has a single related target the weights are forced, w(s, t) = mu(s),
+    and the answer is membership of that one image, with no LP.  A row that
+    names no related target compares 0 with its right-hand side and is
+    decided without the LP.
     """
     supp = [s for s, m in mu.items() if m > 0]
     cands = {s: [t for t in states2 if (s, t) in relation] for s in supp}
     if any(not cands[s] for s in supp):
         return False
+    if all(len(cands[s]) == 1 for s in supp):
+        image: dict = {}
+        for s in supp:
+            image[cands[s][0]] = image.get(cands[s][0], ZERO) + mu[s]
+        return C.sat_member(phi, image)
     variables = [(s, t) for s in supp for t in cands[s]]
     base = [({(s, t): ONE for t in cands[s]}, "==", mu[s]) for s in supp]
     for piece in C.dnf_cover(phi):
@@ -380,8 +384,8 @@ def _candidate_order(s: State):
 
 
 @lru_cache(maxsize=None)
-def _complement_pieces(phi2, cap: int = C.DNF_BRANCH_CAP):
-    return C.dnf_cover(C.negate(phi2), cap)
+def _complement_pieces(phi2):
+    return C.dnf_cover(C.negate(phi2))
 
 
 def _map_condition(phi1, states1: tuple, phi2, states2: tuple,
@@ -573,59 +577,33 @@ def lemma_indplus_witness(analysis: RefinementAnalysis, s1: State, s2: State,
 # ---------------------------------------------------------------------------
 
 
-def _pa_val(p: PA, s: State):
-    return p.valuation_of(s)
-
-
-def _match_by_pushforward(p: PA, n: APA, mu_p: Distribution, phi,
-                          supportable: tuple[State, ...], relation: frozenset) -> bool:
-    """Deterministic fast path: push mu_p through the forced map, test membership.
-
-    `supportable` is `C.supportable_states(phi, n.states)`.
-    """
-    def target(p_state: State) -> State | None:
-        candidates = [t for t in supportable
-                      if n.valuations(t) == (_pa_val(p, p_state),) and (p_state, t) in relation]
-        if len(candidates) > 1:
-            raise PreconditionError("constraint admits two equally-labeled successors; "
-                                    "fast path requires determinism")
-        return candidates[0] if candidates else None
-
-    image = C.pushforward(mu_p, target)
-    if isinstance(image, C.SupportGap):
-        return False
-    return C.sat_member(phi, image.mass)
-
-
 def satisfies(p: PA, n: APA, budget: int | None = None) -> tuple[bool, frozenset | None]:
     """Does the concrete automaton implement the abstract one?
 
-    Runs a greatest-fixed-point pair elimination; every sweep checks each
-    surviving pair, at most `budget` pair checks in all (`DEFAULT_NODE_BUDGET`
-    when None).  Deterministic abstract inputs use forced-pushforward
-    membership; non-deterministic ones (differences) fall back to
-    per-distribution coupling feasibility, `_coupling_feasible`.  Either
-    test of a distribution mu against a constraint reads the relation only on
-    supp(mu) x states(n), so each test is decided once per call and
-    relation slice, and a recheck whose slice is unchanged solves no LP.
+    Runs a greatest-fixed-point pair elimination from the valuation-equal
+    pairs; every sweep checks each surviving pair, at most `budget` pair
+    checks in all (`DEFAULT_NODE_BUDGET` when None).  Each concrete
+    distribution mu is matched against a constraint by `_coupling_feasible`,
+    whatever the target.  Where each support state of mu has a single
+    related state (the usual case on a deterministic target) the coupling is
+    forced and membership of its image decides it, with no LP; a slice of
+    two or more related states takes the coupling LP.  The test reads the
+    relation only on supp(mu) x states(n), so it is decided once per call
+    and relation slice, and a recheck whose slice is unchanged solves no LP.
     """
     if not is_svnf(n):
         raise PreconditionError("satisfaction requires the abstract side in "
                                 "single-valuation normal form")
     limit = budget if budget is not None else DEFAULT_NODE_BUDGET
-    fast = is_deterministic(n)
     checks = 0
-    # Both memos live for this call only.
-    supportable: dict = {}  # constraint id -> supportable states of n
-    matched: dict = {}      # (mu, constraint id, relation on supp(mu) x S) -> verdict
+    # This memo lives for this call only.
+    matched: dict = {}  # (mu, constraint id, relation on supp(mu) x S) -> verdict
 
     def pair_ok(ps: State, s2: State, relation: frozenset) -> bool:
         nonlocal checks
         checks += 1
         if checks > limit:
             raise ResourceLimitError(f"satisfaction search exceeded {limit} pair checks")
-        if (_pa_val(p, ps),) != tuple(n.valuations(s2)):
-            return False
         for a in p.actions:
             mus = [t.distribution for t in p.transitions_from(ps, a)]
             phis = [(t.constraint_id, n.constraint(t.constraint_id), t.modality)
@@ -644,16 +622,11 @@ def satisfies(p: PA, n: APA, budget: int | None = None) -> tuple[bool, frozenset
                                    if (s, t) in relation)
         key = (mu, cid, relation_slice)
         if key not in matched:
-            if fast:
-                if cid not in supportable:
-                    supportable[cid] = C.supportable_states(phi, n.states)
-                matched[key] = _match_by_pushforward(p, n, mu, phi, supportable[cid],
-                                                     relation_slice)
-            else:
-                matched[key] = _coupling_feasible(mu.mass, phi, n.states, relation_slice)
+            matched[key] = _coupling_feasible(mu.mass, phi, n.states, relation_slice)
         return matched[key]
 
-    pairs = [(ps, s2) for ps in p.states for s2 in n.states]
+    pairs = [(ps, s2) for ps in p.states for s2 in n.states
+             if (p.valuation_of(ps),) == tuple(n.valuations(s2))]
     current = _greatest_fixpoint(pairs, pair_ok)[-1]
     ok = any((p.initial, s0) in current for s0 in n.initial)
     return (ok, current if ok else None)

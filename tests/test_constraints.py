@@ -36,14 +36,6 @@ def test_distribution_normal_form():
     assert sum(d.mass.values()) == 1
 
 
-def test_pushforward_and_support_gap():
-    d = C.Distribution.of({"a": F(1, 2), "b": F(1, 2)})
-    img = C.pushforward(d, {"a": "x", "b": "x"}.get)
-    assert img == C.Distribution.of({"x": F(1)})
-    gap = C.pushforward(d, {"a": "x"}.get)
-    assert isinstance(gap, C.SupportGap) and gap.state == "b"
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------

@@ -170,15 +170,56 @@ def test_satisfaction_computes_supportable_states_once_per_constraint(monkeypatc
     calls = []
     supportable = C.supportable_states
     monkeypatch.setattr(C, "supportable_states",
-                        lambda phi, states, *rest: calls.append(phi) or supportable(phi, states, *rest))
+                        lambda phi, states: calls.append(phi) or supportable(phi, states))
     for n in (interval_pair()[0], deferral_pair()[0]):
         p = next(islice(enumerate_implementations(n, GridSpec(denominator=10)), 3, None))
         calls.clear()
-        is_deterministic(n)
-        determinism = len(calls)
-        calls.clear()
         assert satisfies(p, n)[0]
-        assert len(calls) - determinism <= len(n.constraints)
+        assert len(calls) <= len(n.constraints)
+
+
+def test_satisfaction_makes_no_determinism_check(monkeypatch):
+    d1, d2 = deferral_pair()
+    from apa_toolkit.difference import under_diff
+    diff = under_diff(d1, d2, 2)
+    calls = []
+    check = refinement.is_deterministic
+    monkeypatch.setattr(refinement, "is_deterministic", lambda n: calls.append(n) or check(n))
+    p_late = deferral_implementation_late()
+    assert satisfies(p_late, d1)[0] and not satisfies(p_late, d2)[0]
+    assert satisfies(interval_implementation_in(), interval_pair()[0])[0]
+    assert satisfies(p_late, diff)[0]
+    assert calls == []
+
+
+def _shared_label_target(lo: F):
+    """t1 and t2 both carry q, but only t0's constraint can reach t2 (with
+    mass at least `lo`) and only t1's can reach t1, so the automaton is
+    deterministic while a q-state of an implementation first relates to both,
+    t1 listed first."""
+    return make_apa(
+        states=["t0", "t1", "t2"], actions=["a"], ap=["p", "q"],
+        labeling={"t0": [["p"]], "t1": [["q"]], "t2": [["q"]]},
+        transitions=[("t0", "a", "c0", Modality.MUST), ("t1", "a", "c1", Modality.MUST),
+                     ("t2", "a", "c2", Modality.MUST)],
+        initial=["t0"],
+        constraints={"c0": C.and_(C.atom({"t2": 1}, ">=", lo), C.atom({"t1": 1}, "==", 0)),
+                     "c1": C.point_constraint({"t1": 1}),
+                     "c2": C.point_constraint({"t0": 1})})
+
+
+def test_satisfaction_against_a_deterministic_target_with_shared_labels(monkeypatch):
+    n, loose = _shared_label_target(F(1, 2)), _shared_label_target(F(0))
+    assert is_deterministic(n)
+    impls = list(enumerate_implementations(loose, GridSpec(denominator=10)))
+    lps = []
+    solve = refinement._lp.strict_feasible_point
+    monkeypatch.setattr(refinement._lp, "strict_feasible_point",
+                        lambda *args: lps.append(args) or solve(*args))
+    verdicts = [satisfies(p, n)[0] for p in impls]
+    assert lps  # a slice of two related targets takes the coupling LP
+    assert verdicts == [oracle.brute_satisfies(p, n) for p in impls]
+    assert True in verdicts and False in verdicts
 
 
 def test_satisfaction_against_nondeterministic_targets():
@@ -294,8 +335,12 @@ def test_sim_witness_agrees_with_vertex_pushforward(rows1, mapping, rows2):
     witness = refinement._sim_witness(phi1, STATES, tuple(mapping.items()), phi2, TARGETS)
 
     def lands(mu) -> bool:
-        image = C.pushforward(mu, mapping.get)
-        return not isinstance(image, C.SupportGap) and C.sat_member(phi2, image)
+        if any(mapping[s] is None for s in mu.support()):
+            return False
+        image: dict = {}
+        for s in mu.support():
+            image[mapping[s]] = image.get(mapping[s], F(0)) + mu[s]
+        return C.sat_member(phi2, image)
 
     vertices = C.vertices(C.Polytope.make(STATES, rows1))
     assert (witness is None) == all(lands(v) for v in vertices)
@@ -358,6 +403,12 @@ _PAIRS = [(s, t) for s in STATES for t in TARGETS]
 # a row over unrelated targets only is the constant 0 REL rhs
 @example(C.Distribution.of({"s0": 1}), C.atom({"t1": 1}, ">", 0), frozenset({("s0", "t0")}))
 @example(C.Distribution.of({"s0": 1}), C.atom({"t1": 1}, "<=", 0), frozenset({("s0", "t0")}))
+# forced couplings: the image of mu under the relation decides, with no LP
+@example(C.Distribution.of({"s0": 1}), C.atom({"t1": 1}, "==", 0), frozenset({("s0", "t1")}))
+@example(C.Distribution.of({"s0": F(1, 2), "s1": F(1, 2)}), C.atom({"t0": 1}, "<", F(1, 2)),
+         frozenset({("s0", "t0"), ("s1", "t1")}))
+@example(C.Distribution.of({"s0": F(1, 4), "s1": F(3, 4)}), C.atom({"t0": 1}, ">=", 1),
+         frozenset({("s0", "t0"), ("s1", "t0"), ("s2", "t1")}))
 def test_coupling_kernel_agrees_with_brute_force_coupling(mu, phi, relation):
     n = make_apa(states=list(TARGETS), actions=["a"], ap=["p"],
                  labeling={t: [[]] for t in TARGETS}, transitions=[],
