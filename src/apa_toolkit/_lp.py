@@ -43,6 +43,15 @@ not depend on where phase 2 starts.  The optimal vertex does, when the
 optimum is not unique, so only a caller that reads the value alone may
 re-price; a caller that builds on the vertex calls `solve`, whose pivot path
 starts from the phase-1 basis every time.
+
+`feasible` is the third entry point, for callers that read no vertex at all.
+It starts from the slack basis: a "<=" row with a nonnegative right-hand
+side starts with its slack basic, so only "==" rows and rows with a negative
+right-hand side get an artificial, and phase 1 is skipped when there are
+none.  Strict rows share one slack t <= 1 that phase 2 maximizes, as in
+`strict_feasible_point`; the answer is whether t > 0, and no point is built.
+`prepare` and `solve` keep the all-artificial start, so every vertex a
+caller reads keeps its pivot path.
 """
 
 from __future__ import annotations
@@ -139,9 +148,19 @@ class Tableau:
     det: int
 
 
-def prepare(constraints: Sequence[Constraint], variables: Sequence[Var]) -> Tableau | None:
-    """Phase 1: the tableau of `constraints` at a feasible basis, all
-    variables >= 0, or None if the system is infeasible."""
+def _start(constraints: Sequence[Constraint], variables: Sequence[Var],
+           slack_start: bool) -> tuple[dict[Var, int], int, list[list[int]], list[int]]:
+    """The integer start tableau of `constraints` with its basis: (var_index,
+    columns, rows, basis).
+
+    Columns: variables, one slack per inequality, the artificials, rhs.
+    ">=" rows are negated to "<=", then rows with negative rhs are negated;
+    each row's sign enters the phase-1 cost, so this order is part of the
+    pivot path.  Every row gets an artificial, or with `slack_start` only
+    the rows whose slack cannot start basic: "==" rows and rows whose slack
+    coefficient the rhs flip made -1.  The start basis is an identity, so
+    D = 1.
+    """
     var_index = {v: i for i, v in enumerate(variables)}
     if len(var_index) != len(variables):
         raise ValueError("duplicate variables")
@@ -156,48 +175,61 @@ def prepare(constraints: Sequence[Constraint], variables: Sequence[Var]) -> Tabl
             if rel not in ("<=", ">=", "=="):
                 raise ValueError(f"unknown relation {rel!r}")
             scale = lcm(scale, rhs.denominator, *[c.denominator for _, c in terms])
-            parsed.append((terms, rel, rhs))
+            # A ">=" row is negated to "<=" (flip), then a row with negative
+            # rhs is negated (sign), which turns its slack coefficient to -1.
+            flip = -1 if rel == ">=" else 1
+            sign = -flip if flip * rhs.numerator < 0 else flip
+            parsed.append((terms, rel, rhs, flip, sign))
     except KeyError as err:
         raise InputError(f"a constraint names {err.args[0]!r}, which is not among "
                          f"the variables") from None
 
-    # Columns: variables, one slack per inequality, one artificial per row, rhs.
-    # ">=" rows are negated to "<=", then rows with negative rhs are negated;
-    # each row's sign enters the phase-1 cost, so this order is part of the
-    # pivot path.
-    m = len(parsed)
-    num_slacks = sum(rel != "==" for _, rel, _ in parsed)
-    total = n + num_slacks
+    starts = [slack_start and rel != "==" and sign == flip for _, rel, _, flip, sign in parsed]
+    total = n + sum(rel != "==" for _, rel, _, _, _ in parsed)
+    width = total + starts.count(False) + 1
     rows: list[list[int]] = []
-    slack_at = n
-    for r, (terms, rel, rhs) in enumerate(parsed):
-        row = [0] * (total + m + 1)
+    basis: list[int] = []
+    slack_at, art_at = n, total
+    for (terms, rel, rhs, flip, sign), slack_basic in zip(parsed, starts):
+        row = [0] * width
         for j, c in terms:
-            row[j] = c.numerator * (scale // c.denominator)
-        row[-1] = rhs.numerator * (scale // rhs.denominator)
-        if rel == ">=":
-            row = [-x for x in row]
+            row[j] = sign * c.numerator * (scale // c.denominator)
+        row[-1] = sign * rhs.numerator * (scale // rhs.denominator)
         if rel != "==":
-            row[slack_at] = 1
+            row[slack_at] = sign * flip
+            if slack_basic:
+                basis.append(slack_at)
             slack_at += 1
-        if row[-1] < 0:
-            row = [-x for x in row]
-        row[total + r] = 1
+        if not slack_basic:
+            row[art_at] = 1
+            basis.append(art_at)
+            art_at += 1
         rows.append(row)
+    return var_index, total, rows, basis
 
-    # Artificial basis, D = 1, cost 1 on each artificial.
-    art_start = total
-    basis = list(range(art_start, art_start + m))
-    cost = [0] * (total + m + 1)
-    for row in rows:
+
+def _phase_one(rows: list[list[int]], basis: list[int], total: int) -> int | None:
+    """Phase 1 from the start tableau of `_start`: minimize the sum of the
+    artificials, the columns from `total` on.  Returns the determinant, or
+    None if the system is infeasible."""
+    art_rows = [row for row, col in zip(rows, basis) if col >= total]
+    if not art_rows:
+        return 1
+    width = len(rows[0])
+    cost = [0] * width
+    for row in art_rows:
         cost = [c - x for c, x in zip(cost, row)]
-    cost[art_start:art_start + m] = [0] * m
+    cost[total:width - 1] = [0] * (width - 1 - total)
     _, det = _simplex_phase(rows, cost, basis, 1)
-    if cost[-1] != 0:
-        return None
-    # Drive artificials out of the basis where possible; drop redundant rows.
-    for r in range(m - 1, -1, -1):
-        if basis[r] >= art_start:
+    return det if cost[-1] == 0 else None
+
+
+def _drop_artificials(rows: list[list[int]], basis: list[int], total: int, det: int) -> int:
+    """After phase 1: drive the zero-level artificials out of the basis where
+    possible, drop redundant rows and the artificial columns.  Returns the
+    determinant."""
+    for r in range(len(rows) - 1, -1, -1):
+        if basis[r] >= total:
             pivot_col = next((j for j in range(total) if rows[r][j] != 0), None)
             if pivot_col is None:
                 del rows[r]
@@ -207,9 +239,33 @@ def prepare(constraints: Sequence[Constraint], variables: Sequence[Var]) -> Tabl
                 if det < 0:
                     rows[:] = [[-x for x in row] for row in rows]
                     det = -det
-    # Truncate artificial columns.
     rows[:] = [row[:total] + [row[-1]] for row in rows]
-    return Tableau(var_index, total, rows, basis, det)
+    return det
+
+
+def prepare(constraints: Sequence[Constraint], variables: Sequence[Var]) -> Tableau | None:
+    """Phase 1 from the all-artificial basis: the tableau of `constraints` at
+    a feasible basis, all variables >= 0, or None if the system is
+    infeasible."""
+    var_index, total, rows, basis = _start(constraints, variables, slack_start=False)
+    det = _phase_one(rows, basis, total)
+    if det is None:
+        return None
+    return Tableau(var_index, total, rows, basis, _drop_artificials(rows, basis, total, det))
+
+
+def _price(tableau: Tableau, int_cost: list[int]) -> list[int] | None:
+    """Phase 2 of the integer costs `int_cost` (one per column, minimized)
+    from the tableau's current basis; the final reduced-cost row, or None if
+    unbounded.  Either way the tableau is left at the last basis."""
+    rows, basis, det = tableau.rows, tableau.basis, tableau.det
+    cost = [det * c for c in int_cost] + [0]
+    for r, col in enumerate(basis):
+        cb = int_cost[col]
+        if cb:
+            cost = [c - cb * x for c, x in zip(cost, rows[r])]
+    bounded, tableau.det = _simplex_phase(rows, cost, basis, det)
+    return cost if bounded else None
 
 
 def reprice(tableau: Tableau, objective: Mapping[Var, Fraction],
@@ -221,7 +277,7 @@ def reprice(tableau: Tableau, objective: Mapping[Var, Fraction],
     value does not depend on the starting basis, but the returned vertex may.
     """
     var_index, rows, basis = tableau.var_index, tableau.rows, tableau.basis
-    n, total = len(var_index), tableau.columns
+    n = len(var_index)
     try:
         terms = [(var_index[v], _rational(c)) for v, c in objective.items()]
     except KeyError as err:
@@ -229,19 +285,13 @@ def reprice(tableau: Tableau, objective: Mapping[Var, Fraction],
                          f"the variables") from None
     cost_scale = lcm(*[c.denominator for _, c in terms])
     sign = -1 if maximize else 1
-    int_cost = [0] * total
+    int_cost = [0] * tableau.columns
     for j, c in terms:
         int_cost[j] = sign * c.numerator * (cost_scale // c.denominator)
-    det = tableau.det
-    cost = [det * c for c in int_cost] + [0]
-    for r, col in enumerate(basis):
-        cb = int_cost[col]
-        if cb:
-            cost = [c - cb * x for c, x in zip(cost, rows[r])]
-    bounded, det = _simplex_phase(rows, cost, basis, det)
-    tableau.det = det
-    if not bounded:
+    cost = _price(tableau, int_cost)
+    if cost is None:
         return LpResult("unbounded", None, None)
+    det = tableau.det
     x = [ZERO] * n
     for r, col in enumerate(basis):
         if col < n:
@@ -277,6 +327,22 @@ def feasible_point(
 _SLACK = ("__strict_slack__",)
 
 
+def _with_strict_slack(
+    constraints: Sequence[Constraint],
+    strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]],
+    variables: Sequence[Var],
+) -> tuple[list[Constraint], list[Var]]:
+    """The system with each strict row coeffs·x < rhs as coeffs·x + t <= rhs,
+    for one shared slack t <= 1, which is the last variable."""
+    aug = list(constraints)
+    for coeffs, rhs in strict:
+        row = dict(coeffs)
+        row[_SLACK] = row.get(_SLACK, ZERO) + ONE
+        aug.append((row, "<=", Fraction(rhs)))
+    aug.append(({_SLACK: ONE}, "<=", ONE))
+    return aug, list(variables) + [_SLACK]
+
+
 def strict_feasible_point(
     constraints: Sequence[Constraint],
     strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]],
@@ -289,16 +355,35 @@ def strict_feasible_point(
     """
     if not strict:
         return feasible_point(constraints, variables)
-    aug_vars = list(variables) + [_SLACK]
-    aug: list[Constraint] = [(dict(c), rel, rhs) for c, rel, rhs in constraints]
-    for coeffs, rhs in strict:
-        row = dict(coeffs)
-        row[_SLACK] = row.get(_SLACK, ZERO) + ONE
-        aug.append((row, "<=", Fraction(rhs)))
-    aug.append(({_SLACK: ONE}, "<=", ONE))
+    aug, aug_vars = _with_strict_slack(constraints, strict, variables)
     res = solve({_SLACK: ONE}, aug, aug_vars, maximize=True)
     if not res.optimal or res.value <= 0:
         return None
     point = dict(res.point)
     point.pop(_SLACK, None)
     return point
+
+
+def feasible(
+    constraints: Sequence[Constraint],
+    variables: Sequence[Var],
+    strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]] = (),
+) -> bool:
+    """Does some x >= 0 satisfy `constraints` and coeffs·x < rhs for each
+    strict row?  The same decision as `strict_feasible_point(...) is not
+    None`, from the slack basis: phase 1 runs only if some row needs an
+    artificial, and strict rows share the slack t of `strict_feasible_point`,
+    maximized in phase 2.  No vertex is read, so the pivot path is free."""
+    if strict:
+        constraints, variables = _with_strict_slack(constraints, strict, variables)
+    var_index, total, rows, basis = _start(constraints, variables, slack_start=True)
+    det = _phase_one(rows, basis, total)
+    if det is None:
+        return False
+    if not strict:
+        return True
+    det = _drop_artificials(rows, basis, total, det)
+    t_cost = [0] * total
+    t_cost[len(variables) - 1] = -1  # maximize t
+    cost = _price(Tableau(var_index, total, rows, basis, det), t_cost)
+    return cost[-1] > 0  # -det times the minimum of -t

@@ -584,6 +584,40 @@ def piece_point(piece: Piece, states: Sequence[State],
     return _lp.strict_feasible_point(nonstrict, strict, list(states))
 
 
+def piece_feasible(piece: Piece, states: Sequence[State],
+                   extra_nonstrict: Sequence[_lp.Constraint] = (),
+                   extra_strict: Sequence[tuple[dict, Fraction]] = ()) -> bool:
+    """Is `piece_point` of the same rows not None?  Decided by `_lp.feasible`,
+    which builds no point, for callers that read no vertex."""
+    nonstrict, strict = piece.lp_rows()
+    nonstrict = nonstrict + [_simplex_row(states)] + list(extra_nonstrict)
+    return _lp.feasible(nonstrict, list(states), strict + list(extra_strict))
+
+
+def piece_support(piece: Piece, states: Sequence[State],
+                  known: Iterable[State] = ()) -> tuple[State, ...]:
+    """The states s with mu(s) > 0 for some mu in a piece known to be
+    nonempty, in the order of `states`; `known` holds some of them already.
+
+    The piece is dense in its closure (see `support_reachable`), so this is
+    the support of the closure.  Phase 1 runs once on the closure rows; then
+    the sum of the still unknown masses is maximized, re-pricing from the
+    last optimum, until it reaches 0.  Each positive optimum adds the unknown
+    states with mass at its vertex, at least one, and an optimum of 0 shows
+    that no unknown state is supportable.  The result does not depend on the
+    pivot path.
+    """
+    tableau = _lp.prepare(piece.closure_rows() + [_simplex_row(states)], list(states))
+    assert tableau is not None, "piece_support needs a nonempty piece"
+    support = set(known)
+    while unknown := [s for s in states if s not in support]:
+        best = _lp.reprice(tableau, {s: ONE for s in unknown})
+        if best.value == 0:
+            break
+        support.update(s for s in unknown if best.point[s] > 0)
+    return tuple(s for s in states if s in support)
+
+
 def piece_max(piece: Piece, states: Sequence[State],
               objective: Mapping[State, Fraction],
               extra_nonstrict: Sequence[_lp.Constraint] = ()) -> tuple[Fraction, dict] | None:
@@ -682,7 +716,7 @@ def support_reachable(phi: ConstraintExpr, s: State, states: Sequence[State]) ->
             if box.nonempty and box.max_mass(s) > 0:
                 return True
             continue
-        if piece.has_strict() and piece_point(piece, states) is None:
+        if piece.has_strict() and not piece_feasible(piece, states):
             continue
         best = piece_max(piece, states, {s: ONE})
         if best is not None and best[0] > 0:

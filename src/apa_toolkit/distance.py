@@ -102,12 +102,7 @@ def _vertices_cached(poly: Polytope, dim_cap: int) -> tuple[Distribution, ...]:
 @lru_cache(maxsize=None)
 def _feasible_pieces(phi: ConstraintExpr, states: tuple) -> tuple[Piece, ...]:
     """Pieces of the DNF cover that are nonempty as half-open sets."""
-    out = []
-    for piece in C.dnf_cover(phi):
-        if C.piece_point(piece, states) is None:
-            continue
-        out.append(piece)
-    return tuple(out)
+    return tuple(piece for piece in C.dnf_cover(phi) if C.piece_feasible(piece, states))
 
 
 @lru_cache(maxsize=None)

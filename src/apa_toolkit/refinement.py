@@ -14,20 +14,24 @@ kernels plus `constraints.piece_point`:
     through a successor map.  `_sim_witness` adds them to a left piece and
     reads the LP's vertex, which becomes a witness distribution and, through
     `counterexample`, a transition of the separating implementation;
-    `push_ok` in `_map_condition` reads feasibility only.
+    `push_ok` in `_map_condition` reads feasibility only, so it asks
+    `constraints.piece_feasible`, which starts from the slack basis.
   * `_coupling_feasible` asks whether some distribution of a constraint
     simulates one concrete distribution, over the joint coupling weights.
     It is the one matching test of `satisfies`, for every target, and the
     rejection filter of `_map_condition`.  When each support state has a
     single related state, as on a deterministic target whose states carry
     distinct valuations, the coupling is forced and membership of its image
-    decides it, with no LP.
+    decides it, with no LP; otherwise `_lp.feasible` decides it.
   * "Mass at s" is `piece_point` with the strict row mu(s) > 0.
-    `_sim_witness` and `lemma_indplus_witness` read its vertex; the domain
-    of `_map_condition` reads feasibility only.
+    `_sim_witness` and `lemma_indplus_witness` read its vertex.  The domain
+    of `_map_condition`, the states with mass somewhere in a left piece,
+    is one support pass per nonempty piece (`constraints.piece_support`):
+    phase 1 once, then re-priced until no unknown state gains mass.
 
 Every LP whose vertex is read keeps its rows, row order and variable order,
-so witnesses and counterexamples do not depend on which caller built them.
+and starts from the all-artificial basis of `_lp.solve`, so witnesses and
+counterexamples do not depend on which caller built them.
 """
 
 from __future__ import annotations
@@ -236,7 +240,7 @@ def _coupling_feasible(mu: Mapping[State, Fraction], phi, states2: tuple,
         else:
             # Sat(phi) lives on the target simplex: the base rows already make
             # the column sums total 1, since mu sums to 1.
-            if _lp.strict_feasible_point(base + nonstrict, strict, variables) is not None:
+            if _lp.feasible(base + nonstrict, variables, strict):
                 return True
     return False
 
@@ -407,8 +411,7 @@ def _map_condition(phi1, states1: tuple, phi2, states2: tuple,
         # complete rejection filter: one concrete point with no simulating image
         if not _coupling_feasible(probe, phi2, states2, relation):
             return False
-        dom = [s for s in states1
-               if C.piece_point(piece, states1, extra_strict=[({s: -ONE}, ZERO)]) is not None]
+        dom = list(C.piece_support(piece, states1, (s for s, m in probe.items() if m > 0)))
         cands = {s: sorted((t for t in states2 if (s, t) in relation), key=_candidate_order(s))
                  for s in dom}
         if any(not cands[s] for s in dom):
@@ -418,7 +421,7 @@ def _map_condition(phi1, states1: tuple, phi2, states2: tuple,
         def push_ok(assign: dict) -> bool:
             for neg in neg_pieces:
                 pulled_nonstrict, pulled_strict = _pull_back(neg, assign)
-                if C.piece_point(piece, states1, pulled_nonstrict, pulled_strict) is not None:
+                if C.piece_feasible(piece, states1, pulled_nonstrict, pulled_strict):
                     return False  # some mu1 in the piece escapes Sat(phi2)
             return True
 

@@ -258,6 +258,25 @@ def test_supportable_states_of_interval_pieces(phi, states, expected):
     assert (C.sat_nonempty(phi, states) is None) == (expected == ())
 
 
+def _support_by_state(piece, states):
+    """The support of a piece by its definition: one strict LP per state."""
+    return tuple(s for s in states
+                 if C.piece_point(piece, states, extra_strict=[({s: -1}, 0)]) is not None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_support_trees())
+def test_piece_support_agrees_with_the_per_state_probes(expr):
+    for piece in C.dnf_cover(expr):
+        point = C.piece_point(piece, STATES)
+        assert C.piece_feasible(piece, STATES) == (point is not None)
+        if point is None:
+            continue
+        expected = _support_by_state(piece, STATES)
+        assert C.piece_support(piece, STATES) == expected
+        assert C.piece_support(piece, STATES, [s for s, m in point.items() if m > 0]) == expected
+
+
 # ---------------------------------------------------------------------------
 # Vertex enumeration vs. the square-subsystem oracle
 # ---------------------------------------------------------------------------
@@ -332,6 +351,19 @@ def test_expansion_agrees_with_direct_membership_on_cells(idx):
     assert checked > 0
 
 
+def test_piece_support_of_derived_pieces():
+    checked = 0
+    for expr, states in _derived_nodes():
+        for piece in C.dnf_cover(expr):
+            point = C.piece_point(piece, states)
+            if point is None:
+                continue
+            known = [s for s, m in point.items() if m > 0]
+            assert C.piece_support(piece, states, known) == _support_by_state(piece, states)
+            checked += 1
+    assert checked
+
+
 def test_membership_rejects_mass_outside_the_cells():
     expr, states = _derived_nodes()[0]
     outside = [s for s in states if s not in expr.cells]
@@ -348,6 +380,8 @@ def test_state_outside_the_given_states_is_an_input_error():
     for call in (lambda: C.supportable_states(phi, states),
                  lambda: C.sat_nonempty(phi, states),
                  lambda: C.piece_point(piece, states),
+                 lambda: C.piece_feasible(piece, states),
+                 lambda: C.piece_support(piece, states),
                  lambda: C.piece_max(piece, states, {"s0": F(1)})):
         with pytest.raises(InputError, match="'zz'"):
             call()

@@ -299,3 +299,80 @@ def test_unknown_variable_is_an_input_error():
     tableau = _lp.prepare([({"x": F(1)}, "<=", F(1))], ["x"])
     with pytest.raises(InputError, match="'z'"):
         _lp.reprice(tableau, {"z": F(1)})
+
+
+# -- feasibility from the slack basis -----------------------------------------
+
+
+@st.composite
+def _feasibility_systems(draw):
+    """Mixed-denominator `<=`/`>=`/`==` rows (negative right-hand sides
+    included, possibly none at all), an optional box, and 0-3 strict rows."""
+    n_vars = draw(st.integers(min_value=1, max_value=3))
+    variables = [f"v{i}" for i in range(n_vars)]
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        coeffs = {v: draw(_mixed) for v in variables}
+        rel = draw(st.sampled_from(["<=", ">=", "=="]))
+        rows.append((coeffs, rel, draw(_mixed)))
+    for v in variables:
+        if draw(st.booleans()):
+            rows.append(({v: F(1)}, "<=", draw(_mixed.filter(lambda b: b >= 0))))
+    strict = [({v: draw(_mixed) for v in variables}, draw(_mixed))
+              for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    return rows, variables, strict
+
+
+@settings(max_examples=300, deadline=None)
+@given(_feasibility_systems())
+def test_feasible_agrees_with_strict_feasible_point(system):
+    rows, variables, strict = system
+    assert _lp.feasible(rows, variables, strict) == \
+        (_lp.strict_feasible_point(rows, strict, variables) is not None)
+
+
+def _count_phases(monkeypatch) -> list:
+    phases = []
+    phase = _lp._simplex_phase
+
+    def spy(rows, cost, basis, det):
+        phases.append(len(rows))
+        return phase(rows, cost, basis, det)
+
+    monkeypatch.setattr(_lp, "_simplex_phase", spy)
+    return phases
+
+
+def test_feasible_needs_no_artificial_for_nonnegative_upper_bounds(monkeypatch):
+    phases = _count_phases(monkeypatch)
+    rows = [({"x": F(1), "y": F(1)}, "<=", F(1)), ({"x": F(1)}, "<=", F(1, 2)),
+            ({"x": F(-1)}, ">=", F(-3, 4))]  # -x >= -3/4 is x <= 3/4
+    assert _lp.feasible(rows, ["x", "y"])
+    assert phases == []  # the slack basis is feasible: no phase 1
+    # x > 1/4 and y > 1/4: phase 2 alone raises the shared slack
+    assert _lp.feasible(rows, ["x", "y"], [({"x": F(-1)}, F(-1, 4)), ({"y": F(-1)}, F(-1, 4))])
+    assert len(phases) == 2  # phase 1 for the two negative right-hand sides, then phase 2
+    assert not _lp.feasible(rows, ["x", "y"], [({"x": F(-1)}, F(-1, 2)),
+                                               ({"y": F(-1)}, F(-1, 2))])
+
+
+def test_feasible_on_equality_rows_only():
+    assert _lp.feasible([({"x": F(1), "y": F(1)}, "==", F(1)),
+                         ({"x": F(1), "y": F(-1)}, "==", F(1, 3))], ["x", "y"])
+    # a redundant copy of the first row leaves a zero row after phase 1
+    assert _lp.feasible([({"x": F(1), "y": F(1)}, "==", F(1)),
+                         ({"x": F(2), "y": F(2)}, "==", F(2))], ["x", "y"],
+                        [({"x": F(1)}, F(1, 2))])
+    assert not _lp.feasible([({"x": F(1), "y": F(1)}, "==", F(1)),
+                             ({"x": F(1), "y": F(1)}, "==", F(2))], ["x", "y"])
+    # x - y == 2 forces x >= 2, against x + y == 1 and y >= 0
+    assert not _lp.feasible([({"x": F(1), "y": F(1)}, "==", F(1)),
+                             ({"x": F(1), "y": F(-1)}, "==", F(2))], ["x", "y"])
+
+
+def test_feasible_strict_row_tight_at_the_only_point():
+    rows = [({"x": F(1), "y": F(1)}, "==", F(1)), ({"x": F(1)}, "==", F(1, 2))]
+    assert not _lp.feasible(rows, ["x", "y"], [({"y": F(1)}, F(1, 2))])
+    assert _lp.strict_feasible_point(rows, [({"y": F(1)}, F(1, 2))], ["x", "y"]) is None
+    assert _lp.feasible(rows, ["x", "y"], [({"y": F(1)}, F(3, 4))])
+    assert _lp.feasible(rows, ["x", "y"])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import islice
 
@@ -213,8 +214,8 @@ def test_satisfaction_against_a_deterministic_target_with_shared_labels(monkeypa
     assert is_deterministic(n)
     impls = list(enumerate_implementations(loose, GridSpec(denominator=10)))
     lps = []
-    solve = refinement._lp.strict_feasible_point
-    monkeypatch.setattr(refinement._lp, "strict_feasible_point",
+    solve = refinement._lp.feasible
+    monkeypatch.setattr(refinement._lp, "feasible",
                         lambda *args: lps.append(args) or solve(*args))
     verdicts = [satisfies(p, n)[0] for p in impls]
     assert lps  # a slice of two related targets takes the coupling LP
@@ -279,6 +280,49 @@ def test_nondeterministic_refinement_computes_support_once_per_constraint(monkey
                         lambda phi, states, *rest: calls.append(phi) or supportable(phi, states, *rest))
     assert refinement._refines_nondet(u1, u2)
     assert calls and len(calls) == len(set(calls))
+
+
+def test_map_condition_finds_each_piece_domain_with_one_prepare(monkeypatch):
+    """The domain of a left piece is one support pass, one phase 1, not one
+    LP per state: every piece takes one `prepare` for its probe point, and a
+    nonempty one a second for its support.  Mass-at-s LPs would need one
+    strict point per state of the product."""
+    d1, d2 = deferral_pair()
+    from apa_toolkit.difference import under_diff
+    u1, u2 = under_diff(d1, d2, 1), under_diff(d1, d2, 2)
+    counts = Counter()
+    prepare, strict_point = refinement._lp.prepare, refinement._lp.strict_feasible_point
+    monkeypatch.setattr(refinement._lp, "prepare",
+                        lambda *args: counts.update(["prepare"]) or prepare(*args))
+    monkeypatch.setattr(refinement._lp, "strict_feasible_point",
+                        lambda *args: counts.update(["strict_point"]) or strict_point(*args))
+    checked = []
+    map_condition = refinement._map_condition
+
+    def recording(phi1, states1, phi2, states2, relation):
+        pieces = C.dnf_cover(phi1)
+        nonempty = sum(C.piece_point(piece, states1) is not None for piece in pieces)
+        counts.clear()
+        verdict = map_condition(phi1, states1, phi2, states2, relation)
+        if verdict:
+            assert counts["strict_point"] == len(pieces)  # the probes, nothing per state
+            assert counts["prepare"] == len(pieces) + nonempty
+            checked.append(nonempty)
+        return verdict
+
+    monkeypatch.setattr(refinement, "_map_condition", recording)
+    assert refinement._refines_nondet(u1, u2)
+    assert checked and sum(checked) > 0 and len(u1.states) > 2
+
+
+def test_nondeterministic_refinement_on_the_largest_chain_instance():
+    """The chain theorem: under(2) refines under(3).  On seed 10 the product
+    has 22 against 31 states, the largest nondeterministic query here."""
+    from apa_toolkit.difference import under_diff
+    n1, n2 = random_pair(random.Random(10))
+    u2, u3 = under_diff(n1, n2, 2), under_diff(n1, n2, 3)
+    assert (len(u2.states), len(u3.states)) == (22, 31)
+    assert refines(u2, u3)
 
 
 def test_nondeterministic_refinement_leaves_no_module_state():
