@@ -1,4 +1,4 @@
-"""Byte-for-byte CLI outputs on the fixture pairs.
+"""Byte-for-byte CLI outputs on the fixture pairs and one generated pair.
 
 Every analysis is exact and deterministic, so stdout, stderr, the exit code
 and every file a command writes must match the recorded copies under
@@ -14,11 +14,13 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from apa_toolkit.generators import random_pair
 from apa_toolkit.io_cli import main, serialize
 from tests.fixtures import all_failing_pairs, refining_pair
 
@@ -38,7 +40,10 @@ COMMANDS = {
 
 
 def _pairs():
-    return {**all_failing_pairs(), "refining": refining_pair()}
+    # The fixtures reach blame buckets a, e and f only; random seed 26 also
+    # reaches b, c and d.
+    return {**all_failing_pairs(), "refining": refining_pair(),
+            "random26": random_pair(random.Random(26))}
 
 
 def _run(pair: str, command: str, workdir: Path) -> dict[str, str]:
@@ -65,7 +70,7 @@ def _run(pair: str, command: str, workdir: Path) -> dict[str, str]:
     return record
 
 
-CASES = [(pair, command) for pair in ("interval", "deferral", "may_gap", "refining")
+CASES = [(pair, command) for pair in ("interval", "deferral", "may_gap", "refining", "random26")
          for command in COMMANDS]
 
 
