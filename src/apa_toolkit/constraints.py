@@ -280,7 +280,7 @@ class PhiB(ConstraintExpr):
         for cell in self.cells:
             t = self.succ_of(cell.s1)
             if t is None:
-                ok = cell.s2 is None and cell.e is None and (cell.k is None or cell.k == 1)
+                ok = _is_bot_slice_cell(cell)
             else:
                 ok = cell.s2 == t and (cell.e is None or cell.e in self.b_of(cell.s1, t))
                 if self.k is not None:
@@ -599,7 +599,7 @@ def piece_support(piece: Piece, states: Sequence[State],
     """The states s with mu(s) > 0 for some mu in a piece known to be
     nonempty, in the order of `states`; `known` holds some of them already.
 
-    The piece is dense in its closure (see `support_reachable`), so this is
+    The piece is dense in its closure (see `supportable_states`), so this is
     the support of the closure.  Phase 1 runs once on the closure rows; then
     the sum of the still unknown masses is maximized, re-pricing from the
     last optimum, until it reaches 0.  Each positive optimum adds the unknown
@@ -692,15 +692,16 @@ def _meets_simplex(lo: dict, hi: dict, n: int) -> bool:
             and (hi_sum > 1 or (hi_sum == 1 and not any(o for _, o in hi.values()))))
 
 
-def support_reachable(phi: ConstraintExpr, s: State, states: Sequence[State]) -> bool:
-    """True iff some mu in Sat(phi) has mu(s) > 0.
+def supportable_states(phi: ConstraintExpr, states: Sequence[State]) -> tuple[State, ...]:
+    """The states s of `states`, in their order, such that some mu in
+    Sat(phi) has mu(s) > 0.
 
-    Decided piece by piece.  A piece whose rows each name at most one state
-    (every interval constraint gives such pieces) is decided in closed form:
-    mu(t) ranges over an interval [lo_t, hi_t], each end open or closed.  The
-    piece is nonempty iff every interval is, and 1 lies in their Minkowski
-    sum, whose lower end is included iff all the lower ends are and likewise
-    for the upper end; then s is supportable iff
+    Decided state by state and piece by piece.  A piece whose rows each name
+    at most one state (every interval constraint gives such pieces) is
+    decided in closed form: mu(t) ranges over an interval [lo_t, hi_t], each
+    end open or closed.  The piece is nonempty iff every interval is, and 1
+    lies in their Minkowski sum, whose lower end is included iff all the
+    lower ends are and likewise for the upper end; then s is supportable iff
     min(hi_s, 1 - sum of lo_t over t != s) > 0.  Any other piece takes two
     LPs: emptiness of the half-open piece, then the maximum of mu(s) over its
     closure.  Either way the closure stands in for the piece only once the
@@ -710,22 +711,21 @@ def support_reachable(phi: ConstraintExpr, s: State, states: Sequence[State]) ->
     somewhere on the piece.  A half-open piece can be empty while its
     closure is not, so emptiness is always decided first.
     """
-    for piece in dnf_cover(phi):
-        box = _Box.of(piece, states)
-        if box is not None:
-            if box.nonempty and box.max_mass(s) > 0:
+    def reachable(s: State) -> bool:
+        for piece in dnf_cover(phi):
+            box = _Box.of(piece, states)
+            if box is not None:
+                if box.nonempty and box.max_mass(s) > 0:
+                    return True
+                continue
+            if piece.has_strict() and not piece_feasible(piece, states):
+                continue
+            best = piece_max(piece, states, {s: ONE})
+            if best is not None and best[0] > 0:
                 return True
-            continue
-        if piece.has_strict() and not piece_feasible(piece, states):
-            continue
-        best = piece_max(piece, states, {s: ONE})
-        if best is not None and best[0] > 0:
-            return True
-    return False
+        return False
 
-
-def supportable_states(phi: ConstraintExpr, states: Sequence[State]) -> tuple[State, ...]:
-    return tuple(s for s in states if support_reachable(phi, s, states))
+    return tuple(s for s in states if reachable(s))
 
 
 # ---------------------------------------------------------------------------

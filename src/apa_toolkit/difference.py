@@ -21,7 +21,8 @@ from . import constraints as C
 from .constraints import ConstraintExpr, State
 from .errors import InputError, PreconditionError
 from .model import APA, Action, Modality, Transition, forced_successor
-from .refinement import CaseLabel, RefinementAnalysis, compute_refinement
+from .refinement import (CaseLabel, RefinementAnalysis, _single_transition,
+                         compute_refinement)
 
 BOT = None   # second component: right execution already broken
 EPS = None   # third component: no action earmarked
@@ -76,8 +77,7 @@ class _Builder:
         if key not in self.constraints:
             phi = self.n1.constraint(cid)
             cells = tuple(ProductState(s1, BOT, EPS, 1 if self.K is not None else None)
-                          for s1 in self.n1.states
-                          if C.support_reachable(phi, s1, self.n1.states))
+                          for s1 in C.supportable_states(phi, self.n1.states))
             expr: ConstraintExpr
             if cells:
                 expr = C.make_bot_lift(phi, self.n1.states, cells)
@@ -93,8 +93,8 @@ class _Builder:
             return key
         s1, s2, e, k = state.s1, state.s2, state.e, state.k
         n1, n2 = self.n1, self.n2
-        phi1 = n1.constraint(self._transition(n1, s1, e).constraint_id)
-        phi2 = n2.constraint(self._transition(n2, s2, e).constraint_id)
+        phi1 = n1.constraint(_single_transition(n1, s1, e).constraint_id)
+        phi2 = n2.constraint(_single_transition(n2, s2, e).constraint_id)
         succ_map: dict[State, State | None] = {}
         b_map: dict[tuple[State, State], tuple[Action, ...]] = {}
         candidates: list[ProductState] = []
@@ -112,8 +112,7 @@ class _Builder:
                         candidates.append(ProductState(s1p, t, c, lvl))
         # k is None exactly when the construction is unlevelled (over_diff)
         trial = C.make_phi_B(phi1, phi2, n1.states, n2.states, succ_map, b_map, candidates, k)
-        supportable = C.supportable_states(trial, candidates)
-        kept = tuple(c for c in candidates if c in supportable)
+        kept = C.supportable_states(trial, candidates)
         if not kept:
             self.constraints[key] = C.FALSE
             self.succ_of_constraint[key] = ()
@@ -123,66 +122,43 @@ class _Builder:
         self.succ_of_constraint[key] = kept
         return key
 
-    @staticmethod
-    def _transition(n: APA, s: State, a: Action) -> Transition:
-        ts = n.transitions_from(s, a)
-        assert len(ts) == 1, f"expected a unique transition at ({s!r},{a!r})"
-        return ts[0]
-
     # -- per-state transition rules ------------------------------------------
 
-    def emit(self, state: ProductState, action: Action, cid: str, modality: Modality):
-        self.transitions.append((state, action, cid, modality))
-
     def expand_state(self, state: ProductState) -> list[ProductState]:
-        n1 = self.n1
+        """Emit the transitions of one product state (s1, s2, e[, k]) and
+        return the successors they can reach, in emission order.
+
+        Every left transition of s1 is lifted to bot (its constraint moved
+        onto the (s1', bot, eps) cells), except e itself when e is in bucket
+        a, b or e of the pair (s1, s2).  Then one more row by e's bucket:
+
+          a, b  e, lifted to bot, required
+          c, f  e, phi-B, required
+          e     e, phi-B, optional
+          d     none
+
+        A state with bot or no earmark, or whose pair is in case 1 or 2, has
+        no bucket and takes the lifted rows only.
+        """
         s1, s2, e = state.s1, state.s2, state.e
-        case = self.analysis.case_of(s1, s2) if s2 is not None else None
-        copy_all = s2 is None or e is None or case in (CaseLabel.CASE1, CaseLabel.CASE2)
-        emitted: list[str] = []
-        if copy_all:
-            for tr in n1.transitions_from(s1):
-                cid = self.bot_lift(tr.constraint_id)
-                self.emit(state, tr.action, cid, tr.modality)
-                emitted.append(cid)
-        else:
+        bucket = None
+        if s2 is not None and e is not None and \
+                self.analysis.case_of(s1, s2) is CaseLabel.CASE3:
             bs = self.analysis.bsets_of(s1, s2)
-            assert e in bs.all_actions, \
+            bucket = next((x for x in "abcdef" if e in bs.of(x)), None)
+            assert bucket is not None, \
                 f"state {state} earmarks {e!r}, not a blame action of ({s1!r},{s2!r})"
-            bucket = next(x for x in "abcdef" if e in bs.of(x))
-            if bucket in ("a", "b"):
-                for tr in n1.transitions_from(s1):
-                    if tr.action != e:
-                        cid = self.bot_lift(tr.constraint_id)
-                        self.emit(state, tr.action, cid, tr.modality)
-                        emitted.append(cid)
-                cid = self.bot_lift(self._transition(n1, s1, e).constraint_id)
-                self.emit(state, e, cid, Modality.MUST)
-                emitted.append(cid)
-            elif bucket == "d":
-                for tr in n1.transitions_from(s1):
-                    cid = self.bot_lift(tr.constraint_id)
-                    self.emit(state, tr.action, cid, tr.modality)
-                    emitted.append(cid)
-            elif bucket == "e":
-                for tr in n1.transitions_from(s1):
-                    if tr.action != e:
-                        cid = self.bot_lift(tr.constraint_id)
-                        self.emit(state, tr.action, cid, tr.modality)
-                        emitted.append(cid)
-                cid = self.phi_b(state)
-                self.emit(state, e, cid, Modality.MAY)
-                emitted.append(cid)
-            else:  # bucket in ("c", "f")
-                for tr in n1.transitions_from(s1):
-                    cid = self.bot_lift(tr.constraint_id)
-                    self.emit(state, tr.action, cid, tr.modality)
-                    emitted.append(cid)
-                cid = self.phi_b(state)
-                self.emit(state, e, cid, Modality.MUST)
-                emitted.append(cid)
+        rows = [(tr.action, self.bot_lift(tr.constraint_id), tr.modality)
+                for tr in self.n1.transitions_from(s1)
+                if tr.action != e or bucket not in ("a", "b", "e")]
+        if bucket in ("a", "b"):
+            cid = self.bot_lift(_single_transition(self.n1, s1, e).constraint_id)
+            rows.append((e, cid, Modality.MUST))
+        elif bucket in ("c", "e", "f"):
+            rows.append((e, self.phi_b(state), Modality.MAY if bucket == "e" else Modality.MUST))
         out: list[ProductState] = []
-        for cid in emitted:
+        for action, cid, modality in rows:
+            self.transitions.append((state, action, cid, modality))
             out.extend(self.succ_of_constraint[cid])
         return out
 

@@ -49,6 +49,8 @@ class DistanceParams:
             raise InputError("the discount factor must lie strictly between 0 and 1")
         if self.epsilon <= 0:
             raise InputError("the convergence tolerance must be positive")
+        if self.max_iter < 1:
+            raise InputError("the iteration cap must be at least 1")
 
 
 @dataclass

@@ -9,7 +9,6 @@ product-state structure and derived constraints.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -22,7 +21,7 @@ from .distance import DistanceParams, syntactic_distance_table
 from .errors import (GridTooCoarseError, InputError, PreconditionError,
                      ResourceLimitError, ToolkitError)
 from .model import APA, Modality, PA, make_apa, make_pa, validate, validate_pa
-from .oracle import GridSpec, brute_satisfies, enumerate_implementations
+from .oracle import GridSpec, brute_satisfies, check_inclusion_sampled
 from .refinement import CaseLabel, compute_refinement, satisfies
 
 FORMAT_VERSION = 1
@@ -492,8 +491,8 @@ def cmd_diff_under(args) -> int:
 
 def cmd_distance(args) -> int:
     n1, n2 = _load_apa(args.n1), _load_apa(args.n2)
-    params = DistanceParams(lam=args.lam, epsilon=args.eps,
-                            **({"max_iter": args.max_iter} if args.max_iter else {}))
+    extra = {} if args.max_iter is None else {"max_iter": args.max_iter}
+    params = DistanceParams(lam=args.lam, epsilon=args.eps, **extra)
     value, table = syntactic_distance_table(n1, n2, params)
     if args.table:
         rows = ["s1,s2,value,guaranteed_error"]
@@ -533,38 +532,6 @@ def cmd_satisfy(args) -> int:
     return 0 if ok else 1
 
 
-def _sample(stream, limit, seed):
-    if limit is None:
-        return list(stream)
-    if seed is None:
-        return list(itertools.islice(stream, limit))
-    import random
-    buf = list(itertools.islice(stream, limit * 8))
-    random.Random(seed).shuffle(buf)
-    return buf[:limit]
-
-
-def _over_violation(item) -> bool:
-    pa, n1, n2, diff = item
-    in_difference = brute_satisfies(pa, n1) and not brute_satisfies(pa, n2)
-    return in_difference and not brute_satisfies(pa, diff)
-
-
-def _under_violation(item) -> bool:
-    pa, n1, n2, _ = item
-    return not (brute_satisfies(pa, n1) and not brute_satisfies(pa, n2))
-
-
-def _run_checks(fn, items, jobs: int):
-    if jobs > 1:
-        # Imported here: the pool pulls in multiprocessing, about 2.5 MB
-        # resident, which no other command needs.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def cmd_oracle_check(args) -> int:
     n1, n2 = _load_apa(args.n1), _load_apa(args.n2)
     grid = GridSpec(denominator=args.grid)
@@ -582,22 +549,24 @@ def cmd_oracle_check(args) -> int:
               [f"counterexample suite: {'pass' if ok else 'fail'}"]
               + [f"  {k}: {v}" for k, v in results.items()])
         return 0 if ok else 1
+
+    def in_difference(pa) -> bool:
+        return brute_satisfies(pa, n1) and not brute_satisfies(pa, n2)
+
     if args.suite == "over":
         diff = over_diff(n1, n2)
-        source = n1
-        fn = _over_violation
         name = "over-approximation"
+        report = check_inclusion_sampled(in_difference, lambda pa: brute_satisfies(pa, diff),
+                                         n1, grid, args.limit)
     else:
         diff = under_diff(n1, n2, args.K)
-        source = diff
-        fn = _under_violation
         name = f"under-approximation (level {args.K})"
-    samples = _sample(enumerate_implementations(source, grid), args.limit, args.seed)
-    flags = _run_checks(fn, [(pa, n1, n2, diff) for pa in samples], args.jobs)
-    bad = [pa for pa, flag in zip(samples, flags) if flag]
-    payload = {"suite": args.suite, "sampled": len(samples),
-               "violations": len(bad), "verdict": "pass" if not bad else "fail"}
-    human = [f"{name} suite: sampled {len(samples)} implementations, "
+        report = check_inclusion_sampled(lambda pa: True, in_difference,
+                                         diff, grid, args.limit)
+    bad = [pa for pa, _ in report.violations]
+    payload = {"suite": args.suite, "sampled": report.sampled,
+               "violations": len(bad), "verdict": report.verdict}
+    human = [f"{name} suite: sampled {report.sampled} implementations, "
              f"{len(bad)} violations -> {payload['verdict']}"]
     for pa in bad[:3]:
         human.append("  violating implementation:")
@@ -617,15 +586,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="apa-toolkit",
         description="Refinement, difference, distance, and counterexample analyses "
                     "for abstract probabilistic automata.")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="seed for sampled suites (analyses themselves are deterministic)")
     ap.add_argument("--max-iter", type=int, default=None,
                     help="cap on distance value-iteration sweeps")
     ap.add_argument("--budget", type=int, default=None,
                     help="cap on pair checks in each satisfaction search "
                          "(satisfy and the cex oracle suite)")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers for oracle checks")
     ap.add_argument("--json", dest="as_json", action="store_true",
                     help="machine-readable output")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -241,8 +241,10 @@ def brute_satisfies(p: PA, n: APA, cap: int = DEFAULT_PAIR_CAP) -> bool:
 def check_inclusion_sampled(lhs: Callable[[PA], bool], rhs: Callable[[PA], bool],
                             source: APA, grid: GridSpec | None = None,
                             limit: int | None = None) -> InclusionReport:
-    """Enumerate implementations of `source`, keep those passing `lhs`, and
-    report every one that then fails `rhs`."""
+    """Enumerate implementations of `source`, at most `limit` of them, keep
+    those passing `lhs`, and report every one that then fails `rhs`."""
+    if limit is not None and limit < 0:
+        raise InputError(f"the sample limit must be >= 0, got {limit}")
     sampled = 0
     violations = []
     stream = enumerate_implementations(source, grid)

@@ -3,6 +3,13 @@ removal indices, case classification with per-action blame sets, witness
 distributions for recursive failures, and satisfaction of a concrete
 automaton against an abstract one.
 
+A rejected pair with equal valuations is in case 3, and each action that
+rejects it lands in one blame bucket a-f (see `BSets`).  `_blame` is the one
+place the buckets are decided: the fixpoint's pair check stops at its first
+blamed action, `_compute_bsets` collects all of them against the maximal
+relation, and `breaking` reads them against the relation of the sweep that
+removed the pair.
+
 For deterministic targets in single-valuation normal form the correspondence
 function inside each pair check is forced: a left successor can only be
 matched with the unique equally-labeled potential successor on the right.
@@ -40,7 +47,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import _lp
 from . import constraints as C
@@ -63,7 +70,8 @@ class CaseLabel(enum.Enum):
 
 @dataclass(frozen=True)
 class BSets:
-    """Per-action blame sets for a rejected pair with equal valuations.
+    """Per-action blame sets for a rejected pair with equal valuations, as
+    `_blame` decides them; each blamed action is in exactly one set.
 
     a: left has a required transition, right allows none.
     b: left has an optional transition, right allows none.
@@ -256,25 +264,34 @@ def _sim_ok(n1: APA, n2: APA, phi1, s2: State, a: Action, phi2,
 # ---------------------------------------------------------------------------
 
 
-def _pair_ok(n1: APA, n2: APA, s1: State, s2: State, relation: frozenset) -> bool:
-    if n1.valuation_of(s1) != n2.valuation_of(s2):
-        return False
+def _blame(n1: APA, n2: APA, s1: State, s2: State,
+           relation: frozenset) -> Iterator[tuple[Action, str]]:
+    """(action, bucket) for each action that rejects the pair (s1, s2) under
+    `relation`, in action order; buckets as in `BSets`.
+
+    The one place the case-3 buckets are decided.  It is lazy, so a caller
+    that needs only a verdict stops at the first blamed action.  Buckets a,
+    b, d and e read the two transitions only; c and f also run the
+    unmatched-distribution test against `relation`.
+    """
     for a in n1.actions:
         t1 = _single_transition(n1, s1, a)
         t2 = _single_transition(n2, s2, a)
-        phi1 = n1.constraint(t1.constraint_id) if t1 else None
-        phi2 = n2.constraint(t2.constraint_id) if t2 else None
-        if t2 is not None and t2.modality is Modality.MUST:
-            if t1 is None or t1.modality is not Modality.MUST:
-                return False
-            if not _sim_ok(n1, n2, phi1, s2, a, phi2, relation):
-                return False
-        if t1 is not None:
-            if t2 is None:
-                return False
-            if not _sim_ok(n1, n2, phi1, s2, a, phi2, relation):
-                return False
-    return True
+        if t1 is None:
+            if t2 is not None and t2.modality is Modality.MUST:
+                yield a, "d"
+        elif t2 is None:
+            yield a, "a" if t1.modality is Modality.MUST else "b"
+        elif t2.modality is Modality.MUST and t1.modality is Modality.MAY:
+            yield a, "e"
+        elif not _sim_ok(n1, n2, n1.constraint(t1.constraint_id), s2, a,
+                         n2.constraint(t2.constraint_id), relation):
+            yield a, "c" if t2.modality is Modality.MAY else "f"
+
+
+def _pair_ok(n1: APA, n2: APA, s1: State, s2: State, relation: frozenset) -> bool:
+    return (n1.valuation_of(s1) == n2.valuation_of(s2)
+            and next(_blame(n1, n2, s1, s2, relation), None) is None)
 
 
 def _require_analysable(n1: APA, n2: APA) -> None:
@@ -336,24 +353,8 @@ def _refinement_fixpoint(n1: APA, n2: APA) -> RefinementAnalysis:
 def _compute_bsets(n1: APA, n2: APA, s1: State, s2: State,
                    relation: frozenset) -> BSets:
     buckets: dict[str, list[Action]] = {x: [] for x in "abcdef"}
-    for a in n1.actions:
-        t1 = _single_transition(n1, s1, a)
-        t2 = _single_transition(n2, s2, a)
-        hits = []
-        if t1 is not None and t2 is None:
-            hits.append("a" if t1.modality is Modality.MUST else "b")
-        if t1 is None and t2 is not None and t2.modality is Modality.MUST:
-            hits.append("d")
-        if t1 is not None and t2 is not None:
-            phi1 = n1.constraint(t1.constraint_id)
-            phi2 = n2.constraint(t2.constraint_id)
-            if t2.modality is Modality.MUST and t1.modality is Modality.MAY:
-                hits.append("e")
-            elif not _sim_ok(n1, n2, phi1, s2, a, phi2, relation):
-                hits.append("c" if t2.modality is Modality.MAY else "f")
-        assert len(hits) <= 1, f"action {a!r} triggers several rejection cases: {hits}"
-        for x in hits:
-            buckets[x].append(a)
+    for a, bucket in _blame(n1, n2, s1, s2, relation):
+        buckets[bucket].append(a)
     return BSets(**{f"b_{x}": tuple(sorted(acts)) for x, acts in buckets.items()})
 
 
@@ -505,9 +506,10 @@ def _refines_nondet(n1: APA, n2: APA) -> bool:
 def breaking(analysis: RefinementAnalysis, s1: State, s2: State) -> tuple[Action, ...]:
     """Actions whose violation removed the pair at its recorded sweep.
 
-    Defined for equal-valuation pairs outside the maximal relation; the
-    unmatched-distribution test runs against the relation as it stood when
-    the pair was removed, not the final one.
+    Defined for equal-valuation pairs outside the maximal relation: the
+    actions `_blame` finds against the relation as it stood when the pair
+    was removed, not the final one.  Only buckets c and f read the relation,
+    so the others are the pair's `BSets` entries.
     """
     n1, n2 = analysis.n1, analysis.n2
     if n1.valuation_of(s1) != n2.valuation_of(s2):
@@ -515,18 +517,7 @@ def breaking(analysis: RefinementAnalysis, s1: State, s2: State) -> tuple[Action
     k = analysis.ind_of(s1, s2)
     if k >= analysis.fixpoint_index:
         raise PreconditionError("breaking is defined for rejected pairs only")
-    rel_k = analysis.history[k]
-    out = set(analysis.bsets_of(s1, s2).of("abde"))
-    for a in n1.actions:
-        t1 = _single_transition(n1, s1, a)
-        t2 = _single_transition(n2, s2, a)
-        if t1 is None or t2 is None:
-            continue
-        phi1 = n1.constraint(t1.constraint_id)
-        phi2 = n2.constraint(t2.constraint_id)
-        if not _sim_ok(n1, n2, phi1, s2, a, phi2, rel_k):
-            out.add(a)
-    result = tuple(sorted(out))
+    result = tuple(sorted(a for a, _ in _blame(n1, n2, s1, s2, analysis.history[k])))
     assert result, "a rejected equal-valuation pair must have a breaking action"
     return result
 

@@ -30,6 +30,9 @@ def test_params_validation():
         DistanceParams(lam=0.0)
     with pytest.raises(InputError):
         DistanceParams(epsilon=0.0)
+    for max_iter in (0, -3):
+        with pytest.raises(InputError, match="iteration cap"):
+            DistanceParams(max_iter=max_iter)
 
 
 def test_compatibility_predicate():

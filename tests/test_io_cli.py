@@ -237,6 +237,57 @@ def test_cli_oracle_check_over(tmp_path, capsys):
     assert payload["verdict"] == "pass"
 
 
+def test_cli_oracle_check_under(tmp_path, capsys):
+    n1, n2 = deferral_pair()
+    f1 = _write_fixture(tmp_path, "d1.json", n1)
+    f2 = _write_fixture(tmp_path, "d2.json", n2)
+    assert main(["--json", "oracle-check", "under", f1, f2, "-K", "2",
+                 "--grid", "4", "--limit", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"suite": "under", "sampled": 5, "violations": 0, "verdict": "pass"}
+    assert main(["oracle-check", "under", f1, f2, "--grid", "4", "--limit", "3"]) == 0
+    assert capsys.readouterr().out == ("under-approximation (level 1) suite: sampled 3 "
+                                       "implementations, 0 violations -> pass\n")
+
+
+def test_cli_oracle_check_cex(tmp_path, capsys):
+    n1, n2 = interval_pair()
+    f1 = _write_fixture(tmp_path, "n1.json", n1)
+    f2 = _write_fixture(tmp_path, "n2.json", n2)
+    assert main(["--json", "oracle-check", "cex", f1, f2]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"suite": "cex", "verdict": "pass",
+                       "fast_sat_n1": True, "fast_sat_n2": False,
+                       "brute_sat_n1": True, "brute_sat_n2": False}
+
+
+def test_cli_oracle_check_negative_limit_exits_2(tmp_path, capsys):
+    n1, n2 = interval_pair()
+    f1 = _write_fixture(tmp_path, "n1.json", n1)
+    f2 = _write_fixture(tmp_path, "n2.json", n2)
+    for suite in ("over", "under"):
+        assert main(["oracle-check", suite, f1, f2, "--limit", "-1"]) == 2
+        assert "sample limit" in capsys.readouterr().err
+
+
+def test_cli_distance_max_iter(tmp_path, capsys):
+    n1, n2 = deferral_pair()
+    f1 = _write_fixture(tmp_path, "d1.json", n1)
+    f2 = _write_fixture(tmp_path, "d2.json", n2)
+    for bad in ("0", "-3"):
+        assert main(["--max-iter", bad, "--json", "distance", f1, f2]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "iteration cap" in captured.err
+    assert main(["--max-iter", "1", "--json", "distance", f1, f2]) == 0
+    assert json.loads(capsys.readouterr().out)["iterations"] == 1
+
+
+def test_cli_global_options():
+    flags = {opt for action in io_cli.build_parser()._actions
+             for opt in action.option_strings}
+    assert flags == {"-h", "--help", "--max-iter", "--budget", "--json"}
+
+
 def test_cli_export_dot(tmp_path):
     n1, _ = interval_pair()
     f1 = _write_fixture(tmp_path, "n1.json", n1)
