@@ -19,7 +19,6 @@ complements) are decided via a slack-maximization LP, never by epsilon fudge.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache

@@ -12,13 +12,12 @@ violation is eventually realized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import constraints as C
 from .constraints import ConstraintExpr, Distribution, State
 from .errors import InputError, PreconditionError
-from .model import (APA, PA, Action, Modality, PATransition, forced_successor,
-                    make_pa, validate_pa)
+from .model import APA, PA, Action, Modality, forced_successor, make_pa, validate_pa
 from .refinement import (CaseLabel, RefinementAnalysis, _sim_witness,
                          _single_transition, breaking, compute_refinement,
                          forced_map, lemma_indplus_witness)

@@ -32,7 +32,8 @@ from . import _lp
 from . import constraints as C
 from .constraints import ConstraintExpr, Distribution, Piece, Polytope, State
 from .errors import InputError, PreconditionError
-from .model import APA, PA, Modality, is_svnf, pa_as_apa
+from .model import APA, PA, is_svnf, obligations, pa_as_apa
+from .refinement import satisfies
 
 ONE = Fraction(1)
 
@@ -76,18 +77,10 @@ class DistanceTable:
 def compatible(n1: APA, n2: APA, s1: State, s2: State) -> bool:
     """False iff no implementation could witness a finite distance: differing
     valuations, a left action the right bans, or a right requirement the left
-    cannot be forced to meet."""
-    if n1.valuation_of(s1) != n2.valuation_of(s2):
-        return False
-    for a in sorted(set(n1.actions) | set(n2.actions)):
-        ts1 = n1.transitions_from(s1, a)
-        ts2 = n2.transitions_from(s2, a)
-        if ts1 and not ts2:
-            return False
-        if any(t.modality is Modality.MUST for t in ts2) and \
-                not any(t.modality is Modality.MUST for t in ts1):
-            return False
-    return True
+    cannot be forced to meet: some `model.obligations` group is empty."""
+    return n1.valuation_of(s1) == n2.valuation_of(s2) and all(
+        group for a in sorted(set(n1.actions) | set(n2.actions))
+        for group in obligations(n1.transitions_from(s1, a), n2.transitions_from(s2, a)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,25 +190,15 @@ def _expr_distance(phi1: ConstraintExpr, states1: tuple,
 
 
 def _pair_terms(n1: APA, n2: APA, s1: State, s2: State):
-    """The max-min structure of the distance equation at one state pair:
-    a list of min-groups, each a nonempty list of (left phi, right phi)."""
+    """The max-min structure of the distance equation at one state pair: a
+    list of min-groups, one per `model.obligations` group, each a nonempty
+    list of (left phi, right phi)."""
     terms = []
     for a in n1.actions:
-        ts1 = n1.transitions_from(s1, a)
-        ts2 = n2.transitions_from(s2, a)
-        for tr1 in ts1:
-            opts = [(n1.constraint(tr1.constraint_id), n2.constraint(tr2.constraint_id))
-                    for tr2 in ts2]
-            assert opts, "compatible pairs never minimize over an empty set"
-            terms.append(opts)
-        must1 = [tr for tr in ts1 if tr.modality is Modality.MUST]
-        for tr2 in ts2:
-            if tr2.modality is not Modality.MUST:
-                continue
-            opts = [(n1.constraint(tr1.constraint_id), n2.constraint(tr2.constraint_id))
-                    for tr1 in must1]
-            assert opts, "compatible pairs never minimize over an empty set"
-            terms.append(opts)
+        for group in obligations(n1.transitions_from(s1, a), n2.transitions_from(s2, a)):
+            assert group, "compatible pairs never minimize over an empty set"
+            terms.append([(n1.constraint(t1.constraint_id), n2.constraint(t2.constraint_id))
+                          for t1, t2 in group])
     return terms
 
 
@@ -316,8 +299,6 @@ def thorough_distance_lower_bound(n1: APA, n2: APA,
     true inner infimum but never exceeds the automaton-level distance, so a
     sparse right sample cannot inflate the estimate past it.
     """
-    from .refinement import satisfies  # local import to avoid a cycle
-
     params = params or DistanceParams()
     impls1 = list(sampler(n1))
     impls2 = list(sampler(n2))

@@ -12,14 +12,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any
 
 from . import constraints as C
 from .counterexample import CexState, CounterexamplePA, counterexample
 from .difference import DifferenceAPA, ProductState, over_diff, under_diff
 from .distance import DistanceParams, syntactic_distance_table
-from .errors import (GridTooCoarseError, InputError, PreconditionError,
-                     ResourceLimitError, ToolkitError)
+from .errors import GridTooCoarseError, InputError, ResourceLimitError
 from .model import APA, Modality, PA, make_apa, make_pa, validate, validate_pa
 from .oracle import GridSpec, brute_satisfies, check_inclusion_sampled
 from .refinement import CaseLabel, compute_refinement, satisfies

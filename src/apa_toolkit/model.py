@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import constraints as C
 from .constraints import ConstraintExpr, Distribution, State
@@ -112,6 +112,8 @@ class PATransition:
     source: State
     action: Action
     distribution: Distribution
+
+    modality = Modality.MUST  # a concrete transition is always taken (see `pa_as_apa`)
 
 
 @dataclass(frozen=True)
@@ -315,6 +317,23 @@ def forced_successor(apa: APA, s: State, a: Action, v: Valuation) -> State | Non
         raise PreconditionError(
             f"succ({s!r},{a!r},{set(v) or '{}'}) is not a singleton; automaton not deterministic")
     return next(iter(candidates), None)
+
+
+def obligations(ts1: Sequence, ts2: Sequence) -> Iterator[list]:
+    """The modal clauses of refinement for one state pair on one action, as
+    groups of (left, right) transition pairs: a group is met iff one of its
+    pairs matches, and the pair passes the action iff every group is met.
+
+    First one group per required right transition, holding its required left
+    partners; then one group per left transition, holding every right
+    partner.  `ts1` may hold concrete transitions, which are required.
+    """
+    must1 = [t1 for t1 in ts1 if t1.modality is Modality.MUST]
+    for t2 in ts2:
+        if t2.modality is Modality.MUST:
+            yield [(t1, t2) for t1 in must1]
+    for t1 in ts1:
+        yield [(t1, t2) for t2 in ts2]
 
 
 def pa_as_apa(p: PA) -> APA:

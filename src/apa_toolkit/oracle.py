@@ -117,7 +117,8 @@ def enumerate_implementations(n: APA, grid: GridSpec | None = None) -> Iterator[
     GridTooCoarseError; a May transition in the same situation only loses
     presence choices, so it warns and stays absent.  Duplicates (possible
     when two transitions of one state share action and grid point) are
-    suppressed.
+    suppressed state by state: each state keeps the first pick of each of
+    its distinct transition sets, so memory does not grow with the stream.
     """
     grid = grid or GridSpec()
     if not is_svnf(n):
@@ -133,8 +134,9 @@ def enumerate_implementations(n: APA, grid: GridSpec | None = None) -> Iterator[
             raise PreconditionError(f"state {s!r} must carry exactly one valuation")
         labeling[s] = vals[0]
 
-    slots: list[tuple[State, tuple]] = []  # (source, options); option None = absent
+    per_state: list[list[tuple]] = []  # per state, its distinct transition picks
     for s in states:
+        slots: list[tuple] = []  # per transition of s, its options; None = absent
         for tr in n.transitions_from(s):
             dists = _grid_distributions(n.constraint(tr.constraint_id), n.states,
                                         grid.denominator)
@@ -154,19 +156,18 @@ def enumerate_implementations(n: APA, grid: GridSpec | None = None) -> Iterator[
                         f"optional transition {s!r} --{tr.action!r}--> {tr.constraint_id!r} "
                         f"has no grid point; only its absence is sampled")
                 options = (None,) + tuple((tr.action, d) for d in dists)
-            slots.append((s, options))
+            slots.append(options)
+        distinct: dict = {}  # transition set of s -> its first pick
+        for picks in itertools.product(*slots):
+            transitions = tuple((s, a, d) for a, d in filter(None, picks))
+            distinct.setdefault(frozenset((a, d.items) for _, a, d in transitions), transitions)
+        per_state.append(list(distinct.values()))
 
-    seen = set()
     for initial in n.initial:
-        for picks in itertools.product(*(opts for _, opts in slots)):
-            transitions = [(s, pick[0], pick[1])
-                           for (s, _), pick in zip(slots, picks) if pick is not None]
-            key = (initial, frozenset((s, a, d.items) for s, a, d in transitions))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield make_pa(states=states, actions=n.actions, ap=n.ap,
-                          labeling=labeling, transitions=transitions, initial=initial)
+        for picks in itertools.product(*per_state):
+            yield make_pa(states=states, actions=n.actions, ap=n.ap, labeling=labeling,
+                          transitions=list(itertools.chain.from_iterable(picks)),
+                          initial=initial)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ blamed action, `_compute_bsets` collects all of them against the maximal
 relation, and `breaking` reads them against the relation of the sweep that
 removed the pair.
 
+The modal clauses of refinement are the groups of `model.obligations`.
+`_obligations_met` reads them for `satisfies` and the nondeterministic
+fixpoint of `refines`; `_blame` is their deterministic form, with buckets.
+
 For deterministic targets in single-valuation normal form the correspondence
 function inside each pair check is forced: a left successor can only be
 matched with the unique equally-labeled potential successor on the right.
@@ -54,8 +58,8 @@ from . import constraints as C
 from .constraints import (Distribution, FacetViolation, LinearAtom, ReachesPair, State,
                           SupportAtState, WitnessDistribution, ZERO, ONE)
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .model import (APA, PA, Action, Modality, Transition, forced_successor,
-                    is_deterministic, is_svnf)
+from .model import (APA, PA, Action, Modality, PATransition, Transition, forced_successor,
+                    is_deterministic, is_svnf, obligations)
 
 Pair = tuple[State, State]
 
@@ -128,12 +132,7 @@ class RefinementAnalysis:
 
     @property
     def refines(self) -> bool:
-        try:
-            s01, s02 = self.n1.initial_state(), self.n2.initial_state()
-        except PreconditionError:
-            return all(any((s1, s2) in self.relation for s2 in self.n2.initial)
-                       for s1 in self.n1.initial)
-        return (s01, s02) in self.relation
+        return (self.n1.initial_state(), self.n2.initial_state()) in self.relation
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +272,11 @@ def _blame(n1: APA, n2: APA, s1: State, s2: State,
     that needs only a verdict stops at the first blamed action.  Buckets a,
     b, d and e read the two transitions only; c and f also run the
     unmatched-distribution test against `relation`.
+
+    On deterministic inputs each action has at most one transition a side,
+    so each of its `model.obligations` groups holds at most one pair: d and
+    e are an empty Must group, a and b an empty left-transition group, and c
+    and f a nonempty group whose pair does not match.
     """
     for a in n1.actions:
         t1 = _single_transition(n1, s1, a)
@@ -294,19 +298,33 @@ def _pair_ok(n1: APA, n2: APA, s1: State, s2: State, relation: frozenset) -> boo
             and next(_blame(n1, n2, s1, s2, relation), None) is None)
 
 
-def _require_analysable(n1: APA, n2: APA) -> None:
+def _obligations_met(n1: APA | PA, n2: APA, s1: State, s2: State, relation: frozenset,
+                     match: Callable[[Transition | PATransition, Transition, frozenset], bool]
+                     ) -> bool:
+    """The modal clauses at the pair (s1, s2) under `relation`: on every
+    action of n1, every `model.obligations` group holds a (left, right)
+    transition pair that `match` accepts."""
+    return all(any(match(t1, t2, relation) for t1, t2 in group)
+               for a in n1.actions
+               for group in obligations(n1.transitions_from(s1, a), n2.transitions_from(s2, a)))
+
+
+def _require_comparable(n1: APA, n2: APA) -> None:
+    """The input check both refinement paths share: single-valuation normal
+    form on both sides and one action alphabet."""
     for n, name in ((n1, "left"), (n2, "right")):
         if not is_svnf(n):
             raise PreconditionError(f"{name} automaton is not in single-valuation normal form")
-        if not is_deterministic(n):
-            raise PreconditionError(f"{name} automaton is not deterministic")
-        if set(n.actions) != set(n1.actions):
-            raise InputError("automata must share the same action alphabet")
+    if set(n1.actions) != set(n2.actions):
+        raise InputError("automata must share the same action alphabet")
 
 
 def compute_refinement(n1: APA, n2: APA) -> RefinementAnalysis:
     """Greatest fixed point of the pair-elimination sweep, with bookkeeping."""
-    _require_analysable(n1, n2)
+    _require_comparable(n1, n2)
+    for n, name in ((n1, "left"), (n2, "right")):
+        if not is_deterministic(n):
+            raise PreconditionError(f"{name} automaton is not deterministic")
     return _refinement_fixpoint(n1, n2)
 
 
@@ -366,15 +384,10 @@ def refines(n1: APA, n2: APA) -> bool:
     distribution condition is witnessed by piecewise successor maps; it can
     answer False on a refinement it fails to witness, never True wrongly.
     """
-    if _deterministic_pair(n1, n2):
+    _require_comparable(n1, n2)
+    if is_deterministic(n1) and is_deterministic(n2):
         return _refinement_fixpoint(n1, n2).refines
     return _refines_nondet(n1, n2)
-
-
-def _deterministic_pair(n1: APA, n2: APA) -> bool:
-    return (is_svnf(n1) and is_svnf(n2)
-            and is_deterministic(n1) and is_deterministic(n2)
-            and set(n1.actions) == set(n2.actions))
 
 
 # -- sound refinement for non-deterministic automata ------------------------
@@ -449,38 +462,15 @@ def _map_condition(phi1, states1: tuple, phi2, states2: tuple,
     return True
 
 
-def _nondet_pair_ok(n1: APA, n2: APA, s1: State, s2: State, relation: frozenset,
-                    map_ok: Callable[[str, str, frozenset], bool]) -> bool:
-    """`map_ok(cid1, cid2, relation)` is `_map_condition` on the two constraints."""
-    for a in n1.actions:
-        ts1 = n1.transitions_from(s1, a)
-        ts2 = n2.transitions_from(s2, a)
-        for tr2 in ts2:
-            if tr2.modality is not Modality.MUST:
-                continue
-            if not any(tr1.modality is Modality.MUST and
-                       map_ok(tr1.constraint_id, tr2.constraint_id, relation)
-                       for tr1 in ts1):
-                return False
-        for tr1 in ts1:
-            if not any(map_ok(tr1.constraint_id, tr2.constraint_id, relation)
-                       for tr2 in ts2):
-                return False
-    return True
-
-
 def _refines_nondet(n1: APA, n2: APA) -> bool:
-    for n, name in ((n1, "left"), (n2, "right")):
-        if not is_svnf(n):
-            raise PreconditionError(f"{name} automaton is not in single-valuation normal form")
-    if set(n1.actions) != set(n2.actions):
-        raise InputError("automata must share the same action alphabet")
+    """`refines` on inputs that passed `_require_comparable`."""
     states1, states2 = tuple(n1.states), tuple(n2.states)
     # Both memos live for this call only, so memory stays bounded by one analysis.
     supportable: dict = {}  # constraint id of n1 -> its supportable states
     decided: dict = {}      # (cid1, cid2, relation on supportable x S2) -> verdict
 
-    def map_ok(cid1: str, cid2: str, relation: frozenset) -> bool:
+    def map_ok(t1: Transition, t2: Transition, relation: frozenset) -> bool:
+        cid1, cid2 = t1.constraint_id, t2.constraint_id
         if cid1 not in supportable:
             supportable[cid1] = frozenset(C.supportable_states(n1.constraint(cid1), states1))
         supp1 = supportable[cid1]
@@ -494,7 +484,7 @@ def _refines_nondet(n1: APA, n2: APA) -> bool:
     initial = [(s1, s2) for s1 in n1.states for s2 in n2.states
                if n1.valuation_of(s1) == n2.valuation_of(s2)]
     relation = _greatest_fixpoint(
-        initial, lambda s1, s2, rel: _nondet_pair_ok(n1, n2, s1, s2, rel, map_ok))[-1]
+        initial, lambda s1, s2, rel: _obligations_met(n1, n2, s1, s2, rel, map_ok))[-1]
     return all(any((s1, s2) in relation for s2 in n2.initial) for s1 in n1.initial)
 
 
@@ -598,25 +588,16 @@ def satisfies(p: PA, n: APA, budget: int | None = None) -> tuple[bool, frozenset
         checks += 1
         if checks > limit:
             raise ResourceLimitError(f"satisfaction search exceeded {limit} pair checks")
-        for a in p.actions:
-            mus = [t.distribution for t in p.transitions_from(ps, a)]
-            phis = [(t.constraint_id, n.constraint(t.constraint_id), t.modality)
-                    for t in n.transitions_from(s2, a)]
-            for cid, phi, modality in phis:
-                if modality is Modality.MUST:
-                    if not any(_matches(mu, cid, phi, relation) for mu in mus):
-                        return False
-            for mu in mus:
-                if not any(_matches(mu, cid, phi, relation) for cid, phi, _ in phis):
-                    return False
-        return True
+        return _obligations_met(p, n, ps, s2, relation, matches)
 
-    def _matches(mu: Distribution, cid, phi, relation: frozenset) -> bool:
+    def matches(pt: PATransition, tr: Transition, relation: frozenset) -> bool:
+        mu = pt.distribution
         relation_slice = frozenset((s, t) for s in mu.support() for t in n.states
                                    if (s, t) in relation)
-        key = (mu, cid, relation_slice)
+        key = (mu, tr.constraint_id, relation_slice)
         if key not in matched:
-            matched[key] = _coupling_feasible(mu.mass, phi, n.states, relation_slice)
+            matched[key] = _coupling_feasible(mu.mass, n.constraint(tr.constraint_id),
+                                              n.states, relation_slice)
         return matched[key]
 
     pairs = [(ps, s2) for ps in p.states for s2 in n.states

@@ -5,9 +5,12 @@ Each helper returns freshly built automata so tests can't leak mutations
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 from apa_toolkit import constraints as C
+from apa_toolkit.difference import under_diff
+from apa_toolkit.errors import InputError, PreconditionError
 from apa_toolkit.model import APA, Modality, make_apa, make_pa
 
 
@@ -99,6 +102,34 @@ def all_failing_pairs() -> dict[str, tuple[APA, APA]]:
         "deferral": deferral_pair(),
         "may_gap": may_gap_pair(),
     }
+
+
+def with_second_valuation(n: APA) -> APA:
+    """n with its first state also admitting the valuation of all
+    propositions, so n leaves single-valuation normal form."""
+    (s, vals), *rest = n.labeling
+    return replace(n, labeling=((s, vals + (frozenset(n.ap),)), *rest))
+
+
+def with_extra_action(n: APA) -> APA:
+    """n over a larger alphabet: one more action, with no transition."""
+    return replace(n, actions=n.actions + ("zz",))
+
+
+def incomparable_pairs() -> list[tuple[APA, APA, type, str]]:
+    """(n1, n2, error, message fragment): pairs that refinement rejects
+    before any analysis, on deterministic inputs and on a difference
+    automaton (nondeterministic)."""
+    n1, n2 = interval_pair()
+    d1, d2 = deferral_pair()
+    diff = under_diff(d1, d2, 1)
+    svnf, alphabet = "is not in single-valuation normal form", "same action alphabet"
+    return [(with_second_valuation(n1), n2, PreconditionError, "left automaton " + svnf),
+            (n1, with_second_valuation(n2), PreconditionError, "right automaton " + svnf),
+            (n1, with_extra_action(n2), InputError, alphabet),
+            (with_second_valuation(diff), d1, PreconditionError, "left automaton " + svnf),
+            (diff, with_second_valuation(d1), PreconditionError, "right automaton " + svnf),
+            (diff, with_extra_action(d1), InputError, alphabet)]
 
 
 def interval_implementation_in() -> "PA":

@@ -1,0 +1,33 @@
+"""Every name a package module imports is read somewhere in that module."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import apa_toolkit
+
+MODULES = sorted(Path(apa_toolkit.__file__).parent.glob("*.py"))
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_the_scan_finds_an_unused_import():
+    assert _unused_imports("import itertools\nfrom typing import Any, Callable\nx: Any") == [
+        "itertools", "Callable"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_name_it_imports(path):
+    assert _unused_imports(path.read_text()) == []

@@ -15,8 +15,8 @@ from apa_toolkit.errors import InputError
 from apa_toolkit.io_cli import (export_dot, from_document, main, parse,
                                 provenance_document, serialize, to_document)
 from apa_toolkit.model import Modality, make_apa, make_pa
-from tests.fixtures import (deferral_pair, interval_implementation_diff,
-                            interval_pair, may_gap_pair)
+from tests.fixtures import (deferral_pair, incomparable_pairs,
+                            interval_implementation_diff, interval_pair, may_gap_pair)
 
 
 # ---------------------------------------------------------------- round trips
@@ -175,6 +175,17 @@ def test_cli_check_exit_codes_and_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["refines"] is False
     assert payload["diagnosis"]
+
+
+def test_cli_check_exits_2_on_inputs_refinement_rejects(tmp_path, capsys):
+    d1, d2 = deferral_pair()
+    cases = [(n1, n2, message) for n1, n2, _, message in incomparable_pairs()]
+    cases.append((under_diff(d1, d2, 1), d2, "left automaton is not deterministic"))
+    for i, (n1, n2, message) in enumerate(cases):
+        f1 = _write_fixture(tmp_path, f"left{i}.json", n1)
+        f2 = _write_fixture(tmp_path, f"right{i}.json", n2)
+        assert main(["check", f1, f2]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_diff_over_writes_loadable_model(tmp_path, capsys):

@@ -7,9 +7,9 @@ import pytest
 
 from apa_toolkit import constraints as C
 from apa_toolkit.errors import InputError, PreconditionError
-from apa_toolkit.model import (Modality, forced_successor, is_deterministic,
-                               is_svnf, make_apa, make_pa, pa_as_apa, succ,
-                               valuation, validate, validate_pa)
+from apa_toolkit.model import (Modality, PATransition, Transition, forced_successor,
+                               is_deterministic, is_svnf, make_apa, make_pa, obligations,
+                               pa_as_apa, succ, valuation, validate, validate_pa)
 from tests.fixtures import (interval_implementation_in, interval_pair,
                             may_gap_pair)
 
@@ -151,6 +151,39 @@ def test_pa_as_apa_pins_each_transition():
     assert C.sat_member(phi, {"x1": F(1, 2), "x2": F(1, 2)})
     assert not C.sat_member(phi, {"x1": F(2, 5), "x2": F(3, 5)})
     assert validate(n).ok
+
+
+def _tr(name: str, modality: Modality) -> Transition:
+    return Transition("s", "a", name, modality)
+
+
+def test_obligations_group_required_right_then_every_left():
+    must1, may1 = _tr("m1", Modality.MUST), _tr("o1", Modality.MAY)
+    must2, may2 = _tr("m2", Modality.MUST), _tr("o2", Modality.MAY)
+    assert list(obligations([must1, may1], [must2, may2])) == [
+        [(must1, must2)],                    # must2 needs a required partner
+        [(must1, must2), (must1, may2)],     # each left transition, any partner
+        [(may1, must2), (may1, may2)]]
+    assert list(obligations([must1, may1], [may2])) == [
+        [(must1, may2)], [(may1, may2)]]
+
+
+def test_obligations_empty_groups_are_unmet_clauses():
+    must1, may1 = _tr("m1", Modality.MUST), _tr("o1", Modality.MAY)
+    must2, may2 = _tr("m2", Modality.MUST), _tr("o2", Modality.MAY)
+    assert list(obligations([may1], [must2])) == [[], [(may1, must2)]]
+    assert list(obligations([], [must2, may2])) == [[]]
+    assert list(obligations([must1], [])) == [[]]
+    assert list(obligations([], [may2])) == []
+    assert list(obligations([], [])) == []
+
+
+def test_obligations_treat_concrete_transitions_as_required():
+    mu = PATransition("x", "a", C.Distribution.of({"x": 1}))
+    assert mu.modality is Modality.MUST
+    must2, may2 = _tr("m2", Modality.MUST), _tr("o2", Modality.MAY)
+    assert list(obligations([mu], [must2, may2])) == [
+        [(mu, must2)], [(mu, must2), (mu, may2)]]
 
 
 def test_make_pa_rejects_bad_shapes():

@@ -69,6 +69,24 @@ def test_grid_too_coarse_for_a_required_transition():
     assert len(list(enumerate_implementations(n, GridSpec(denominator=4)))) == 1
 
 
+def test_enumeration_yields_each_transition_set_of_a_state_once():
+    # Two transitions of s on one action share the grid points half-half and
+    # all-on-t, so different picks give the same concrete transitions.
+    n = make_apa(states=["s", "t"], actions=["a"], ap=["p"],
+                 labeling={"s": [[]], "t": [["p"]]},
+                 transitions=[("s", "a", "any", Modality.MUST),
+                              ("s", "a", "half", Modality.MAY)],
+                 initial=["s"],
+                 constraints={"any": C.TRUE, "half": C.atom({"t": 1}, ">=", F(1, 2))})
+    stay, split, go = (C.Distribution.of(m) for m in (
+        {"s": 1}, {"s": F(1, 2), "t": F(1, 2)}, {"t": 1}))
+    sets = [frozenset((t.action, t.distribution) for t in p.transitions)
+            for p in enumerate_implementations(n, GridSpec(denominator=2))]
+    assert len(sets) == len(set(sets))
+    assert set(sets) == {frozenset(("a", mu) for mu in picks) for picks in (
+        [stay], [stay, split], [stay, go], [split], [split, go], [go])}
+
+
 def test_required_transition_with_empty_constraint_names_the_state():
     # under_diff emits a reachable state q2|r2|b|1 whose required constraint
     # is empty; no grid can help, so the error blames the state, not the grid.

@@ -20,8 +20,8 @@ from apa_toolkit.refinement import (CaseLabel, breaking, compute_refinement,
 from tests.fixtures import (all_failing_pairs, deferral_implementation_late,
                             deferral_implementation_split, deferral_pair,
                             interval_implementation_diff,
-                            interval_implementation_in, interval_pair,
-                            may_gap_pair, refining_pair)
+                            incomparable_pairs, interval_implementation_in,
+                            interval_pair, may_gap_pair, refining_pair)
 from tests.test_constraints import STATES, _coeff, _convex_rows, _rhs
 
 
@@ -352,6 +352,23 @@ def test_nondeterministic_refinement_rechecks_pairs_after_a_removal():
     # (s2, t2) falls in the first sweep, (s1, t1) in the second, (s0, t0) in the third
     assert compute_refinement(n1, n2).fixpoint_index == 3
     assert not refinement._refines_nondet(n1, n2)
+
+
+@pytest.mark.parametrize("check", [refines, compute_refinement])
+@pytest.mark.parametrize("case", range(len(incomparable_pairs())))
+def test_both_refinement_paths_reject_incomparable_inputs(check, case):
+    n1, n2, error, message = incomparable_pairs()[case]
+    with pytest.raises(error, match=message) as excinfo:
+        check(n1, n2)
+    assert excinfo.type is error
+
+
+def test_compute_refinement_rejects_a_difference_automaton():
+    from apa_toolkit.difference import under_diff
+    diff = under_diff(*deferral_pair(), 1)
+    assert refines(diff, diff)
+    with pytest.raises(PreconditionError, match="left automaton is not deterministic"):
+        compute_refinement(diff, diff)
 
 
 # ---------------------------------------------------------------------------
