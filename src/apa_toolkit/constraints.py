@@ -8,7 +8,7 @@ derived combinators lift constraints onto difference product spaces:
                    satisfying the source constraint;
   * phi-B        - "break the right-hand constraint now or hand the obligation
                    to a successor" (three-clause membership);
-  * phi-B-k      - the level-indexed variant whose deferral clause only
+  * phi-B-k      - phi-B with a level k, whose deferral clause only
                    accepts strictly smaller levels, and never at level 1.
 
 Everything is decided exactly over rationals: membership by clause
@@ -248,6 +248,8 @@ class PhiB(ConstraintExpr):
     succ maps each left state to its forced right successor (None: no
     matching successor exists, mass must fall to bot); b_map gives, per
     (left, right) pair, the actions along which the pair itself breaks.
+    With a level k >= 1 it is phi-B-k, which defers only to strictly
+    smaller levels, never at level 1.
     """
 
     phi1: ConstraintExpr
@@ -257,9 +259,15 @@ class PhiB(ConstraintExpr):
     succ: tuple[tuple[State, State | None], ...]
     b_map: tuple[tuple[tuple[State, State], tuple[str, ...]], ...]
     cells: tuple = ()
-
-    tag = "phi-B"
     k: int | None = None
+
+    def __post_init__(self):
+        if self.k is not None and self.k < 1:
+            raise InputError("phi-B-k requires a level k >= 1")
+
+    @property
+    def tag(self) -> str:
+        return "phi-B" if self.k is None else "phi-B-k"
 
     def succ_of(self, s1: State) -> State | None:
         for a, b in self.succ:
@@ -297,18 +305,6 @@ class PhiB(ConstraintExpr):
         return self.k != 1 and cell.k is not None and cell.k < self.k
 
 
-@dataclass(frozen=True)
-class PhiBK(PhiB):
-    """Level-indexed variant: deferral only to strictly smaller levels, never at level 1."""
-
-    k: int | None = None
-    tag = "phi-B-k"
-
-    def __post_init__(self):
-        if self.k is None or self.k < 1:
-            raise InputError("phi-B-k requires a level k >= 1")
-
-
 def make_bot_lift(phi1: ConstraintExpr, source_states: Sequence[State], cells: Sequence) -> BotLift:
     return BotLift(phi1, tuple(source_states), tuple(cells))
 
@@ -323,7 +319,7 @@ def make_phi_B(phi1: ConstraintExpr, phi2: ConstraintExpr,
     bm = tuple(sorted(((pair, tuple(sorted(acts))) for pair, acts in b_map.items()),
                       key=lambda kv: (str(kv[0][0]), str(kv[0][1]))))
     args = (phi1, phi2, tuple(source_states), tuple(target_states), succ, bm, tuple(cells))
-    return PhiB(*args) if k is None else PhiBK(*args, k=k)
+    return PhiB(*args, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +358,7 @@ def _member(phi: ConstraintExpr, mass: Mapping[State, Fraction]) -> bool:
                 return False
             marg[cell.s1] = marg.get(cell.s1, ZERO) + m
         return _member(phi.phi, marg)
-    if isinstance(phi, PhiB):  # covers PhiBK
+    if isinstance(phi, PhiB):
         cells = set(phi.cells)
         if any(m != 0 and c not in cells for c, m in mass.items()):
             return False  # clause (1): only this constraint's own cells may carry mass

@@ -17,9 +17,8 @@ from typing import Iterator
 from . import constraints as C
 from .constraints import ConstraintExpr, Distribution, State
 from .errors import InputError, PreconditionError
-from .model import APA, PA, Action, Modality, forced_successor, make_pa, validate_pa
-from .refinement import (CaseLabel, RefinementAnalysis, _sim_witness,
-                         _single_transition, breaking, compute_refinement,
+from .model import APA, PA, Action, Modality, make_pa, validate_pa
+from .refinement import (CaseLabel, RefinementAnalysis, breaking, compute_refinement,
                          forced_map, lemma_indplus_witness)
 
 BOT = None   # right component: the tracked execution is already broken
@@ -84,12 +83,8 @@ def _unmatched_member(analysis: RefinementAnalysis, s1: State, s2: State,
                       e: Action) -> Distribution:
     """A left distribution no right distribution simulates w.r.t. the maximal
     relation — exists whenever the action landed in bucket c/f."""
-    n1, n2 = analysis.n1, analysis.n2
-    phi1 = n1.constraint(_single_transition(n1, s1, e).constraint_id)
-    phi2 = n2.constraint(_single_transition(n2, s2, e).constraint_id)
-    witness = _sim_witness(phi1, n1.states,
-                           forced_map(n1, n2, s2, e, analysis.relation),
-                           phi2, n2.states)
+    phi1, phi2 = analysis.constraints_on(s1, s2, e)
+    witness = analysis.sim_witness(phi1, forced_map(analysis, s2, e, analysis.relation), phi2)
     assert witness is not None, \
         f"bucket c/f action {e!r} at ({s1!r},{s2!r}) admits no unmatched distribution"
     return witness.mu
@@ -104,37 +99,36 @@ def _to_bot(mu1: Distribution) -> dict:
     return {CexState(s, BOT): m for s, m in mu1.items}
 
 
-def _route(n1: APA, n2: APA, s2: State, e: Action, mu1: Distribution) -> dict:
+def _route(analysis: RefinementAnalysis, s2: State, e: Action, mu1: Distribution) -> dict:
     """Re-key a left distribution by pairing each successor with its forced
     right successor (sink when there is none)."""
-    return {CexState(s, forced_successor(n2, s2, e, n1.valuation_of(s))): m
-            for s, m in mu1.items}
+    succ = dict(forced_map(analysis, s2, e))
+    return {CexState(s, succ[s]): m for s, m in mu1.items}
 
 
-def _copy_rows(n1: APA, s1: State,
+def _copy_rows(analysis: RefinementAnalysis, s1: State,
                exclude: frozenset) -> Iterator[tuple[Action, str, Distribution, dict]]:
+    n1 = analysis.n1
     for a in n1.actions:
-        if a in exclude:
+        step = analysis.steps1.get((s1, a))
+        if a in exclude or step is None or step.transition.modality is not Modality.MUST:
             continue
-        t1 = _single_transition(n1, s1, a)
-        if t1 is None or t1.modality is not Modality.MUST:
-            continue
-        mu1 = _default_member(n1.constraint(t1.constraint_id), n1.states)
+        mu1 = _default_member(n1.constraint(step.transition.constraint_id), n1.states)
         yield a, "copy", mu1, _to_bot(mu1)
 
 
 def _state_rows(analysis: RefinementAnalysis,
                 st: CexState) -> Iterator[tuple[Action, str, Distribution, dict]]:
-    n1, n2 = analysis.n1, analysis.n2
+    n1 = analysis.n1
     s1, s2 = st.left, st.matched
     if s2 is BOT or analysis.case_of(s1, s2) is not CaseLabel.CASE3:
-        yield from _copy_rows(n1, s1, frozenset())
+        yield from _copy_rows(analysis, s1, frozenset())
         return
     bs = analysis.bsets_of(s1, s2)
-    yield from _copy_rows(n1, s1, frozenset(bs.all_actions))
+    yield from _copy_rows(analysis, s1, frozenset(bs.all_actions))
     brk = frozenset(breaking(analysis, s1, s2))
     for e in bs.of("ab"):
-        t1 = _single_transition(n1, s1, e)
+        t1 = analysis.steps1[(s1, e)].transition
         mu1 = _default_member(n1.constraint(t1.constraint_id), n1.states)
         yield e, ("a" if e in bs.of("a") else "b"), mu1, _to_bot(mu1)
     for e in bs.of("cf"):
@@ -142,7 +136,7 @@ def _state_rows(analysis: RefinementAnalysis,
             mu1 = lemma_indplus_witness(analysis, s1, s2, e).mu
         else:
             mu1 = _unmatched_member(analysis, s1, s2, e)
-        yield e, ("c" if e in bs.of("c") else "f"), mu1, _route(n1, n2, s2, e, mu1)
+        yield e, ("c" if e in bs.of("c") else "f"), mu1, _route(analysis, s2, e, mu1)
     # bucket d/e actions: deliberately no transition
 
 

@@ -20,9 +20,8 @@ from typing import Iterable
 from . import constraints as C
 from .constraints import ConstraintExpr, State
 from .errors import InputError, PreconditionError
-from .model import APA, Action, Modality, Transition, forced_successor
-from .refinement import (CaseLabel, RefinementAnalysis, _single_transition,
-                         compute_refinement)
+from .model import APA, Action, Modality, Step, Transition
+from .refinement import CaseLabel, RefinementAnalysis, compute_refinement, forced_map
 
 BOT = None   # second component: right execution already broken
 EPS = None   # third component: no action earmarked
@@ -63,8 +62,8 @@ def _phi_b_id(state: ProductState) -> str:
 
 
 class _Builder:
-    def __init__(self, n1: APA, n2: APA, analysis: RefinementAnalysis, K: int | None):
-        self.n1, self.n2, self.analysis, self.K = n1, n2, analysis, K
+    def __init__(self, analysis: RefinementAnalysis, K: int | None):
+        self.n1, self.n2, self.analysis, self.K = analysis.n1, analysis.n2, analysis, K
         self.constraints: dict[str, ConstraintExpr] = {}
         self.transitions: list[tuple[ProductState, Action, str, Modality]] = []
         self.states: list[ProductState] = []
@@ -72,12 +71,14 @@ class _Builder:
 
     # -- constraint factories ------------------------------------------------
 
-    def bot_lift(self, cid: str) -> str:
-        key = _phi_bot_id(cid)
+    def bot_lift(self, step: Step) -> str:
+        """A left step's constraint moved onto the (s1', bot, eps) cells of
+        its supportable states."""
+        key = _phi_bot_id(step.transition.constraint_id)
         if key not in self.constraints:
-            phi = self.n1.constraint(cid)
+            phi = self.n1.constraint(step.transition.constraint_id)
             cells = tuple(ProductState(s1, BOT, EPS, 1 if self.K is not None else None)
-                          for s1 in C.supportable_states(phi, self.n1.states))
+                          for s1 in step.support)
             expr: ConstraintExpr
             if cells:
                 expr = C.make_bot_lift(phi, self.n1.states, cells)
@@ -93,15 +94,12 @@ class _Builder:
             return key
         s1, s2, e, k = state.s1, state.s2, state.e, state.k
         n1, n2 = self.n1, self.n2
-        phi1 = n1.constraint(_single_transition(n1, s1, e).constraint_id)
-        phi2 = n2.constraint(_single_transition(n2, s2, e).constraint_id)
-        succ_map: dict[State, State | None] = {}
+        phi1, phi2 = self.analysis.constraints_on(s1, s2, e)
+        succ_map = dict(forced_map(self.analysis, s2, e))
         b_map: dict[tuple[State, State], tuple[Action, ...]] = {}
         candidates: list[ProductState] = []
         levels = range(1, self.K + 1) if self.K is not None else (None,)
-        for s1p in n1.states:
-            t = forced_successor(n2, s2, e, n1.valuation_of(s1p))
-            succ_map[s1p] = t
+        for s1p, t in succ_map.items():
             if t is None:
                 candidates.append(ProductState(s1p, BOT, EPS, 1 if self.K is not None else None))
             else:
@@ -148,12 +146,12 @@ class _Builder:
             bucket = next((x for x in "abcdef" if e in bs.of(x)), None)
             assert bucket is not None, \
                 f"state {state} earmarks {e!r}, not a blame action of ({s1!r},{s2!r})"
-        rows = [(tr.action, self.bot_lift(tr.constraint_id), tr.modality)
+        steps = self.analysis.steps1
+        rows = [(tr.action, self.bot_lift(steps[(s1, tr.action)]), tr.modality)
                 for tr in self.n1.transitions_from(s1)
                 if tr.action != e or bucket not in ("a", "b", "e")]
         if bucket in ("a", "b"):
-            cid = self.bot_lift(_single_transition(self.n1, s1, e).constraint_id)
-            rows.append((e, cid, Modality.MUST))
+            rows.append((e, self.bot_lift(steps[(s1, e)]), Modality.MUST))
         elif bucket in ("c", "e", "f"):
             rows.append((e, self.phi_b(state), Modality.MAY if bucket == "e" else Modality.MUST))
         out: list[ProductState] = []
@@ -202,7 +200,7 @@ def over_diff(n1: APA, n2: APA) -> APA:
     s01, s02 = n1.initial_state(), n2.initial_state()
     if n1.valuation_of(s01) != n2.valuation_of(s02):
         return n1  # no implementation can satisfy both; the difference is the left automaton
-    builder = _Builder(n1, n2, analysis, None)
+    builder = _Builder(analysis, None)
     blame = analysis.bsets_of(s01, s02).all_actions
     assert blame, "a rejected equal-valuation root must carry blame actions"
     return builder.build([ProductState(s01, s02, f) for f in blame], None)
@@ -217,7 +215,7 @@ def under_diff(n1: APA, n2: APA, K: int) -> APA:
     s01, s02 = n1.initial_state(), n2.initial_state()
     if n1.valuation_of(s01) != n2.valuation_of(s02):
         return n1
-    builder = _Builder(n1, n2, analysis, K)
+    builder = _Builder(analysis, K)
     blame = analysis.bsets_of(s01, s02).all_actions
     assert blame, "a rejected equal-valuation root must carry blame actions"
     return builder.build([ProductState(s01, s02, f, K) for f in blame], K)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable
 
 from . import _lp
@@ -89,20 +88,14 @@ def compatible(n1: APA, n2: APA, s1: State, s2: State) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _vertices_cached(poly: Polytope, dim_cap: int) -> tuple[Distribution, ...]:
-    return tuple(C.vertices(poly, dim_cap))
-
-
-@lru_cache(maxsize=None)
 def _feasible_pieces(phi: ConstraintExpr, states: tuple) -> tuple[Piece, ...]:
     """Pieces of the DNF cover that are nonempty as half-open sets."""
     return tuple(piece for piece in C.dnf_cover(phi) if C.piece_feasible(piece, states))
 
 
-@lru_cache(maxsize=None)
 def _outer_points(phi: ConstraintExpr, states: tuple, dim_cap: int) -> tuple[Distribution, ...]:
-    """Candidate maximizers: vertices of the closure of each nonempty piece.
+    """Candidate maximizers: vertices of the closure of each nonempty piece,
+    so there are none iff Sat(phi) is empty.
 
     Exact for the supremum whenever the inner value is convex (single-piece
     right cover), since the half-open pieces are dense in their closures and
@@ -110,7 +103,7 @@ def _outer_points(phi: ConstraintExpr, states: tuple, dim_cap: int) -> tuple[Dis
     """
     points: list[Distribution] = []
     for piece in _feasible_pieces(phi, states):
-        for v in _vertices_cached(Polytope.from_piece(piece, states), dim_cap):
+        for v in C.vertices(Polytope.from_piece(piece, states), dim_cap):
             if v not in points:
                 points.append(v)
     return tuple(points)
@@ -156,26 +149,25 @@ def _transport_value(tableau: _lp.Tableau, mu: Distribution, states2: tuple,
     return _lp.reprice(tableau, obj, maximize=False).value
 
 
-def _expr_distance(phi1: ConstraintExpr, states1: tuple,
-                   phi2: ConstraintExpr, states2: tuple,
-                   dval: Callable[[State, State], float],
-                   params: DistanceParams, tableaux: dict) -> tuple[float, bool]:
-    """(value, exact): distance between two constraint expressions.
+def _expr_distance(points1: tuple[Distribution, ...], pieces2: tuple[Piece, ...],
+                   states2: tuple, dval: Callable[[State, State], float],
+                   tableaux: dict) -> tuple[float, bool]:
+    """(value, exact): distance between two constraint expressions, given by
+    the `_outer_points` of the left one and the `_feasible_pieces` of the
+    right one.
 
     With a multi-piece right cover the inner value is only piecewise convex,
     so the vertex scan yields a certified lower bound (exact=False).
     `tableaux` holds the prepared transport tableaux of one
     `state_distances` call (see `_transport_tableau`).
     """
-    pieces2 = _feasible_pieces(phi2, states2)
     if not pieces2:
         return 1.0, True  # nothing to transport into
-    pieces1 = _feasible_pieces(phi1, states1)
-    if not pieces1:
+    if not points1:
         return 0.0, True  # supremum over an empty set
     exact = len(pieces2) == 1
     best = Fraction(0)
-    for mu in _outer_points(phi1, states1, params.vertex_dim_cap):
+    for mu in points1:
         inner = min(_transport_value(_transport_tableau(tableaux, mu, piece, states2),
                                      mu, states2, dval)
                     for piece in pieces2)
@@ -216,14 +208,17 @@ def state_distances(n1: APA, n2: APA, params: DistanceParams | None = None) -> D
     # Constraint pairs by index, with metadata reused across sweeps: which
     # left states can carry mass (the d-slice that feeds the transport
     # objective).  The sweep cache keys on the index, not the expressions.
+    # Each left constraint's outer points and each right constraint's
+    # nonempty pieces are found once per call.
     combos = sorted({cp for tl in terms.values() for opts in tl for cp in opts},
                     key=lambda cp: (str(cp[0]), str(cp[1])))
     combo_index = {cp: i for i, cp in enumerate(combos)}
     terms = {p: [[combo_index[cp] for cp in opts] for opts in tl] for p, tl in terms.items()}
-    dims1 = []
-    for l, r in combos:
-        pts = _outer_points(l, states1, params.vertex_dim_cap)
-        dims1.append(tuple(sorted({s for v in pts for s in v.support()}, key=str)))
+    points1 = {l: _outer_points(l, states1, params.vertex_dim_cap)
+               for l in dict.fromkeys(l for l, _ in combos)}
+    pieces2 = {r: _feasible_pieces(r, states2) for r in dict.fromkeys(r for _, r in combos)}
+    dims1 = [tuple(sorted({s for v in points1[l] for s in v.support()}, key=str))
+             for l, _ in combos]
 
     d = {p: (1.0 if p in incompat else 0.0) for p in pairs}
     threshold = params.epsilon * (1 - lam) / lam
@@ -252,7 +247,7 @@ def state_distances(n1: APA, n2: APA, params: DistanceParams | None = None) -> D
                     key = (i, tuple(d[(s, t)] for s in dims1[i] for t in states2))
                     if key not in cache:
                         l, r = combos[i]
-                        cache[key] = _expr_distance(l, states1, r, states2, dval, params,
+                        cache[key] = _expr_distance(points1[l], pieces2[r], states2, dval,
                                                     tableaux)
                     val, ex = cache[key]
                     exact = exact and ex

@@ -2,14 +2,19 @@
 probabilistic automata, with validation of the structural preconditions the
 analyses assume (single-valuation normal form, determinism).
 
-All types are immutable and hashable; all operations are pure.
+Determinism is decided in one place: `successor_table` maps each (state,
+action) of a deterministic automaton to a `Step` (its one transition, its
+supportable states, the successor each valuation forces), or returns None.
+The refinement analysis builds it once per side, for every deterministic
+construction to read.
+
+The automata are immutable and hashable; all operations are pure.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import constraints as C
@@ -267,56 +272,48 @@ def is_svnf(apa: APA) -> bool:
     return all(len(vals) <= 1 for _, vals in apa.labeling)
 
 
-def is_deterministic(apa: APA) -> bool:
-    """Determinism for SVNF automata.
+@dataclass(frozen=True)
+class Step:
+    """The one transition of a deterministic automaton at a (state, action),
+    with its supportable states and the successor each valuation forces."""
 
-    (1) at most one transition per (state, action); (2) no single transition
-    can put mass on two distinct equally-labeled states; (3) one initial state.
+    transition: Transition
+    support: tuple[State, ...]
+    successors: Mapping[Valuation, State]
+
+
+def successor_table(apa: APA) -> dict[tuple[State, Action], Step] | None:
+    """The deterministic reading of an SVNF automaton, or None if it is not
+    deterministic: (1) one initial state, (2) at most one transition per
+    (state, action), (3) no transition can put mass on two distinct
+    equally-labeled states.
+
+    The cheap checks (1) and (2) run before any support LP; then each
+    transition's supportable states are computed once, in state order.
     """
     if not is_svnf(apa):
         raise PreconditionError("determinism check requires single-valuation normal form")
-    if len(apa.initial) != 1:
-        return False
-    per_pair: dict[tuple[State, Action], int] = {}
-    for t in apa.transitions:
-        per_pair[(t.source, t.action)] = per_pair.get((t.source, t.action), 0) + 1
-    if any(n > 1 for n in per_pair.values()):
-        return False
-    for t in apa.transitions:
-        phi = apa.constraint(t.constraint_id)
-        supp = C.supportable_states(phi, apa.states)
-        by_val: dict[Valuation, int] = {}
-        for s in supp:
+    by_pair = {(t.source, t.action): t for t in apa.transitions}
+    if len(apa.initial) != 1 or len(by_pair) != len(apa.transitions):
+        return None
+    table = {}
+    for key, t in by_pair.items():
+        support = C.supportable_states(apa.constraint(t.constraint_id), apa.states)
+        successors: dict[Valuation, State] = {}
+        for s in support:
             vals = apa.valuations(s)
             if len(vals) != 1:
                 continue  # un-labeled states cannot clash
-            by_val[vals[0]] = by_val.get(vals[0], 0) + 1
-        if any(n > 1 for n in by_val.values()):
-            return False
-    return True
+            if vals[0] in successors:
+                return None
+            successors[vals[0]] = s
+        table[key] = Step(t, support, successors)
+    return table
 
 
-@lru_cache(maxsize=None)
-def succ(apa: APA, s: State, a: Action, v: Valuation) -> frozenset:
-    """Potential a-successors of s carrying valuation v (at most one when
-    deterministic): states with positive mass under some satisfying
-    distribution of some (s, a) constraint."""
-    out = set()
-    for t in apa.transitions_from(s, a):
-        phi = apa.constraint(t.constraint_id)
-        for s2 in C.supportable_states(phi, apa.states):
-            if apa.valuations(s2) == (v,):
-                out.add(s2)
-    return frozenset(out)
-
-
-def forced_successor(apa: APA, s: State, a: Action, v: Valuation) -> State | None:
-    """The unique successor from succ, or None; rejects ambiguity loudly."""
-    candidates = succ(apa, s, a, v)
-    if len(candidates) > 1:
-        raise PreconditionError(
-            f"succ({s!r},{a!r},{set(v) or '{}'}) is not a singleton; automaton not deterministic")
-    return next(iter(candidates), None)
+def is_deterministic(apa: APA) -> bool:
+    """Determinism for SVNF automata; see `successor_table`."""
+    return successor_table(apa) is not None
 
 
 def obligations(ts1: Sequence, ts2: Sequence) -> Iterator[list]:

@@ -13,7 +13,6 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterator
 
 from . import _lp
@@ -64,7 +63,6 @@ class InclusionReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _grid_distributions(phi, states: tuple, denominator: int) -> tuple[Distribution, ...]:
     """All satisfying distributions with every mass a multiple of
     1/denominator, in lexicographic order of mass vectors."""
@@ -134,12 +132,15 @@ def enumerate_implementations(n: APA, grid: GridSpec | None = None) -> Iterator[
             raise PreconditionError(f"state {s!r} must carry exactly one valuation")
         labeling[s] = vals[0]
 
+    grids: dict = {}  # constraint id -> its grid distributions, for this call
     per_state: list[list[tuple]] = []  # per state, its distinct transition picks
     for s in states:
         slots: list[tuple] = []  # per transition of s, its options; None = absent
         for tr in n.transitions_from(s):
-            dists = _grid_distributions(n.constraint(tr.constraint_id), n.states,
-                                        grid.denominator)
+            if tr.constraint_id not in grids:
+                grids[tr.constraint_id] = _grid_distributions(n.constraint(tr.constraint_id),
+                                                              n.states, grid.denominator)
+            dists = grids[tr.constraint_id]
             if tr.modality is Modality.MUST:
                 if not dists:
                     if C.sat_nonempty(n.constraint(tr.constraint_id), n.states) is None:

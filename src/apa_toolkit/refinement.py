@@ -40,6 +40,13 @@ kernels plus `constraints.piece_point`:
     is one support pass per nonempty piece (`constraints.piece_support`):
     phase 1 once, then re-priced until no unknown state gains mass.
 
+The `RefinementAnalysis`, created before the fixpoint with one
+`model.successor_table` per side, is the one context of the deterministic
+path: every reader of transitions, supports and forced successors, here and
+in the difference and counterexample constructions, takes them from it.  It
+memoizes `_sim_witness` by (phi1, mapping, phi2) for as long as it lives, so
+the fixpoint, the blame sets and the witnesses share their LPs.
+
 Every LP whose vertex is read keeps its rows, row order and variable order,
 and starts from the all-artificial basis of `_lp.solve`, so witnesses and
 counterexamples do not depend on which caller built them.
@@ -50,7 +57,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import _lp
@@ -58,8 +64,8 @@ from . import constraints as C
 from .constraints import (Distribution, FacetViolation, LinearAtom, ReachesPair, State,
                           SupportAtState, WitnessDistribution, ZERO, ONE)
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .model import (APA, PA, Action, Modality, PATransition, Transition, forced_successor,
-                    is_deterministic, is_svnf, obligations)
+from .model import (APA, PA, Action, Modality, PATransition, Transition, is_svnf,
+                    obligations, successor_table)
 
 Pair = tuple[State, State]
 
@@ -106,20 +112,40 @@ class BSets:
 
 @dataclass(eq=False)
 class RefinementAnalysis:
-    """Everything the difference and counterexample constructions consume."""
+    """The one context of the deterministic path: both automata, their
+    successor tables, the fixpoint's history and bookkeeping, and the memo
+    of `_sim_witness`."""
 
     n1: APA
     n2: APA
-    history: tuple[frozenset, ...]          # R_0 ... R_K
-    relation: frozenset = field(init=False)  # maximal relation R_K
-    fixpoint_index: int = field(init=False)  # K
+    steps1: dict                             # successor_table(n1)
+    steps2: dict                             # successor_table(n2)
+    history: tuple[frozenset, ...] = ()      # R_0 ... R_K, set by the fixpoint
     ind: dict = field(default_factory=dict)
     cases: dict = field(default_factory=dict)
     bsets: dict = field(default_factory=dict)
+    witnesses: dict = field(default_factory=dict)  # (phi1, mapping, phi2) -> _sim_witness
 
-    def __post_init__(self):
-        self.relation = self.history[-1]
-        self.fixpoint_index = len(self.history) - 1
+    @property
+    def relation(self) -> frozenset:  # maximal relation R_K
+        return self.history[-1]
+
+    @property
+    def fixpoint_index(self) -> int:  # K
+        return len(self.history) - 1
+
+    def constraints_on(self, s1: State, s2: State, a: Action) -> tuple:
+        """The constraints of the a-transitions of s1 and s2; both exist."""
+        return (self.n1.constraint(self.steps1[(s1, a)].transition.constraint_id),
+                self.n2.constraint(self.steps2[(s2, a)].transition.constraint_id))
+
+    def sim_witness(self, phi1, mapping: tuple, phi2) -> WitnessDistribution | None:
+        """`_sim_witness` between the two state sets, once per argument triple."""
+        key = (phi1, mapping, phi2)
+        if key not in self.witnesses:
+            self.witnesses[key] = _sim_witness(phi1, self.n1.states, mapping, phi2,
+                                               self.n2.states)
+        return self.witnesses[key]
 
     def ind_of(self, s1: State, s2: State) -> int:
         return self.ind[(s1, s2)]
@@ -140,19 +166,14 @@ class RefinementAnalysis:
 # ---------------------------------------------------------------------------
 
 
-def _single_transition(n: APA, s: State, a: Action) -> Transition | None:
-    ts = n.transitions_from(s, a)
-    if len(ts) > 1:
-        raise PreconditionError(f"state {s!r} has {len(ts)} transitions on {a!r}; need determinism")
-    return ts[0] if ts else None
-
-
-def forced_map(n1: APA, n2: APA, s2: State, a: Action,
+def forced_map(analysis: RefinementAnalysis, s2: State, a: Action,
                relation: frozenset | None = None) -> tuple[tuple[State, State | None], ...]:
-    """succ-induced successor map S1 -> S2, optionally filtered by a relation."""
+    """The successor map S1 -> S2 that the a-step of s2 forces (None: no
+    equally-labeled successor), optionally filtered by a relation."""
+    step = analysis.steps2.get((s2, a))
     out = []
-    for s1p in n1.states:
-        t = forced_successor(n2, s2, a, n1.valuation_of(s1p))
+    for s1p in analysis.n1.states:
+        t = None if step is None else step.successors.get(analysis.n1.valuation_of(s1p))
         if t is not None and relation is not None and (s1p, t) not in relation:
             t = None
         out.append((s1p, t))
@@ -176,7 +197,6 @@ def _pull_back(piece: C.Piece, image: Mapping[State, State]) -> tuple[list, list
     return nonstrict, strict
 
 
-@lru_cache(maxsize=None)
 def _sim_witness(phi1, states1: tuple, mapping: tuple, phi2, states2: tuple):
     """A mu1 in Sat(phi1) that no mu2 in Sat(phi2) simulates under the forced
     map, or None if every mu1 is matched.
@@ -252,18 +272,12 @@ def _coupling_feasible(mu: Mapping[State, Fraction], phi, states2: tuple,
     return False
 
 
-def _sim_ok(n1: APA, n2: APA, phi1, s2: State, a: Action, phi2,
-            relation: frozenset) -> bool:
-    mapping = forced_map(n1, n2, s2, a, relation)
-    return _sim_witness(phi1, n1.states, mapping, phi2, n2.states) is None
-
-
 # ---------------------------------------------------------------------------
 # Fixed-point computation
 # ---------------------------------------------------------------------------
 
 
-def _blame(n1: APA, n2: APA, s1: State, s2: State,
+def _blame(analysis: RefinementAnalysis, s1: State, s2: State,
            relation: frozenset) -> Iterator[tuple[Action, str]]:
     """(action, bucket) for each action that rejects the pair (s1, s2) under
     `relation`, in action order; buckets as in `BSets`.
@@ -278,9 +292,10 @@ def _blame(n1: APA, n2: APA, s1: State, s2: State,
     e are an empty Must group, a and b an empty left-transition group, and c
     and f a nonempty group whose pair does not match.
     """
-    for a in n1.actions:
-        t1 = _single_transition(n1, s1, a)
-        t2 = _single_transition(n2, s2, a)
+    for a in analysis.n1.actions:
+        step1, step2 = analysis.steps1.get((s1, a)), analysis.steps2.get((s2, a))
+        t1 = None if step1 is None else step1.transition
+        t2 = None if step2 is None else step2.transition
         if t1 is None:
             if t2 is not None and t2.modality is Modality.MUST:
                 yield a, "d"
@@ -288,24 +303,26 @@ def _blame(n1: APA, n2: APA, s1: State, s2: State,
             yield a, "a" if t1.modality is Modality.MUST else "b"
         elif t2.modality is Modality.MUST and t1.modality is Modality.MAY:
             yield a, "e"
-        elif not _sim_ok(n1, n2, n1.constraint(t1.constraint_id), s2, a,
-                         n2.constraint(t2.constraint_id), relation):
+        elif analysis.sim_witness(analysis.n1.constraint(t1.constraint_id),
+                                  forced_map(analysis, s2, a, relation),
+                                  analysis.n2.constraint(t2.constraint_id)) is not None:
             yield a, "c" if t2.modality is Modality.MAY else "f"
 
 
-def _pair_ok(n1: APA, n2: APA, s1: State, s2: State, relation: frozenset) -> bool:
-    return (n1.valuation_of(s1) == n2.valuation_of(s2)
-            and next(_blame(n1, n2, s1, s2, relation), None) is None)
+def _pair_ok(analysis: RefinementAnalysis, s1: State, s2: State, relation: frozenset) -> bool:
+    return (analysis.n1.valuation_of(s1) == analysis.n2.valuation_of(s2)
+            and next(_blame(analysis, s1, s2, relation), None) is None)
 
 
 def _obligations_met(n1: APA | PA, n2: APA, s1: State, s2: State, relation: frozenset,
                      match: Callable[[Transition | PATransition, Transition, frozenset], bool]
                      ) -> bool:
     """The modal clauses at the pair (s1, s2) under `relation`: on every
-    action of n1, every `model.obligations` group holds a (left, right)
-    transition pair that `match` accepts."""
+    action of n1, then every action of n2 that n1 lacks, every
+    `model.obligations` group holds a (left, right) transition pair that
+    `match` accepts."""
     return all(any(match(t1, t2, relation) for t1, t2 in group)
-               for a in n1.actions
+               for a in n1.actions + tuple(a for a in n2.actions if a not in n1.actions)
                for group in obligations(n1.transitions_from(s1, a), n2.transitions_from(s2, a)))
 
 
@@ -322,10 +339,12 @@ def _require_comparable(n1: APA, n2: APA) -> None:
 def compute_refinement(n1: APA, n2: APA) -> RefinementAnalysis:
     """Greatest fixed point of the pair-elimination sweep, with bookkeeping."""
     _require_comparable(n1, n2)
+    tables = []
     for n, name in ((n1, "left"), (n2, "right")):
-        if not is_deterministic(n):
+        tables.append(successor_table(n))
+        if tables[-1] is None:
             raise PreconditionError(f"{name} automaton is not deterministic")
-    return _refinement_fixpoint(n1, n2)
+    return _refinement_fixpoint(RefinementAnalysis(n1, n2, *tables))
 
 
 def _greatest_fixpoint(pairs: Iterable[Pair],
@@ -347,13 +366,12 @@ def _greatest_fixpoint(pairs: Iterable[Pair],
         current = nxt
 
 
-def _refinement_fixpoint(n1: APA, n2: APA) -> RefinementAnalysis:
-    """`compute_refinement` on inputs already known to be analysable."""
+def _refinement_fixpoint(analysis: RefinementAnalysis) -> RefinementAnalysis:
+    """Fill in a fresh analysis of inputs already known to be analysable."""
+    n1, n2 = analysis.n1, analysis.n2
     pairs = [(s1, s2) for s1 in n1.states for s2 in n2.states]
-    history = _greatest_fixpoint(
-        pairs, lambda s1, s2, relation: _pair_ok(n1, n2, s1, s2, relation))
-    analysis = RefinementAnalysis(n1, n2, history)
-    K = analysis.fixpoint_index
+    history = analysis.history = _greatest_fixpoint(
+        pairs, lambda s1, s2, relation: _pair_ok(analysis, s1, s2, relation))
     for p in pairs:
         analysis.ind[p] = max(k for k, r in enumerate(history) if p in r) if p in history[0] else 0
     for p in pairs:
@@ -364,14 +382,13 @@ def _refinement_fixpoint(n1: APA, n2: APA) -> RefinementAnalysis:
             analysis.cases[p] = CaseLabel.CASE2
         else:
             analysis.cases[p] = CaseLabel.CASE3
-            analysis.bsets[p] = _compute_bsets(n1, n2, s1, s2, analysis.relation)
+            analysis.bsets[p] = _compute_bsets(analysis, s1, s2)
     return analysis
 
 
-def _compute_bsets(n1: APA, n2: APA, s1: State, s2: State,
-                   relation: frozenset) -> BSets:
+def _compute_bsets(analysis: RefinementAnalysis, s1: State, s2: State) -> BSets:
     buckets: dict[str, list[Action]] = {x: [] for x in "abcdef"}
-    for a, bucket in _blame(n1, n2, s1, s2, relation):
+    for a, bucket in _blame(analysis, s1, s2, analysis.relation):
         buckets[bucket].append(a)
     return BSets(**{f"b_{x}": tuple(sorted(acts)) for x, acts in buckets.items()})
 
@@ -385,9 +402,11 @@ def refines(n1: APA, n2: APA) -> bool:
     answer False on a refinement it fails to witness, never True wrongly.
     """
     _require_comparable(n1, n2)
-    if is_deterministic(n1) and is_deterministic(n2):
-        return _refinement_fixpoint(n1, n2).refines
-    return _refines_nondet(n1, n2)
+    steps1 = successor_table(n1)
+    steps2 = None if steps1 is None else successor_table(n2)
+    if steps2 is None:
+        return _refines_nondet(n1, n2)
+    return _refinement_fixpoint(RefinementAnalysis(n1, n2, steps1, steps2)).refines
 
 
 # -- sound refinement for non-deterministic automata ------------------------
@@ -401,13 +420,8 @@ def _candidate_order(s: State):
     return key
 
 
-@lru_cache(maxsize=None)
-def _complement_pieces(phi2):
-    return C.dnf_cover(C.negate(phi2))
-
-
 def _map_condition(phi1, states1: tuple, phi2, states2: tuple,
-                   relation: frozenset) -> bool:
+                   relation: frozenset, neg_pieces: tuple) -> bool:
     """Sufficient check: every mu1 in Sat(phi1) simulated w.r.t. `relation` by
     some mu2 in Sat(phi2).
 
@@ -415,9 +429,9 @@ def _map_condition(phi1, states1: tuple, phi2, states2: tuple,
     (relation-compatible); the pushforward condition T#piece being inside
     Sat(phi2) is then exact, decided against the complement cover.  Searching
     only deterministic maps is the conservative part.  Only pairs whose left
-    state is supportable in phi1 are ever read.
+    state is supportable in phi1 are ever read.  `neg_pieces` is the DNF
+    cover of the complement of phi2.
     """
-    neg_pieces = _complement_pieces(phi2)
     for piece in C.dnf_cover(phi1):
         probe = C.piece_point(piece, states1)
         if probe is None:
@@ -465,8 +479,9 @@ def _map_condition(phi1, states1: tuple, phi2, states2: tuple,
 def _refines_nondet(n1: APA, n2: APA) -> bool:
     """`refines` on inputs that passed `_require_comparable`."""
     states1, states2 = tuple(n1.states), tuple(n2.states)
-    # Both memos live for this call only, so memory stays bounded by one analysis.
+    # The memos live for this call only, so memory stays bounded by one analysis.
     supportable: dict = {}  # constraint id of n1 -> its supportable states
+    complement: dict = {}   # constraint id of n2 -> the cover of its complement
     decided: dict = {}      # (cid1, cid2, relation on supportable x S2) -> verdict
 
     def map_ok(t1: Transition, t2: Transition, relation: frozenset) -> bool:
@@ -477,8 +492,10 @@ def _refines_nondet(n1: APA, n2: APA) -> bool:
         relation_slice = frozenset(p for p in relation if p[0] in supp1)
         key = (cid1, cid2, relation_slice)
         if key not in decided:
-            decided[key] = _map_condition(n1.constraint(cid1), states1,
-                                          n2.constraint(cid2), states2, relation_slice)
+            if cid2 not in complement:
+                complement[cid2] = C.dnf_cover(C.negate(n2.constraint(cid2)))
+            decided[key] = _map_condition(n1.constraint(cid1), states1, n2.constraint(cid2),
+                                          states2, relation_slice, complement[cid2])
         return decided[key]
 
     initial = [(s1, s2) for s1 in n1.states for s2 in n2.states
@@ -501,13 +518,12 @@ def breaking(analysis: RefinementAnalysis, s1: State, s2: State) -> tuple[Action
     was removed, not the final one.  Only buckets c and f read the relation,
     so the others are the pair's `BSets` entries.
     """
-    n1, n2 = analysis.n1, analysis.n2
-    if n1.valuation_of(s1) != n2.valuation_of(s2):
+    if analysis.n1.valuation_of(s1) != analysis.n2.valuation_of(s2):
         raise PreconditionError("breaking is defined for equal-valuation pairs only")
     k = analysis.ind_of(s1, s2)
     if k >= analysis.fixpoint_index:
         raise PreconditionError("breaking is defined for rejected pairs only")
-    result = tuple(sorted(a for a, _ in _blame(n1, n2, s1, s2, analysis.history[k])))
+    result = tuple(sorted(a for a, _ in _blame(analysis, s1, s2, analysis.history[k])))
     assert result, "a rejected equal-valuation pair must have a breaking action"
     return result
 
@@ -520,7 +536,6 @@ def lemma_indplus_witness(analysis: RefinementAnalysis, s1: State, s2: State,
     (2) fully-matched image violating the right constraint, (3) mass on a
     successor pair rejected strictly earlier.
     """
-    n1, n2 = analysis.n1, analysis.n2
     if analysis.case_of(s1, s2) is not CaseLabel.CASE3:
         raise PreconditionError("witness extraction needs an equal-valuation rejected pair")
     bs = analysis.bsets_of(s1, s2)
@@ -528,11 +543,10 @@ def lemma_indplus_witness(analysis: RefinementAnalysis, s1: State, s2: State,
         raise PreconditionError(f"action {e!r} is not a constraint-level breaking action here")
     k = analysis.ind_of(s1, s2)
     rel_k = analysis.history[k]
-    phi1 = n1.constraint(_single_transition(n1, s1, e).constraint_id)
-    phi2 = n2.constraint(_single_transition(n2, s2, e).constraint_id)
-    full = dict(forced_map(n1, n2, s2, e))  # no relation filter
+    phi1, phi2 = analysis.constraints_on(s1, s2, e)
+    full = dict(forced_map(analysis, s2, e))  # no relation filter
 
-    states1 = n1.states
+    states1 = analysis.n1.states
     for piece in C.dnf_cover(phi1):
         # (1) support state with no potential successor at all
         for s in states1:
@@ -541,8 +555,8 @@ def lemma_indplus_witness(analysis: RefinementAnalysis, s1: State, s2: State,
                 if point is not None:
                     return WitnessDistribution(Distribution.of(point), SupportAtState(s))
     # (2) fully mapped image misses Sat(phi2)
-    witness = _sim_witness(phi1, states1, tuple(sorted(full.items(), key=lambda kv: str(kv[0]))),
-                           phi2, n2.states)
+    witness = analysis.sim_witness(phi1, tuple(sorted(full.items(), key=lambda kv: str(kv[0]))),
+                                   phi2)
     if witness is not None and isinstance(witness.reason, FacetViolation):
         return witness
     # (3) mass on a successor pair rejected strictly earlier

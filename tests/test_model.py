@@ -7,9 +7,9 @@ import pytest
 
 from apa_toolkit import constraints as C
 from apa_toolkit.errors import InputError, PreconditionError
-from apa_toolkit.model import (Modality, PATransition, Transition, forced_successor,
-                               is_deterministic, is_svnf, make_apa, make_pa, obligations,
-                               pa_as_apa, succ, valuation, validate, validate_pa)
+from apa_toolkit.model import (Modality, PATransition, Transition, is_deterministic, is_svnf,
+                               make_apa, make_pa, obligations, pa_as_apa, successor_table,
+                               valuation, validate, validate_pa)
 from tests.fixtures import (interval_implementation_in, interval_pair,
                             may_gap_pair)
 
@@ -125,19 +125,21 @@ def test_normal_form_predicates():
 
 def test_successor_maps():
     n1, _ = interval_pair()
-    assert succ(n1, "s0", "a", valuation(["p"])) == frozenset({"s1"})
-    assert succ(n1, "s0", "a", valuation(["q"])) == frozenset({"s2"})
-    assert succ(n1, "s0", "a", valuation([])) == frozenset()
-    assert forced_successor(n1, "s0", "a", valuation(["p"])) == "s1"
-    assert forced_successor(n1, "s0", "a", valuation([])) is None
+    table = successor_table(n1)
+    step = table[("s0", "a")]
+    assert step.transition == n1.transitions_from("s0", "a")[0]
+    assert step.support == ("s1", "s2")
+    assert step.successors.get(valuation(["p"])) == "s1"
+    assert step.successors.get(valuation(["q"])) == "s2"
+    assert step.successors.get(valuation([])) is None
+    assert ("s1", "a") not in table
 
     ambiguous = make_apa(
         states=["s", "t1", "t2"], actions=["a"], ap=["p"],
         labeling={"s": [[]], "t1": [["p"]], "t2": [["p"]]},
         transitions=[("s", "a", "c", Modality.MUST)],
         initial=["s"], constraints={"c": C.TRUE})
-    with pytest.raises(PreconditionError):
-        forced_successor(ambiguous, "s", "a", valuation(["p"]))
+    assert successor_table(ambiguous) is None
 
 
 def test_pa_as_apa_pins_each_transition():

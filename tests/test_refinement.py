@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from itertools import islice
@@ -13,7 +14,7 @@ from apa_toolkit import constraints as C
 from apa_toolkit import oracle, refinement
 from apa_toolkit.errors import PreconditionError
 from apa_toolkit.generators import random_apa, random_pair
-from apa_toolkit.model import Modality, is_deterministic, make_apa, pa_as_apa
+from apa_toolkit.model import Modality, is_deterministic, make_apa, make_pa, pa_as_apa
 from apa_toolkit.oracle import GridSpec, enumerate_implementations
 from apa_toolkit.refinement import (CaseLabel, breaking, compute_refinement,
                                     lemma_indplus_witness, refines, satisfies)
@@ -184,8 +185,8 @@ def test_satisfaction_makes_no_determinism_check(monkeypatch):
     from apa_toolkit.difference import under_diff
     diff = under_diff(d1, d2, 2)
     calls = []
-    check = refinement.is_deterministic
-    monkeypatch.setattr(refinement, "is_deterministic", lambda n: calls.append(n) or check(n))
+    check = refinement.successor_table
+    monkeypatch.setattr(refinement, "successor_table", lambda n: calls.append(n) or check(n))
     p_late = deferral_implementation_late()
     assert satisfies(p_late, d1)[0] and not satisfies(p_late, d2)[0]
     assert satisfies(interval_implementation_in(), interval_pair()[0])[0]
@@ -263,8 +264,8 @@ def test_refines_matches_relation_membership():
 
 def test_refines_checks_determinism_once_per_automaton(monkeypatch):
     calls = []
-    check = refinement.is_deterministic
-    monkeypatch.setattr(refinement, "is_deterministic", lambda n: calls.append(n) or check(n))
+    check = refinement.successor_table
+    monkeypatch.setattr(refinement, "successor_table", lambda n: calls.append(n) or check(n))
     n1, n2 = random_pair(random.Random(0))
     refines(n1, n2)
     assert len(calls) == 2
@@ -299,11 +300,11 @@ def test_map_condition_finds_each_piece_domain_with_one_prepare(monkeypatch):
     checked = []
     map_condition = refinement._map_condition
 
-    def recording(phi1, states1, phi2, states2, relation):
+    def recording(phi1, states1, phi2, states2, relation, neg_pieces):
         pieces = C.dnf_cover(phi1)
         nonempty = sum(C.piece_point(piece, states1) is not None for piece in pieces)
         counts.clear()
-        verdict = map_condition(phi1, states1, phi2, states2, relation)
+        verdict = map_condition(phi1, states1, phi2, states2, relation, neg_pieces)
         if verdict:
             assert counts["strict_point"] == len(pieces)  # the probes, nothing per state
             assert counts["prepare"] == len(pieces) + nonempty
@@ -332,6 +333,51 @@ def test_nondeterministic_refinement_leaves_no_module_state():
     filled = [name for name, value in vars(refinement).items()
               if isinstance(value, dict) and value and not name.startswith("__")]
     assert filled == []
+
+
+def test_only_the_dnf_cover_cache_is_process_wide():
+    """After each analysis has run, no toolkit module holds a cache of its
+    own but `constraints.dnf_cover`: every other memo goes with its call."""
+    from apa_toolkit.distance import state_distances
+    for n1, n2 in all_failing_pairs().values():
+        compute_refinement(n1, n2)
+        refines(n1, n2)
+        state_distances(n1, n2)
+        for p in islice(enumerate_implementations(n1, GridSpec(denominator=4)), 3):
+            satisfies(p, n1)
+    caches = [f"{name}.{attr}" for name, module in sys.modules.items()
+              if name.startswith("apa_toolkit")
+              for attr, value in vars(module).items() if hasattr(value, "cache_info")]
+    assert caches == ["apa_toolkit.constraints.dnf_cover"]
+
+
+@pytest.mark.parametrize("pair", [interval_pair, deferral_pair,
+                                  lambda: random_pair(random.Random(26))])
+def test_compute_refinement_computes_each_support_once(monkeypatch, pair):
+    n1, n2 = pair()
+    calls = []
+    supportable = C.supportable_states
+    monkeypatch.setattr(C, "supportable_states",
+                        lambda phi, states: calls.append(phi) or supportable(phi, states))
+    compute_refinement(n1, n2)
+    assert len(calls) == len(n1.transitions) + len(n2.transitions)
+
+
+def test_satisfaction_checks_required_transitions_outside_the_implementation_alphabet():
+    """n requires a and b from its root; an implementation over a alone
+    cannot take the required b."""
+    n = make_apa(states=["n0", "n1"], actions=["a", "b"], ap=["p"],
+                 labeling={"n0": [[]], "n1": [["p"]]},
+                 transitions=[("n0", "a", "c", Modality.MUST), ("n0", "b", "c", Modality.MUST)],
+                 initial=["n0"], constraints={"c": C.point_constraint({"n1": 1})})
+    only_a = make_pa(states=["x0", "x1"], actions=["a"], ap=["p"],
+                     labeling={"x0": [], "x1": ["p"]},
+                     transitions=[("x0", "a", {"x1": 1})], initial="x0")
+    both = make_pa(states=["x0", "x1"], actions=["a", "b"], ap=["p"],
+                   labeling={"x0": [], "x1": ["p"]},
+                   transitions=[("x0", "a", {"x1": 1}), ("x0", "b", {"x1": 1})], initial="x0")
+    assert satisfies(only_a, n)[0] is oracle.brute_satisfies(only_a, n) is False
+    assert satisfies(both, n)[0] is oracle.brute_satisfies(both, n) is True
 
 
 def _chain(prefix: str, must_at_end: bool):
