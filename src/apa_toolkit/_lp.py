@@ -52,6 +52,21 @@ none.  Strict rows share one slack t <= 1 that phase 2 maximizes, as in
 `strict_feasible_point`; the answer is whether t > 0, and no point is built.
 `prepare` and `solve` keep the all-artificial start, so every vertex a
 caller reads keeps its pivot path.
+
+`feasible_with` asks `feasible` of many systems that share most of their
+rows.  `feasible_base` takes the shared rows through `feasible`'s start and
+phase 1 once, with the strict slack t <= 1 always present, and drops the
+artificials.  Each question then appends its own rows to a copy of that
+tableau, in the current basis: a row m·x + s = b with its own slack s
+enters as D·m - sum_r m[basis[r]]·T[r], with s basic at entry D.  The new
+basis matrix is the old one bordered by the row m restricted to the basic
+columns and a 1 for s, so it is block triangular with the same determinant;
+the appended row is again D times a row of B^-1 M, and D, the exactness of
+every later division and the meaning of the reduced costs all carry over.
+A row whose right-hand side comes out negative there, and every "==" row,
+is negated as needed and given an artificial at entry D; phase 1 runs from
+this basis, where Bland's rule terminates as from any other, and phase 2
+maximizes t.
 """
 
 from __future__ import annotations
@@ -148,6 +163,29 @@ class Tableau:
     det: int
 
 
+def _parse(constraints: Sequence[Constraint], var_index: Mapping[Var, int]
+           ) -> tuple[list[tuple], int]:
+    """Each row as (terms, rel, rhs, flip, sign), with the common denominator
+    of all of them.  A ">=" row is negated to "<=" (flip), then a row with
+    negative rhs is negated (sign), which turns its slack coefficient to -1."""
+    parsed = []
+    scale = 1
+    try:
+        for coeffs, rel, rhs in constraints:
+            terms = [(var_index[v], _rational(c)) for v, c in coeffs.items()]
+            rhs = _rational(rhs)
+            if rel not in ("<=", ">=", "=="):
+                raise ValueError(f"unknown relation {rel!r}")
+            scale = lcm(scale, rhs.denominator, *[c.denominator for _, c in terms])
+            flip = -1 if rel == ">=" else 1
+            sign = -flip if flip * rhs.numerator < 0 else flip
+            parsed.append((terms, rel, rhs, flip, sign))
+    except KeyError as err:
+        raise InputError(f"a constraint names {err.args[0]!r}, which is not among "
+                         f"the variables") from None
+    return parsed, scale
+
+
 def _start(constraints: Sequence[Constraint], variables: Sequence[Var],
            slack_start: bool) -> tuple[dict[Var, int], int, list[list[int]], list[int]]:
     """The integer start tableau of `constraints` with its basis: (var_index,
@@ -165,24 +203,7 @@ def _start(constraints: Sequence[Constraint], variables: Sequence[Var],
     if len(var_index) != len(variables):
         raise ValueError("duplicate variables")
     n = len(variables)
-
-    parsed = []
-    scale = 1  # common denominator of the whole system
-    try:
-        for coeffs, rel, rhs in constraints:
-            terms = [(var_index[v], _rational(c)) for v, c in coeffs.items()]
-            rhs = _rational(rhs)
-            if rel not in ("<=", ">=", "=="):
-                raise ValueError(f"unknown relation {rel!r}")
-            scale = lcm(scale, rhs.denominator, *[c.denominator for _, c in terms])
-            # A ">=" row is negated to "<=" (flip), then a row with negative
-            # rhs is negated (sign), which turns its slack coefficient to -1.
-            flip = -1 if rel == ">=" else 1
-            sign = -flip if flip * rhs.numerator < 0 else flip
-            parsed.append((terms, rel, rhs, flip, sign))
-    except KeyError as err:
-        raise InputError(f"a constraint names {err.args[0]!r}, which is not among "
-                         f"the variables") from None
+    parsed, scale = _parse(constraints, var_index)
 
     starts = [slack_start and rel != "==" and sign == flip for _, rel, _, flip, sign in parsed]
     total = n + sum(rel != "==" for _, rel, _, _, _ in parsed)
@@ -208,19 +229,21 @@ def _start(constraints: Sequence[Constraint], variables: Sequence[Var],
     return var_index, total, rows, basis
 
 
-def _phase_one(rows: list[list[int]], basis: list[int], total: int) -> int | None:
-    """Phase 1 from the start tableau of `_start`: minimize the sum of the
-    artificials, the columns from `total` on.  Returns the determinant, or
-    None if the system is infeasible."""
+def _phase_one(rows: list[list[int]], basis: list[int], total: int, det: int) -> int | None:
+    """Phase 1 from a tableau at determinant `det` whose basic artificials,
+    the columns from `total` on, each hold their own column's entry det:
+    the start tableau of `_start` (det 1) or of `feasible_with`.  Minimizes
+    the sum of the artificials; returns the determinant, or None if the
+    system is infeasible."""
     art_rows = [row for row, col in zip(rows, basis) if col >= total]
     if not art_rows:
-        return 1
+        return det
     width = len(rows[0])
     cost = [0] * width
     for row in art_rows:
         cost = [c - x for c, x in zip(cost, row)]
     cost[total:width - 1] = [0] * (width - 1 - total)
-    _, det = _simplex_phase(rows, cost, basis, 1)
+    _, det = _simplex_phase(rows, cost, basis, det)
     return det if cost[-1] == 0 else None
 
 
@@ -248,7 +271,7 @@ def prepare(constraints: Sequence[Constraint], variables: Sequence[Var]) -> Tabl
     a feasible basis, all variables >= 0, or None if the system is
     infeasible."""
     var_index, total, rows, basis = _start(constraints, variables, slack_start=False)
-    det = _phase_one(rows, basis, total)
+    det = _phase_one(rows, basis, total, 1)
     if det is None:
         return None
     return Tableau(var_index, total, rows, basis, _drop_artificials(rows, basis, total, det))
@@ -327,18 +350,25 @@ def feasible_point(
 _SLACK = ("__strict_slack__",)
 
 
+def _strict_rows(strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]]) -> list[Constraint]:
+    """Each strict row coeffs·x < rhs as coeffs·x + t <= rhs, for the shared
+    slack t."""
+    rows = []
+    for coeffs, rhs in strict:
+        row = dict(coeffs)
+        row[_SLACK] = row.get(_SLACK, ZERO) + ONE
+        rows.append((row, "<=", Fraction(rhs)))
+    return rows
+
+
 def _with_strict_slack(
     constraints: Sequence[Constraint],
     strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]],
     variables: Sequence[Var],
 ) -> tuple[list[Constraint], list[Var]]:
-    """The system with each strict row coeffs·x < rhs as coeffs·x + t <= rhs,
-    for one shared slack t <= 1, which is the last variable."""
-    aug = list(constraints)
-    for coeffs, rhs in strict:
-        row = dict(coeffs)
-        row[_SLACK] = row.get(_SLACK, ZERO) + ONE
-        aug.append((row, "<=", Fraction(rhs)))
+    """The system with each strict row as in `_strict_rows`, for one shared
+    slack t <= 1, which is the last variable."""
+    aug = list(constraints) + _strict_rows(strict)
     aug.append(({_SLACK: ONE}, "<=", ONE))
     return aug, list(variables) + [_SLACK]
 
@@ -364,6 +394,18 @@ def strict_feasible_point(
     return point
 
 
+def _strict_slack_positive(var_index: dict[Var, int], total: int, rows: list[list[int]],
+                           basis: list[int], det: int) -> bool:
+    """After a feasible phase 1 over a system with the strict slack t: drop
+    the artificials and maximize t from the current basis.  Is its optimum
+    positive?"""
+    det = _drop_artificials(rows, basis, total, det)
+    t_cost = [0] * total
+    t_cost[var_index[_SLACK]] = -1  # maximize t
+    cost = _price(Tableau(var_index, total, rows, basis, det), t_cost)
+    return cost[-1] > 0  # -det times the minimum of -t
+
+
 def feasible(
     constraints: Sequence[Constraint],
     variables: Sequence[Var],
@@ -377,13 +419,81 @@ def feasible(
     if strict:
         constraints, variables = _with_strict_slack(constraints, strict, variables)
     var_index, total, rows, basis = _start(constraints, variables, slack_start=True)
-    det = _phase_one(rows, basis, total)
+    det = _phase_one(rows, basis, total, 1)
     if det is None:
         return False
     if not strict:
         return True
-    det = _drop_artificials(rows, basis, total, det)
-    t_cost = [0] * total
-    t_cost[len(variables) - 1] = -1  # maximize t
-    cost = _price(Tableau(var_index, total, rows, basis, det), t_cost)
-    return cost[-1] > 0  # -det times the minimum of -t
+    return _strict_slack_positive(var_index, total, rows, basis, det)
+
+
+def feasible_base(
+    constraints: Sequence[Constraint],
+    variables: Sequence[Var],
+    strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]] = (),
+) -> Tableau | None:
+    """The rows that many `feasible_with` questions share, at a feasible
+    basis: the slack-basis start of `feasible`, with the strict slack t <= 1
+    as the last variable even when there are no strict rows, through phase 1
+    and with the artificials dropped.  None if the closure of the system
+    (t = 0) is empty, so that no appended row can make it feasible."""
+    constraints, variables = _with_strict_slack(constraints, strict, variables)
+    var_index, total, rows, basis = _start(constraints, variables, slack_start=True)
+    det = _phase_one(rows, basis, total, 1)
+    if det is None:
+        return None
+    return Tableau(var_index, total, rows, basis, _drop_artificials(rows, basis, total, det))
+
+
+def feasible_with(
+    base: Tableau,
+    constraints: Sequence[Constraint],
+    strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]] = (),
+) -> bool:
+    """`feasible` of the base's rows plus `constraints` and the strict rows,
+    on a copy of the base (`feasible_base`), which is never changed.
+
+    Each appended row m·x + s = b gets its own slack s and enters in the
+    current basis as D·m - sum_r m[basis[r]]·T[r], with s basic at entry D.
+    A row with a negative right-hand side there, and every "==" row, is
+    negated as needed and given an artificial; phase 1 then runs from this
+    basis, and phase 2 maximizes t.  With no strict row anywhere, t is free
+    up to 1, so its optimum is positive iff the rows are feasible.
+    """
+    var_index, total, det = base.var_index, base.columns, base.det
+    parsed, scale = _parse(list(constraints) + _strict_rows(strict), var_index)
+    row_of = {col: r for r, col in enumerate(base.basis)}
+    entering = []  # (row over the base's columns, its slack column or None, sign, artificial?)
+    slack_at = total
+    for terms, rel, rhs, flip, _ in parsed:
+        reduced = [0] * (total + 1)
+        reduced[-1] = det * flip * rhs.numerator * (scale // rhs.denominator)
+        for j, c in terms:
+            m = flip * c.numerator * (scale // c.denominator)
+            reduced[j] += det * m
+            r = row_of.get(j)
+            if r is not None:
+                reduced = [x - m * y for x, y in zip(reduced, base.rows[r])]
+        slack = None
+        if rel != "==":
+            slack, slack_at = slack_at, slack_at + 1
+        sign = -1 if reduced[-1] < 0 else 1
+        entering.append((reduced, slack, sign, slack is None or sign < 0))
+    columns = slack_at
+    pad = [0] * (columns - total + sum(art for *_, art in entering))
+    rows = [row[:total] + pad + row[-1:] for row in base.rows]
+    basis = list(base.basis)
+    art_at = columns
+    for reduced, slack, sign, art in entering:
+        row = [sign * x for x in reduced[:total]] + pad + [sign * reduced[-1]]
+        if slack is not None:
+            row[slack] = sign * det
+        if art:
+            row[art_at] = det
+            basis.append(art_at)
+            art_at += 1
+        else:
+            basis.append(slack)
+        rows.append(row)
+    det = _phase_one(rows, basis, columns, det)
+    return det is not None and _strict_slack_positive(var_index, columns, rows, basis, det)

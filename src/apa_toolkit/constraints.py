@@ -589,6 +589,31 @@ def piece_feasible(piece: Piece, states: Sequence[State],
     return _lp.feasible(nonstrict, list(states), strict + list(extra_strict))
 
 
+def piece_base(piece: Piece, dom: Sequence[State]) -> _lp.Tableau:
+    """A nonempty piece over its support `dom` (`piece_support`), prepared
+    for `_lp.feasible_with` questions whose rows name states of `dom` only.
+
+    Every point of the piece is zero off `dom`, so the other states'
+    coefficients are dropped, and with them every row that names no state
+    of `dom`: such a row reads 0 against its right-hand side, which holds
+    at every point of the nonempty piece.
+    """
+    keep = set(dom)
+    nonstrict: list[_lp.Constraint] = []
+    strict: list[tuple[dict, Fraction]] = []
+    for coeffs, rel, rhs in piece.rows:
+        row = {s: c for s, c in coeffs if s in keep}
+        if not row:
+            continue
+        if rel == "<":
+            strict.append((row, rhs))
+        else:
+            nonstrict.append((row, rel, rhs))
+    base = _lp.feasible_base(nonstrict + [_simplex_row(dom)], list(dom), strict)
+    assert base is not None, "piece_base needs a nonempty piece"
+    return base
+
+
 def piece_support(piece: Piece, states: Sequence[State],
                   known: Iterable[State] = ()) -> tuple[State, ...]:
     """The states s with mu(s) > 0 for some mu in a piece known to be

@@ -250,6 +250,13 @@ def from_document(doc: dict) -> APA | PA:
     kind = doc.get("kind")
     if kind not in ("apa", "pa"):
         raise InputError(f"kind: expected 'apa' or 'pa', got {kind!r}")
+    shapes = {"states": list, "actions": list, "ap": list, "transitions": list,
+              "constraints": dict, "difference": dict,
+              "initial": str if kind == "pa" else list}
+    for key, shape in shapes.items():
+        if key in doc and not isinstance(doc[key], shape):
+            raise InputError(f"{key}: expected {shape.__name__}, "
+                             f"got {type(doc[key]).__name__}")
 
     states = []
     table: dict[str, Any] = {}

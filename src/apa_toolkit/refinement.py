@@ -25,8 +25,10 @@ kernels plus `constraints.piece_point`:
     through a successor map.  `_sim_witness` adds them to a left piece and
     reads the LP's vertex, which becomes a witness distribution and, through
     `counterexample`, a transition of the separating implementation;
-    `push_ok` in `_map_condition` reads feasibility only, so it asks
-    `constraints.piece_feasible`, which starts from the slack basis.
+    `push_ok` in `_map_condition` reads feasibility only.  Each nonempty
+    left piece is prepared once per call, over its own support
+    (`constraints.piece_base`), and every map test appends its pulled-back
+    rows to that base (`_lp.feasible_with`).
   * `_coupling_feasible` asks whether some distribution of a constraint
     simulates one concrete distribution, over the joint coupling weights.
     It is the one matching test of `satisfies`, for every target, and the
@@ -445,11 +447,12 @@ def _map_condition(phi1, states1: tuple, phi2, states2: tuple,
         if any(not cands[s] for s in dom):
             return False
         dom.sort(key=lambda s: (len(cands[s]), str(s)))
+        base = C.piece_base(piece, dom)
 
         def push_ok(assign: dict) -> bool:
             for neg in neg_pieces:
                 pulled_nonstrict, pulled_strict = _pull_back(neg, assign)
-                if C.piece_feasible(piece, states1, pulled_nonstrict, pulled_strict):
+                if _lp.feasible_with(base, pulled_nonstrict, pulled_strict):
                     return False  # some mu1 in the piece escapes Sat(phi2)
             return True
 

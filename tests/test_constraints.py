@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apa_toolkit import constraints as C
+from apa_toolkit import _lp, constraints as C
 from apa_toolkit.errors import InputError, ResourceLimitError
 from tests.fixtures import deferral_pair, interval_pair
 from tests.oracles import basic_points, grid_masses, naive_member, piece_accepts
@@ -275,6 +275,46 @@ def test_piece_support_agrees_with_the_per_state_probes(expr):
         expected = _support_by_state(piece, STATES)
         assert C.piece_support(piece, STATES) == expected
         assert C.piece_support(piece, STATES, [s for s, m in point.items() if m > 0]) == expected
+
+
+@st.composite
+def _pinned_pieces(draw):
+    """A piece of a `_support_trees` constraint with up to two states pinned
+    to 0 and rows, nonstrict and strict, that name only the pinned states."""
+    pieces = C.dnf_cover(draw(_support_trees()))
+    rows = list(draw(st.sampled_from(pieces)).rows) if pieces else []
+    for s in draw(st.lists(st.sampled_from(STATES), unique=True, max_size=2)):
+        rows.append((((s, draw(_support_coeff)),), "==", F(0)))
+        for rel in draw(st.lists(st.sampled_from(["<=", "<", "=="]), max_size=2)):
+            rows.append((((s, draw(_support_coeff)),), rel, draw(_support_rhs)))
+    return C.Piece(tuple(draw(st.permutations(rows))))
+
+
+@st.composite
+def _rows_over(draw, states):
+    """Up to three nonstrict and two strict rows over `states`."""
+    def coeffs():
+        return {s: draw(_support_coeff) for s in draw(st.sets(st.sampled_from(states), min_size=1))}
+    nonstrict = [(coeffs(), draw(st.sampled_from(["<=", ">=", "=="])), draw(_support_rhs))
+                 for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    strict = [(coeffs(), draw(_support_rhs))
+              for _ in range(draw(st.integers(min_value=0, max_value=2)))]
+    return nonstrict, strict
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pinned_pieces(), st.data())
+def test_piece_base_over_the_support_agrees_with_piece_feasible(piece, data):
+    """Prepared over its support, a piece answers every question about rows
+    over that support as `piece_feasible` does over all states."""
+    if C.piece_point(piece, STATES) is None:
+        return
+    dom = C.piece_support(piece, STATES)
+    base = C.piece_base(piece, dom)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        nonstrict, strict = data.draw(_rows_over(dom))
+        assert _lp.feasible_with(base, nonstrict, strict) == \
+            C.piece_feasible(piece, STATES, nonstrict, strict)
 
 
 # ---------------------------------------------------------------------------

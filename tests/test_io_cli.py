@@ -16,7 +16,8 @@ from apa_toolkit.io_cli import (export_dot, from_document, main, parse,
                                 provenance_document, serialize, to_document)
 from apa_toolkit.model import Modality, make_apa, make_pa
 from tests.fixtures import (deferral_pair, incomparable_pairs,
-                            interval_implementation_diff, interval_pair, may_gap_pair)
+                            interval_implementation_diff, interval_implementation_in,
+                            interval_pair, may_gap_pair)
 
 
 # ---------------------------------------------------------------- round trips
@@ -316,6 +317,31 @@ def test_cli_bad_document_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"format_version\": 1}")
     assert main(["check", str(bad), str(bad)]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("transitions", 3), ("actions", 3), ("initial", 5), ("states", "s0"),
+    ("ap", {}), ("constraints", []), ("difference", []), ("initial", "s0")])
+def test_cli_malformed_top_level_field_exits_2_naming_it(tmp_path, capsys, key, value):
+    """A field of the wrong shape is an input error (exit 2), not a crash
+    with the exit code 1 of a valid "does not refine"."""
+    n1, n2 = interval_pair()
+    doc = to_document(n1)
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good = _write_fixture(tmp_path, "n2.json", n2)
+    assert main(["check", str(bad), good]) == 2
+    assert f"{key}: expected " in capsys.readouterr().err
+
+
+def test_cli_malformed_concrete_initial_exits_2(tmp_path, capsys):
+    doc = to_document(interval_implementation_in())
+    doc["initial"] = ["s0"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["satisfy", str(bad), _write_fixture(tmp_path, "n.json", interval_pair()[0])]) == 2
+    assert "initial: expected str" in capsys.readouterr().err
 
 
 def test_cli_grid_too_coarse_exits_3(tmp_path, capsys):

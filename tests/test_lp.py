@@ -1,6 +1,7 @@
 """Exact rational simplex vs. hand-solved instances and a vertex-enumeration oracle."""
 from __future__ import annotations
 
+import copy
 from fractions import Fraction as F
 
 import pytest
@@ -305,11 +306,12 @@ def test_unknown_variable_is_an_input_error():
 
 
 @st.composite
-def _feasibility_systems(draw):
+def _feasibility_systems(draw, variables=None):
     """Mixed-denominator `<=`/`>=`/`==` rows (negative right-hand sides
-    included, possibly none at all), an optional box, and 0-3 strict rows."""
-    n_vars = draw(st.integers(min_value=1, max_value=3))
-    variables = [f"v{i}" for i in range(n_vars)]
+    included, possibly none at all), an optional box, and 0-3 strict rows,
+    over 1-3 variables unless `variables` are given."""
+    if variables is None:
+        variables = [f"v{i}" for i in range(draw(st.integers(min_value=1, max_value=3)))]
     rows = []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         coeffs = {v: draw(_mixed) for v in variables}
@@ -329,6 +331,52 @@ def test_feasible_agrees_with_strict_feasible_point(system):
     rows, variables, strict = system
     assert _lp.feasible(rows, variables, strict) == \
         (_lp.strict_feasible_point(rows, strict, variables) is not None)
+
+
+@st.composite
+def _appended_systems(draw):
+    """A base system and 2-4 systems of rows to append to it, each drawn as
+    `_feasibility_systems` over the base's variables."""
+    base = draw(_feasibility_systems())
+    queries = draw(st.lists(_feasibility_systems(base[1]), min_size=2, max_size=4))
+    return base, [(rows, strict) for rows, _, strict in queries]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_appended_systems())
+def test_feasible_with_agrees_with_strict_feasible_point(systems):
+    (rows, variables, strict), queries = systems
+    base = _lp.feasible_base(rows, variables, strict)
+    before = copy.deepcopy(base)
+    for extra, extra_strict in queries:
+        expected = _lp.strict_feasible_point(rows + extra, strict + extra_strict,
+                                             variables) is not None
+        assert (base is not None and _lp.feasible_with(base, extra, extra_strict)) == expected
+        assert base == before  # every query starts from the same base
+
+
+def test_feasible_with_on_hand_systems():
+    # x + y == 1 with x < 1/2, so y > 1/2
+    base = _lp.feasible_base([({"x": F(1), "y": F(1)}, "==", F(1))], ["x", "y"],
+                             [({"x": F(1)}, F(1, 2))])
+    assert base is not None
+    assert not _lp.feasible_with(base, [({"y": F(1)}, "<=", F(1, 2))])
+    assert _lp.feasible_with(base, [({"y": F(1)}, "<=", F(3, 4))])
+    assert _lp.feasible_with(base, [({"y": F(1)}, "==", F(1))])
+    # -y >= -1/2 is y <= 1/2, as a ">=" row
+    assert not _lp.feasible_with(base, [({"y": F(-1)}, ">=", F(-1, 2))])
+    # a strict appended row against the base's strict row: y < 1/2 + 1/10
+    assert _lp.feasible_with(base, [], [({"y": F(1)}, F(3, 5))])
+    assert not _lp.feasible_with(base, [], [({"y": F(1)}, F(1, 2))])
+    # no strict row anywhere: t rises to 1 iff the rows are feasible
+    closed = _lp.feasible_base([({"x": F(1), "y": F(1)}, "==", F(1))], ["x", "y"])
+    assert closed is not None
+    assert _lp.feasible_with(closed, [({"x": F(1)}, ">=", F(1))])
+    assert not _lp.feasible_with(closed, [({"x": F(1)}, ">=", F(1)), ({"y": F(1)}, "==", F(1))])
+    # an empty closure has no base
+    assert _lp.feasible_base([({"x": F(1)}, ">=", F(2)), ({"x": F(1)}, "<=", F(1))], ["x"]) is None
+    with pytest.raises(InputError):
+        _lp.feasible_with(closed, [({"z": F(1)}, "<=", F(1))])
 
 
 def _count_phases(monkeypatch) -> list:

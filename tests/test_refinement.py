@@ -316,6 +316,55 @@ def test_map_condition_finds_each_piece_domain_with_one_prepare(monkeypatch):
     assert checked and sum(checked) > 0 and len(u1.states) > 2
 
 
+def test_map_condition_prepares_each_piece_once_and_appends_the_pulled_back_rows(monkeypatch):
+    """Each nonempty left piece is prepared once per `_map_condition` call,
+    and every map test appends its pulled-back rows to that base: outside
+    the rejection filter's coupling LPs, no `_lp.feasible` call is made."""
+    d1, d2 = deferral_pair()
+    from apa_toolkit.difference import under_diff
+    u1, u2 = under_diff(d1, d2, 1), under_diff(d1, d2, 2)
+    lp = refinement._lp
+    counts = Counter()
+    in_filter = []
+
+    def spy(name):
+        original = getattr(lp, name)
+
+        def counted(*args):
+            counts[name, bool(in_filter)] += 1
+            return original(*args)
+        monkeypatch.setattr(lp, name, counted)
+
+    for name in ("feasible", "feasible_base", "feasible_with"):
+        spy(name)
+    coupling = refinement._coupling_feasible
+
+    def rejection_filter(*args):
+        in_filter.append(1)
+        try:
+            return coupling(*args)
+        finally:
+            in_filter.pop()
+    monkeypatch.setattr(refinement, "_coupling_feasible", rejection_filter)
+    checked = []
+    map_condition = refinement._map_condition
+
+    def recording(phi1, states1, phi2, states2, relation, neg_pieces):
+        nonempty = sum(C.piece_point(piece, states1) is not None for piece in C.dnf_cover(phi1))
+        counts.clear()
+        verdict = map_condition(phi1, states1, phi2, states2, relation, neg_pieces)
+        assert counts["feasible", False] == 0
+        if verdict:
+            assert counts["feasible_base", False] == nonempty
+            assert counts["feasible_with", False] >= nonempty
+            checked.append(nonempty)
+        return verdict
+
+    monkeypatch.setattr(refinement, "_map_condition", recording)
+    assert refinement._refines_nondet(u1, u2)
+    assert checked and sum(checked) > 0
+
+
 def test_nondeterministic_refinement_on_the_largest_chain_instance():
     """The chain theorem: under(2) refines under(3).  On seed 10 the product
     has 22 against 31 states, the largest nondeterministic query here."""
