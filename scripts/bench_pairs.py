@@ -3,10 +3,11 @@
 alternating pairs of `perfbench/run.py` runs.
 
     python3 scripts/bench_pairs.py PARENT_REF [--pairs 10] [--seconds 20]
-        [--workload W ...] [--out RESULTS.json]
+        [--out RESULTS.json]
 
 The parent is checked out into a temporary `git worktree`, which is removed
-at the end.  Pair i runs both sides with seed 901 + i, the parent first on
+at the end.  Every workload of `BENCHMARK.json` runs, since no workload may
+get worse.  Pair i runs both sides with seed 901 + i, the parent first on
 even pairs and the change first on odd ones, so a drift of the machine
 falls on both sides alike.  Prints one markdown table row per workload and
 end-to-end metric of `BENCHMARK.json`: each side's median [q1–q3], the
@@ -71,14 +72,12 @@ def main() -> int:
     ap.add_argument("parent", help="the git revision to compare against")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--workload", action="append",
-                    help="a workload to run (repeatable; default: every one)")
     ap.add_argument("--out", default=None, help="write every run's result here as JSON")
     args = ap.parse_args()
     if args.pairs < 1 or args.seconds < 0:
         ap.error("--pairs must be >= 1 and --seconds >= 0")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+    workloads = [w["name"] for w in benchmark["workloads"]]
 
     runs = []
     with tempfile.TemporaryDirectory() as tmp:

@@ -430,7 +430,7 @@ def feasible(
 def feasible_base(
     constraints: Sequence[Constraint],
     variables: Sequence[Var],
-    strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]] = (),
+    strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]],
 ) -> Tableau | None:
     """The rows that many `feasible_with` questions share, at a feasible
     basis: the slack-basis start of `feasible`, with the strict slack t <= 1
@@ -448,7 +448,7 @@ def feasible_base(
 def feasible_with(
     base: Tableau,
     constraints: Sequence[Constraint],
-    strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]] = (),
+    strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]],
 ) -> bool:
     """`feasible` of the base's rows plus `constraints` and the strict rows,
     on a copy of the base (`feasible_base`), which is never changed.

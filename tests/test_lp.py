@@ -360,23 +360,23 @@ def test_feasible_with_on_hand_systems():
     base = _lp.feasible_base([({"x": F(1), "y": F(1)}, "==", F(1))], ["x", "y"],
                              [({"x": F(1)}, F(1, 2))])
     assert base is not None
-    assert not _lp.feasible_with(base, [({"y": F(1)}, "<=", F(1, 2))])
-    assert _lp.feasible_with(base, [({"y": F(1)}, "<=", F(3, 4))])
-    assert _lp.feasible_with(base, [({"y": F(1)}, "==", F(1))])
+    assert not _lp.feasible_with(base, [({"y": F(1)}, "<=", F(1, 2))], [])
+    assert _lp.feasible_with(base, [({"y": F(1)}, "<=", F(3, 4))], [])
+    assert _lp.feasible_with(base, [({"y": F(1)}, "==", F(1))], [])
     # -y >= -1/2 is y <= 1/2, as a ">=" row
-    assert not _lp.feasible_with(base, [({"y": F(-1)}, ">=", F(-1, 2))])
+    assert not _lp.feasible_with(base, [({"y": F(-1)}, ">=", F(-1, 2))], [])
     # a strict appended row against the base's strict row: y < 1/2 + 1/10
     assert _lp.feasible_with(base, [], [({"y": F(1)}, F(3, 5))])
     assert not _lp.feasible_with(base, [], [({"y": F(1)}, F(1, 2))])
     # no strict row anywhere: t rises to 1 iff the rows are feasible
-    closed = _lp.feasible_base([({"x": F(1), "y": F(1)}, "==", F(1))], ["x", "y"])
+    closed = _lp.feasible_base([({"x": F(1), "y": F(1)}, "==", F(1))], ["x", "y"], [])
     assert closed is not None
-    assert _lp.feasible_with(closed, [({"x": F(1)}, ">=", F(1))])
-    assert not _lp.feasible_with(closed, [({"x": F(1)}, ">=", F(1)), ({"y": F(1)}, "==", F(1))])
+    assert _lp.feasible_with(closed, [({"x": F(1)}, ">=", F(1))], [])
+    assert not _lp.feasible_with(closed, [({"x": F(1)}, ">=", F(1)), ({"y": F(1)}, "==", F(1))], [])
     # an empty closure has no base
-    assert _lp.feasible_base([({"x": F(1)}, ">=", F(2)), ({"x": F(1)}, "<=", F(1))], ["x"]) is None
+    assert _lp.feasible_base([({"x": F(1)}, ">=", F(2)), ({"x": F(1)}, "<=", F(1))], ["x"], []) is None
     with pytest.raises(InputError):
-        _lp.feasible_with(closed, [({"z": F(1)}, "<=", F(1))])
+        _lp.feasible_with(closed, [({"z": F(1)}, "<=", F(1))], [])
 
 
 def _count_phases(monkeypatch) -> list:
