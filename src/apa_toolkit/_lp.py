@@ -6,15 +6,15 @@ refinement / difference / distance decision in this package reduces to small
 LPs (tens of variables), where exactness matters far more than speed: the
 logical layer must not depend on floating-point tolerances.
 
-The rows `A x = b` (slack columns included, right-hand sides made >= 0) are
+The rows `A x = b` (slack columns included, ">=" rows negated to "<=") are
 multiplied by one common positive integer L, the least common multiple of
-every denominator in the system, and an artificial identity is appended.
-Multiplying all rows by L and keeping unit slack and artificial columns is
-the same as rescaling each slack and artificial variable by the positive
-factor L.  A positive rescaling keeps the sign of every reduced cost and the
-order of every ratio-test quotient, so Bland's rule picks the same entering
-and leaving columns as on the unscaled rationals, and the phase-1 cost
-(the sum of the artificials) keeps its meaning up to the factor L.
+every denominator among the rows entered together.  Multiplying all rows by
+L and keeping unit slack and artificial columns is the same as rescaling
+each slack and artificial variable by the positive factor L.  A positive
+rescaling keeps the sign of every reduced cost and the order of every
+ratio-test quotient, so Bland's rule picks the same entering and leaving
+columns as on the unscaled rationals, and the phase-1 cost (the sum of the
+artificials) keeps its meaning up to the factor L.
 
 With integer start tableau M and current basis B, the tableau holds
 
@@ -29,44 +29,54 @@ cross-multiplication, so `Fraction`s are made only for the returned value
 and point.  A pivot that drives a zero-level artificial out of the basis may
 be negative; the tableau and D are then negated, which keeps D > 0.
 
+Every row enters a tableau by one rule (`_append`), in the tableau's
+current basis.  A row m·x + s = b with its own slack s enters as
+D·m - sum_r m[basis[r]]·T[r], with s basic at entry D.  The new basis matrix
+is the old one bordered by the row m restricted to the basic columns and a 1
+for s, so it is block triangular with the same determinant; the entered row
+is again D times a row of B^-1 M, and D, the exactness of every later
+division and the meaning of the reduced costs all carry over.  A row whose
+right-hand side comes out negative is negated, which makes its slack entry
+-D; such a row and every "==" row get an artificial, basic at entry D, and
+phase 1 minimizes the sum of the artificials from there (Bland's rule
+terminates from any basis).  Entered into the tableau of no rows (D = 1, an
+empty basis), the rule gives the start tableau M itself, at an identity
+basis.  It has two uses:
+
+- the slack start, as above: a "<=" row with a nonnegative right-hand side
+  starts with its slack basic, and phase 1 is skipped when no row needs an
+  artificial;
+- the all-artificial start: every row gets an artificial, whatever the sign
+  of its right-hand side.
+
 All variables are implicitly >= 0, which covers every use here (probability
 masses, coupling masses, slack variables).  Callers fix the variable order;
 solutions returned are basic, i.e. vertices of the feasible polyhedron.
 
-`solve` is `prepare` followed by `reprice`.  `prepare` runs phase 1 once and
-returns the tableau at a feasible basis (None if the system is infeasible);
-`reprice` prices an objective on that tableau and runs phase 2 from its
-current basis, leaving the tableau at the new optimum.  A caller that
-optimizes many objectives over one system prepares it once and re-prices it:
-Bland's rule terminates from any feasible basis, and the optimal value does
-not depend on where phase 2 starts.  The optimal vertex does, when the
-optimum is not unique, so only a caller that reads the value alone may
-re-price; a caller that builds on the vertex calls `solve`, whose pivot path
-starts from the phase-1 basis every time.
+`solve` is `prepare` followed by `reprice`.  `prepare` takes the rows
+through the all-artificial start and phase 1 once, and returns the tableau
+at a feasible basis (None if the system is infeasible); `reprice` prices an
+objective on that tableau and runs phase 2 from its current basis, leaving
+the tableau at the new optimum.  A caller that optimizes many objectives
+over one system prepares it once and re-prices it: Bland's rule terminates
+from any feasible basis, and the optimal value does not depend on where
+phase 2 starts.  The optimal vertex does, when the optimum is not unique, so
+only a caller that reads the value alone may re-price; a caller that builds
+on the vertex calls `solve`, whose pivot path starts from the phase-1 basis
+every time.
 
 `feasible` is the third entry point, for callers that read no vertex at all.
-It starts from the slack basis: a "<=" row with a nonnegative right-hand
-side starts with its slack basic, so only "==" rows and rows with a negative
-right-hand side get an artificial, and phase 1 is skipped when there are
-none.  Strict rows share one slack t <= 1 that phase 2 maximizes, as in
-`strict_feasible_point`; the answer is whether t > 0, and no point is built.
-`prepare` and `solve` keep the all-artificial start, so every vertex a
-caller reads keeps its pivot path.
+It takes the slack start.  Strict rows share one slack t <= 1 that phase 2
+maximizes, as in `strict_feasible_point`; the answer is whether t > 0, and
+no point is built.  `prepare` and `solve` keep the all-artificial start, so
+every vertex a caller reads keeps its pivot path.
 
 `feasible_with` asks `feasible` of many systems that share most of their
-rows.  `feasible_base` takes the shared rows through `feasible`'s start and
+rows.  `feasible_base` takes the shared rows through the slack start and
 phase 1 once, with the strict slack t <= 1 always present, and drops the
-artificials.  Each question then appends its own rows to a copy of that
-tableau, in the current basis: a row m·x + s = b with its own slack s
-enters as D·m - sum_r m[basis[r]]·T[r], with s basic at entry D.  The new
-basis matrix is the old one bordered by the row m restricted to the basic
-columns and a 1 for s, so it is block triangular with the same determinant;
-the appended row is again D times a row of B^-1 M, and D, the exactness of
-every later division and the meaning of the reduced costs all carry over.
-A row whose right-hand side comes out negative there, and every "==" row,
-is negated as needed and given an artificial at entry D; phase 1 runs from
-this basis, where Bland's rule terminates as from any other, and phase 2
-maximizes t.
+artificials.  Each question then enters its own rows into that tableau by
+the same rule, which leaves the base unchanged, runs phase 1 from the basis
+it gets, and maximizes t in phase 2.
 """
 
 from __future__ import annotations
@@ -153,7 +163,8 @@ class Tableau:
     `rows` hold D * B^-1 * M over the `columns` variable and slack columns
     plus the right-hand side, with `det` = D > 0 and `basis[r]` the column
     basic in row r; redundant rows are gone.  `reprice` moves it from basis
-    to basis.
+    to basis.  Fresh from `_append`, a tableau is at its start basis
+    instead, with the artificials in the columns past `columns`.
     """
 
     var_index: dict[Var, int]
@@ -165,9 +176,8 @@ class Tableau:
 
 def _parse(constraints: Sequence[Constraint], var_index: Mapping[Var, int]
            ) -> tuple[list[tuple], int]:
-    """Each row as (terms, rel, rhs, flip, sign), with the common denominator
-    of all of them.  A ">=" row is negated to "<=" (flip), then a row with
-    negative rhs is negated (sign), which turns its slack coefficient to -1."""
+    """Each row as (terms, rel, rhs), with the common denominator of all of
+    them."""
     parsed = []
     scale = 1
     try:
@@ -177,80 +187,98 @@ def _parse(constraints: Sequence[Constraint], var_index: Mapping[Var, int]
             if rel not in ("<=", ">=", "=="):
                 raise ValueError(f"unknown relation {rel!r}")
             scale = lcm(scale, rhs.denominator, *[c.denominator for _, c in terms])
-            flip = -1 if rel == ">=" else 1
-            sign = -flip if flip * rhs.numerator < 0 else flip
-            parsed.append((terms, rel, rhs, flip, sign))
+            parsed.append((terms, rel, rhs))
     except KeyError as err:
         raise InputError(f"a constraint names {err.args[0]!r}, which is not among "
                          f"the variables") from None
     return parsed, scale
 
 
-def _start(constraints: Sequence[Constraint], variables: Sequence[Var],
-           slack_start: bool) -> tuple[dict[Var, int], int, list[list[int]], list[int]]:
-    """The integer start tableau of `constraints` with its basis: (var_index,
-    columns, rows, basis).
-
-    Columns: variables, one slack per inequality, the artificials, rhs.
-    ">=" rows are negated to "<=", then rows with negative rhs are negated;
-    each row's sign enters the phase-1 cost, so this order is part of the
-    pivot path.  Every row gets an artificial, or with `slack_start` only
-    the rows whose slack cannot start basic: "==" rows and rows whose slack
-    coefficient the rhs flip made -1.  The start basis is an identity, so
-    D = 1.
-    """
+def _empty(variables: Sequence[Var]) -> Tableau:
+    """The tableau of no rows over `variables`: D = 1 and an empty basis."""
     var_index = {v: i for i, v in enumerate(variables)}
     if len(var_index) != len(variables):
         raise ValueError("duplicate variables")
-    n = len(variables)
-    parsed, scale = _parse(constraints, var_index)
+    return Tableau(var_index, len(variables), [], [], 1)
 
-    starts = [slack_start and rel != "==" and sign == flip for _, rel, _, flip, sign in parsed]
-    total = n + sum(rel != "==" for _, rel, _, _, _ in parsed)
-    width = total + starts.count(False) + 1
-    rows: list[list[int]] = []
-    basis: list[int] = []
-    slack_at, art_at = n, total
-    for (terms, rel, rhs, flip, sign), slack_basic in zip(parsed, starts):
+
+def _append(base: Tableau, constraints: Sequence[Constraint],
+            artificial_each: bool) -> Tableau:
+    """A new tableau: the base's rows, then `constraints` entered in the
+    base's current basis by the rule of the module docstring; the base is
+    not changed.
+
+    Columns: the base's, one new slack per inequality, the artificials, rhs;
+    `columns` stops before the artificials.  ">=" rows are negated to "<=",
+    then rows whose rhs comes out negative; each row's sign enters the
+    phase-1 cost, so this order is part of the pivot path.  With
+    `artificial_each`, every row gets an artificial.  Each row is built
+    once, at its final width.
+    """
+    var_index, total, det = base.var_index, base.columns, base.det
+    row_of = {col: r for r, col in enumerate(base.basis)}
+    parsed, scale = _parse(constraints, var_index)
+    entering = []  # (terms, rel, rhs, unit, [(base row index, m)], sign, artificial?)
+    columns, arts = total, 0
+    for terms, rel, rhs in parsed:
+        unit = -scale if rel == ">=" else scale  # a ">=" row is negated to "<="
+        b = det * unit * rhs.numerator // rhs.denominator
+        pulled = [(row_of[j], unit * c.numerator // c.denominator)
+                  for j, c in terms if j in row_of] if row_of else []
+        if pulled:
+            b -= sum(m * base.rows[r][-1] for r, m in pulled)
+        sign = -1 if b < 0 else 1
+        art = artificial_each or rel == "==" or sign < 0
+        columns += rel != "=="
+        arts += art
+        entering.append((terms, rel, rhs, unit, pulled, sign, art))
+    width = columns + arts + 1
+    pad = [0] * (width - total - 1)
+    rows = [row[:total] + pad + row[-1:] for row in base.rows]
+    basis = list(base.basis)
+    slack_at, art_at = total, columns
+    for terms, rel, rhs, unit, pulled, sign, art in entering:
+        k = sign * det * unit
         row = [0] * width
         for j, c in terms:
-            row[j] = sign * c.numerator * (scale // c.denominator)
-        row[-1] = sign * rhs.numerator * (scale // rhs.denominator)
+            row[j] = k * c.numerator // c.denominator
+        row[-1] = k * rhs.numerator // rhs.denominator
+        for r, m in pulled:
+            row = [x - sign * m * y for x, y in zip(row, rows[r])]
         if rel != "==":
-            row[slack_at] = sign * flip
-            if slack_basic:
+            row[slack_at] = sign * det
+            if not art:
                 basis.append(slack_at)
             slack_at += 1
-        if not slack_basic:
-            row[art_at] = 1
+        if art:
+            row[art_at] = det
             basis.append(art_at)
             art_at += 1
         rows.append(row)
-    return var_index, total, rows, basis
+    return Tableau(var_index, columns, rows, basis, det)
 
 
-def _phase_one(rows: list[list[int]], basis: list[int], total: int, det: int) -> int | None:
-    """Phase 1 from a tableau at determinant `det` whose basic artificials,
-    the columns from `total` on, each hold their own column's entry det:
-    the start tableau of `_start` (det 1) or of `feasible_with`.  Minimizes
-    the sum of the artificials; returns the determinant, or None if the
-    system is infeasible."""
+def _phase_one(tableau: Tableau) -> bool:
+    """Phase 1 on a tableau from `_append`, whose basic artificials, the
+    columns from `columns` on, each hold the entry D in their own column.
+    Minimizes the sum of the artificials; is the system feasible?"""
+    rows, basis, total = tableau.rows, tableau.basis, tableau.columns
     art_rows = [row for row, col in zip(rows, basis) if col >= total]
     if not art_rows:
-        return det
+        return True
     width = len(rows[0])
     cost = [0] * width
     for row in art_rows:
         cost = [c - x for c, x in zip(cost, row)]
     cost[total:width - 1] = [0] * (width - 1 - total)
-    _, det = _simplex_phase(rows, cost, basis, det)
-    return det if cost[-1] == 0 else None
+    _, tableau.det = _simplex_phase(rows, cost, basis, tableau.det)
+    return cost[-1] == 0
 
 
-def _drop_artificials(rows: list[list[int]], basis: list[int], total: int, det: int) -> int:
+def _drop_artificials(tableau: Tableau) -> None:
     """After phase 1: drive the zero-level artificials out of the basis where
-    possible, drop redundant rows and the artificial columns.  Returns the
-    determinant."""
+    possible, drop redundant rows and the artificial columns."""
+    rows, basis, total, det = tableau.rows, tableau.basis, tableau.columns, tableau.det
     for r in range(len(rows) - 1, -1, -1):
         if basis[r] >= total:
             pivot_col = next((j for j in range(total) if rows[r][j] != 0), None)
@@ -263,18 +291,23 @@ def _drop_artificials(rows: list[list[int]], basis: list[int], total: int, det: 
                     rows[:] = [[-x for x in row] for row in rows]
                     det = -det
     rows[:] = [row[:total] + [row[-1]] for row in rows]
-    return det
+    tableau.det = det
+
+
+def _feasible_basis(start: Tableau) -> Tableau | None:
+    """Phase 1 on a tableau from `_append`, then its artificials dropped: the
+    tableau at a feasible basis, or None if the system is infeasible."""
+    if not _phase_one(start):
+        return None
+    _drop_artificials(start)
+    return start
 
 
 def prepare(constraints: Sequence[Constraint], variables: Sequence[Var]) -> Tableau | None:
     """Phase 1 from the all-artificial basis: the tableau of `constraints` at
     a feasible basis, all variables >= 0, or None if the system is
     infeasible."""
-    var_index, total, rows, basis = _start(constraints, variables, slack_start=False)
-    det = _phase_one(rows, basis, total, 1)
-    if det is None:
-        return None
-    return Tableau(var_index, total, rows, basis, _drop_artificials(rows, basis, total, det))
+    return _feasible_basis(_append(_empty(variables), constraints, artificial_each=True))
 
 
 def _price(tableau: Tableau, int_cost: list[int]) -> list[int] | None:
@@ -394,16 +427,14 @@ def strict_feasible_point(
     return point
 
 
-def _strict_slack_positive(var_index: dict[Var, int], total: int, rows: list[list[int]],
-                           basis: list[int], det: int) -> bool:
-    """After a feasible phase 1 over a system with the strict slack t: drop
-    the artificials and maximize t from the current basis.  Is its optimum
-    positive?"""
-    det = _drop_artificials(rows, basis, total, det)
-    t_cost = [0] * total
-    t_cost[var_index[_SLACK]] = -1  # maximize t
-    cost = _price(Tableau(var_index, total, rows, basis, det), t_cost)
-    return cost[-1] > 0  # -det times the minimum of -t
+def _strict_slack_positive(tableau: Tableau | None) -> bool:
+    """Over a system with the strict slack t, at a feasible basis (None if
+    the system is infeasible): is the maximum of t positive?"""
+    if tableau is None:
+        return False
+    t_cost = [0] * tableau.columns
+    t_cost[tableau.var_index[_SLACK]] = -1  # maximize t
+    return _price(tableau, t_cost)[-1] > 0  # -det times the minimum of -t
 
 
 def feasible(
@@ -418,13 +449,10 @@ def feasible(
     maximized in phase 2.  No vertex is read, so the pivot path is free."""
     if strict:
         constraints, variables = _with_strict_slack(constraints, strict, variables)
-    var_index, total, rows, basis = _start(constraints, variables, slack_start=True)
-    det = _phase_one(rows, basis, total, 1)
-    if det is None:
-        return False
+    start = _append(_empty(variables), constraints, artificial_each=False)
     if not strict:
-        return True
-    return _strict_slack_positive(var_index, total, rows, basis, det)
+        return _phase_one(start)
+    return _strict_slack_positive(_feasible_basis(start))
 
 
 def feasible_base(
@@ -438,11 +466,7 @@ def feasible_base(
     and with the artificials dropped.  None if the closure of the system
     (t = 0) is empty, so that no appended row can make it feasible."""
     constraints, variables = _with_strict_slack(constraints, strict, variables)
-    var_index, total, rows, basis = _start(constraints, variables, slack_start=True)
-    det = _phase_one(rows, basis, total, 1)
-    if det is None:
-        return None
-    return Tableau(var_index, total, rows, basis, _drop_artificials(rows, basis, total, det))
+    return _feasible_basis(_append(_empty(variables), constraints, artificial_each=False))
 
 
 def feasible_with(
@@ -451,49 +475,10 @@ def feasible_with(
     strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]],
 ) -> bool:
     """`feasible` of the base's rows plus `constraints` and the strict rows,
-    on a copy of the base (`feasible_base`), which is never changed.
-
-    Each appended row m·x + s = b gets its own slack s and enters in the
-    current basis as D·m - sum_r m[basis[r]]·T[r], with s basic at entry D.
-    A row with a negative right-hand side there, and every "==" row, is
-    negated as needed and given an artificial; phase 1 then runs from this
-    basis, and phase 2 maximizes t.  With no strict row anywhere, t is free
-    up to 1, so its optimum is positive iff the rows are feasible.
+    entered in the base's basis by `_append` (the base, from `feasible_base`,
+    is never changed).  Phase 1 runs from there, and phase 2 maximizes t.
+    With no strict row anywhere, t is free up to 1, so its optimum is
+    positive iff the rows are feasible.
     """
-    var_index, total, det = base.var_index, base.columns, base.det
-    parsed, scale = _parse(list(constraints) + _strict_rows(strict), var_index)
-    row_of = {col: r for r, col in enumerate(base.basis)}
-    entering = []  # (row over the base's columns, its slack column or None, sign, artificial?)
-    slack_at = total
-    for terms, rel, rhs, flip, _ in parsed:
-        reduced = [0] * (total + 1)
-        reduced[-1] = det * flip * rhs.numerator * (scale // rhs.denominator)
-        for j, c in terms:
-            m = flip * c.numerator * (scale // c.denominator)
-            reduced[j] += det * m
-            r = row_of.get(j)
-            if r is not None:
-                reduced = [x - m * y for x, y in zip(reduced, base.rows[r])]
-        slack = None
-        if rel != "==":
-            slack, slack_at = slack_at, slack_at + 1
-        sign = -1 if reduced[-1] < 0 else 1
-        entering.append((reduced, slack, sign, slack is None or sign < 0))
-    columns = slack_at
-    pad = [0] * (columns - total + sum(art for *_, art in entering))
-    rows = [row[:total] + pad + row[-1:] for row in base.rows]
-    basis = list(base.basis)
-    art_at = columns
-    for reduced, slack, sign, art in entering:
-        row = [sign * x for x in reduced[:total]] + pad + [sign * reduced[-1]]
-        if slack is not None:
-            row[slack] = sign * det
-        if art:
-            row[art_at] = det
-            basis.append(art_at)
-            art_at += 1
-        else:
-            basis.append(slack)
-        rows.append(row)
-    det = _phase_one(rows, basis, columns, det)
-    return det is not None and _strict_slack_positive(var_index, columns, rows, basis, det)
+    start = _append(base, list(constraints) + _strict_rows(strict), artificial_each=False)
+    return _strict_slack_positive(_feasible_basis(start))

@@ -28,7 +28,6 @@ from . import _lp
 from .errors import InputError, ResourceLimitError
 
 State = Hashable
-Rat = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -483,13 +482,10 @@ def expand(phi: ConstraintExpr) -> ConstraintExpr:
     return phi
 
 
-# A row is (coeffs dict, rel in {"<=", "<", "=="}, rhs).
-Row = tuple[dict, str, Fraction]
-
-
 @dataclass(frozen=True)
 class Piece:
-    """One conjunct of a DNF cover: a half-open polyhedron inside the simplex."""
+    """One conjunct of a DNF cover: a half-open polyhedron inside the simplex,
+    as rows (coeffs, rel in {"<=", "<", "=="}, rhs)."""
 
     rows: tuple[tuple[tuple[tuple[State, Fraction], ...], str, Fraction], ...]
 
@@ -599,16 +595,11 @@ def piece_base(piece: Piece, dom: Sequence[State]) -> _lp.Tableau:
     at every point of the nonempty piece.
     """
     keep = set(dom)
-    nonstrict: list[_lp.Constraint] = []
-    strict: list[tuple[dict, Fraction]] = []
-    for coeffs, rel, rhs in piece.rows:
-        row = {s: c for s, c in coeffs if s in keep}
-        if not row:
-            continue
-        if rel == "<":
-            strict.append((row, rhs))
-        else:
-            nonstrict.append((row, rel, rhs))
+    nonstrict, strict = piece.lp_rows()
+    nonstrict = [(row, rel, rhs) for coeffs, rel, rhs in nonstrict
+                 if (row := {s: c for s, c in coeffs.items() if s in keep})]
+    strict = [(row, rhs) for coeffs, rhs in strict
+              if (row := {s: c for s, c in coeffs.items() if s in keep})]
     base = _lp.feasible_base(nonstrict + [_simplex_row(dom)], list(dom), strict)
     assert base is not None, "piece_base needs a nonempty piece"
     return base

@@ -186,24 +186,24 @@ class _Builder:
         )
 
 
-def _diff_precheck(n1: APA, n2: APA) -> RefinementAnalysis:
+def _difference(n1: APA, n2: APA, K: int | None) -> APA:
+    """The product automaton of `over_diff` (K None) or `under_diff` (level K),
+    rooted at the blame actions of the initial pair."""
     analysis = compute_refinement(n1, n2)
     if analysis.refines:
         raise PreconditionError("difference is empty: the left automaton refines the right one")
-    return analysis
+    s01, s02 = n1.initial_state(), n2.initial_state()
+    if n1.valuation_of(s01) != n2.valuation_of(s02):
+        return n1  # no implementation can satisfy both; the difference is the left automaton
+    blame = analysis.bsets_of(s01, s02).all_actions
+    assert blame, "a rejected equal-valuation root must carry blame actions"
+    return _Builder(analysis, K).build([ProductState(s01, s02, f, K) for f in blame], K)
 
 
 def over_diff(n1: APA, n2: APA) -> APA:
     """Product automaton whose implementations include everything satisfying
     the left automaton but not the right one (may also admit extras)."""
-    analysis = _diff_precheck(n1, n2)
-    s01, s02 = n1.initial_state(), n2.initial_state()
-    if n1.valuation_of(s01) != n2.valuation_of(s02):
-        return n1  # no implementation can satisfy both; the difference is the left automaton
-    builder = _Builder(analysis, None)
-    blame = analysis.bsets_of(s01, s02).all_actions
-    assert blame, "a rejected equal-valuation root must carry blame actions"
-    return builder.build([ProductState(s01, s02, f) for f in blame], None)
+    return _difference(n1, n2, None)
 
 
 def under_diff(n1: APA, n2: APA, K: int) -> APA:
@@ -211,14 +211,7 @@ def under_diff(n1: APA, n2: APA, K: int) -> APA:
     difference of the two input automata."""
     if K < 1:
         raise InputError("the unfolding level K must be at least 1")
-    analysis = _diff_precheck(n1, n2)
-    s01, s02 = n1.initial_state(), n2.initial_state()
-    if n1.valuation_of(s01) != n2.valuation_of(s02):
-        return n1
-    builder = _Builder(analysis, K)
-    blame = analysis.bsets_of(s01, s02).all_actions
-    assert blame, "a rejected equal-valuation root must carry blame actions"
-    return builder.build([ProductState(s01, s02, f, K) for f in blame], K)
+    return _difference(n1, n2, K)
 
 
 def _restrict_expr(expr: ConstraintExpr, kept: frozenset) -> ConstraintExpr:

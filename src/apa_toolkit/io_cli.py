@@ -50,6 +50,13 @@ def _parse_frac(v, where: str) -> Fraction:
     raise InputError(f"{where}: rationals must be 'p/q' strings, got {type(v).__name__}")
 
 
+def _expect(value, shape: type, where: str):
+    """`value`, if it is a `shape`; otherwise an input error naming `where`."""
+    if not isinstance(value, shape):
+        raise InputError(f"{where}: expected {shape.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _ref(s) -> str:
     """The name under which a state is referenced elsewhere in a document."""
     return s if isinstance(s, str) else str(s)
@@ -135,16 +142,19 @@ def _node_from_doc(d, table: dict, where: str):
     if not isinstance(d, dict):
         raise InputError(f"{where}: bad constraint node {d!r}")
     if "atom" in d:
-        a = d["atom"]
+        a = _expect(d["atom"], dict, f"{where}: atom")
         rel = a.get("rel")
         if rel not in _RELS:
             raise InputError(f"{where}: unknown relation {rel!r} (want one of {_RELS})")
-        coeffs = {table.get(k, k): _parse_frac(v, where) for k, v in a.get("coeffs", {}).items()}
+        coeffs = {table.get(k, k): _parse_frac(v, where)
+                  for k, v in _expect(a.get("coeffs", {}), dict, f"{where}: atom.coeffs").items()}
         return C.atom(coeffs, rel, _parse_frac(a.get("rhs", 0), where))
     if "all_of" in d:
-        return C.and_(*[_node_from_doc(i, table, where) for i in d["all_of"]])
+        items = _expect(d["all_of"], list, f"{where}: all_of")
+        return C.and_(*[_node_from_doc(i, table, where) for i in items])
     if "any_of" in d:
-        return C.or_(*[_node_from_doc(i, table, where) for i in d["any_of"]])
+        items = _expect(d["any_of"], list, f"{where}: any_of")
+        return C.or_(*[_node_from_doc(i, table, where) for i in items])
     if "not" in d:
         return C.Not(_node_from_doc(d["not"], table, where))
     raise InputError(f"{where}: constraint node needs one of atom/all_of/any_of/not")
@@ -254,9 +264,8 @@ def from_document(doc: dict) -> APA | PA:
               "constraints": dict, "difference": dict,
               "initial": str if kind == "pa" else list}
     for key, shape in shapes.items():
-        if key in doc and not isinstance(doc[key], shape):
-            raise InputError(f"{key}: expected {shape.__name__}, "
-                             f"got {type(doc[key]).__name__}")
+        if key in doc:
+            _expect(doc[key], shape, key)
 
     states = []
     table: dict[str, Any] = {}
@@ -279,11 +288,12 @@ def from_document(doc: dict) -> APA | PA:
     if kind == "pa":
         labeling = {}
         for i, sd in enumerate(doc.get("states", [])):
-            labeling[table[sd["name"]]] = sd.get("valuation", [])
+            labeling[table[sd["name"]]] = _expect(sd.get("valuation", []), list,
+                                                  f"states[{i}].valuation")
         transitions = []
         for i, td in enumerate(doc.get("transitions", [])):
             where = f"transitions[{i}]"
-            src = resolve(td.get("from"), where)
+            src = resolve(_expect(td, dict, where).get("from"), where)
             dist = {resolve(k, where): _parse_frac(v, where)
                     for k, v in td.get("distribution", {}).items()}
             transitions.append((src, td.get("action"), dist))
@@ -299,15 +309,17 @@ def from_document(doc: dict) -> APA | PA:
         vals = sd.get("valuations")
         if not isinstance(vals, list):
             raise InputError(f"states[{i}]: an automaton state needs a list of valuations")
+        for j, v in enumerate(vals):
+            _expect(v, list, f"states[{i}].valuations[{j}]")
         labeling[table[sd["name"]]] = vals
     transitions = []
     for i, td in enumerate(doc.get("transitions", [])):
         where = f"transitions[{i}]"
-        mod = td.get("modality")
+        mod = _expect(td, dict, where).get("modality")
         if mod not in ("must", "may"):
             raise InputError(f"{where}: unknown modality {mod!r} (want 'must' or 'may')")
-        transitions.append((resolve(td.get("from"), where), td.get("action"),
-                            td.get("constraint"), Modality(mod)))
+        cid = _expect(td.get("constraint"), str, f"{where}.constraint")
+        transitions.append((resolve(td.get("from"), where), td.get("action"), cid, Modality(mod)))
     constraints = {}
     for cid, cd in doc.get("constraints", {}).items():
         constraints[cid] = _expr_from_doc(cd, table, tuple(states), f"constraints[{cid!r}]")

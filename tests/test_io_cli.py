@@ -335,6 +335,41 @@ def test_cli_malformed_top_level_field_exits_2_naming_it(tmp_path, capsys, key, 
     assert f"{key}: expected " in capsys.readouterr().err
 
 
+def _set(path, value):
+    """Set the field at `path` (keys and indexes) of a document to `value`."""
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+_ATOM = ("constraints", "phi1", "linear", "all_of", 0, "atom")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set(("transitions", 0), 3), "transitions[0]: expected dict, got int"),
+    (_set(_ATOM + ("coeffs",), 3), "constraints['phi1']: atom.coeffs: expected dict, got int"),
+    (_set(_ATOM, 3), "constraints['phi1']: atom: expected dict, got int"),
+    (_set(_ATOM[:4], 3), "constraints['phi1']: all_of: expected list, got int"),
+    (_set(("transitions", 0, "constraint"), []),
+     "transitions[0].constraint: expected str, got list"),
+    (_set(("states", 1, "valuations"), ["pq"]), "states[1].valuations[0]: expected list, got str"),
+], ids=["transition", "coeffs", "atom", "all_of", "constraint", "valuation"])
+def test_cli_malformed_nested_field_exits_2_naming_it(tmp_path, capsys, edit, message):
+    """A nested field of the wrong shape is an input error naming its path,
+    not a crash, and not a string read as the set of its letters."""
+    n1, n2 = interval_pair()
+    doc = to_document(n1)
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good = _write_fixture(tmp_path, "n2.json", n2)
+    assert main(["check", str(bad), good]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_malformed_concrete_initial_exits_2(tmp_path, capsys):
     doc = to_document(interval_implementation_in())
     doc["initial"] = ["s0"]

@@ -424,3 +424,41 @@ def test_feasible_strict_row_tight_at_the_only_point():
     assert _lp.strict_feasible_point(rows, [({"y": F(1)}, F(1, 2))], ["x", "y"]) is None
     assert _lp.feasible(rows, ["x", "y"], [({"y": F(1)}, F(3, 4))])
     assert _lp.feasible(rows, ["x", "y"])
+
+
+def test_start_tableau_layout_and_the_prepared_tableaux():
+    # Common denominator 6.  Columns: x, y, one slack per inequality, the
+    # artificials, rhs.  Row 1 is negated to -x + y/2 <= 1/3, so its slack
+    # can start basic; row 2's rhs -1/2 is negative, so it is negated and its
+    # slack entry is -1; row 3 is "==" and has no slack.
+    rows = [({"x": F(1), "y": F(-1, 2)}, ">=", F(-1, 3)),
+            ({"x": F(1), "y": F(-1)}, "<=", F(-1, 2)),
+            ({"x": F(1, 3), "y": F(1)}, "==", F(2))]
+    start = _lp._append(_lp._empty(["x", "y"]), rows, artificial_each=True)
+    assert (start.columns, start.basis, start.det) == (4, [4, 5, 6], 1)
+    assert start.rows == [[-6, 3, 1, 0, 1, 0, 0, 2],
+                          [-6, 6, 0, -1, 0, 1, 0, 3],
+                          [2, 6, 0, 0, 0, 0, 1, 12]]
+    start = _lp._append(_lp._empty(["x", "y"]), rows, artificial_each=False)
+    assert (start.columns, start.basis, start.det) == (4, [2, 4, 5], 1)
+    assert start.rows == [[-6, 3, 1, 0, 0, 0, 2],
+                          [-6, 6, 0, -1, 1, 0, 3],
+                          [2, 6, 0, 0, 0, 1, 12]]
+    # Phase 1 ends at the basis (s1, y, x), the point x = 9/8, y = 13/8 with
+    # row 2 tight.  Those columns of the start tableau have determinant
+    # 1 * (6 * 2 + 6 * 6) = 48, and D * B^-1 times the s2 column (0, -1, 0)
+    # is (42, -2, 6).
+    tableau = _lp.prepare(rows, ["x", "y"])
+    assert (tableau.columns, tableau.basis, tableau.det) == (4, [2, 1, 0], 48)
+    assert tableau.rows == [[0, 0, 48, 42, 186],
+                            [0, 48, 0, -2, 78],
+                            [48, 0, 0, 6, 54]]
+    # The same basis plus the slack of t <= 1 (6t + s_t = 6 at scale 6),
+    # with t the last variable, so the slacks move up one column.
+    base = _lp.feasible_base(rows, ["x", "y"], [])
+    assert list(base.var_index) == ["x", "y", _lp._SLACK]
+    assert (base.columns, base.basis, base.det) == (6, [3, 1, 0, 5], 48)
+    assert base.rows == [[0, 0, 0, 48, 42, 0, 186],
+                         [0, 48, 0, 0, -2, 0, 78],
+                         [48, 0, 0, 0, 6, 0, 54],
+                         [0, 0, 288, 0, 0, 48, 288]]
