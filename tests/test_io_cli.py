@@ -370,6 +370,13 @@ def test_cli_malformed_nested_field_exits_2_naming_it(tmp_path, capsys, edit, me
     assert message in capsys.readouterr().err
 
 
+def test_concrete_valuation_must_be_a_list():
+    doc = to_document(interval_implementation_in())
+    doc["states"][0]["valuation"] = "p"
+    with pytest.raises(InputError, match=r"states\[0\]\.valuation: expected list, got str"):
+        from_document(doc)
+
+
 def test_cli_malformed_concrete_initial_exits_2(tmp_path, capsys):
     doc = to_document(interval_implementation_in())
     doc["initial"] = ["s0"]
