@@ -222,8 +222,8 @@ def _append(base: Tableau, constraints: Sequence[Constraint],
     columns, arts = total, 0
     for terms, rel, rhs in parsed:
         unit = -scale if rel == ">=" else scale  # a ">=" row is negated to "<="
-        b = det * unit * rhs.numerator // rhs.denominator
-        pulled = [(row_of[j], unit * c.numerator // c.denominator)
+        b = det * rhs.numerator * (unit // rhs.denominator)
+        pulled = [(row_of[j], c.numerator * (unit // c.denominator))
                   for j, c in terms if j in row_of] if row_of else []
         if pulled:
             b -= sum(m * base.rows[r][-1] for r, m in pulled)
@@ -238,15 +238,15 @@ def _append(base: Tableau, constraints: Sequence[Constraint],
     basis = list(base.basis)
     slack_at, art_at = total, columns
     for terms, rel, rhs, unit, pulled, sign, art in entering:
-        k = sign * det * unit
+        k = sign * det
         row = [0] * width
         for j, c in terms:
-            row[j] = k * c.numerator // c.denominator
-        row[-1] = k * rhs.numerator // rhs.denominator
+            row[j] = k * c.numerator * (unit // c.denominator)
+        row[-1] = k * rhs.numerator * (unit // rhs.denominator)
         for r, m in pulled:
             row = [x - sign * m * y for x, y in zip(row, rows[r])]
         if rel != "==":
-            row[slack_at] = sign * det
+            row[slack_at] = k
             if not art:
                 basis.append(slack_at)
             slack_at += 1
