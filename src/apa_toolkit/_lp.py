@@ -65,18 +65,20 @@ only a caller that reads the value alone may re-price; a caller that builds
 on the vertex calls `solve`, whose pivot path starts from the phase-1 basis
 every time.
 
-`feasible` is the third entry point, for callers that read no vertex at all.
-It takes the slack start.  Strict rows share one slack t <= 1 that phase 2
-maximizes, as in `strict_feasible_point`; the answer is whether t > 0, and
-no point is built.  `prepare` and `solve` keep the all-artificial start, so
-every vertex a caller reads keeps its pivot path.
+`feasible_point`, `feasible`, `feasible_base` and `feasible_with` also take
+strict rows, "<" and ">".  They share one slack t <= 1 (`_slack_rows`), and
+a strict solution exists iff the maximum of t is positive.  `feasible_point`
+reads the vertex of that maximum from `solve`.  `feasible` reads no vertex:
+it takes the slack start, and phase 2 only finds the sign of t's optimum.
+`prepare` and `solve` reject strict rows, since an optimum over a half-open
+set need not be attained; their all-artificial start keeps the pivot path of
+every vertex a caller reads.
 
 `feasible_with` asks `feasible` of many systems that share most of their
-rows.  `feasible_base` takes the shared rows through the slack start and
-phase 1 once, with the strict slack t <= 1 always present, and drops the
-artificials.  Each question then enters its own rows into that tableau by
-the same rule, which leaves the base unchanged, runs phase 1 from the basis
-it gets, and maximizes t in phase 2.
+rows.  `feasible_base` takes the shared rows, with t, through the slack
+start and phase 1 once, and drops the artificials.  Each question enters its
+own rows into that tableau by the same rule, which leaves the base
+unchanged, runs phase 1 from the basis it gets, and maximizes t.
 """
 
 from __future__ import annotations
@@ -92,7 +94,8 @@ Var = Hashable
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# A constraint is (coeffs, rel, rhs) with rel one of "<=", ">=", "==".
+# A constraint is (coeffs, rel, rhs), rel one of "<=", ">=", "==" or, for the
+# entry points from `feasible_point` on, the strict "<" and ">".
 Constraint = tuple[Mapping[Var, Fraction], str, Fraction]
 
 
@@ -372,59 +375,51 @@ def solve(
     return reprice(tableau, objective, maximize)
 
 
-def feasible_point(
-    constraints: Sequence[Constraint], variables: Sequence[Var]
-) -> dict[Var, Fraction] | None:
-    """A vertex of the constraint set, or None if empty."""
-    res = solve({}, constraints, variables, maximize=False)
-    return res.point if res.optimal else None
-
-
 _SLACK = ("__strict_slack__",)
+_CAP = ({_SLACK: ONE}, "<=", ONE)  # t <= 1
+_STRICT = {"<": ("<=", ONE), ">": (">=", -ONE)}  # the relation and t's coefficient
 
 
-def _strict_rows(strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]]) -> list[Constraint]:
-    """Each strict row coeffs·x < rhs as coeffs·x + t <= rhs, for the shared
-    slack t."""
-    rows = []
-    for coeffs, rhs in strict:
-        row = dict(coeffs)
-        row[_SLACK] = row.get(_SLACK, ZERO) + ONE
-        rows.append((row, "<=", Fraction(rhs)))
-    return rows
-
-
-def _with_strict_slack(
-    constraints: Sequence[Constraint],
-    strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]],
-    variables: Sequence[Var],
-) -> tuple[list[Constraint], list[Var]]:
-    """The system with each strict row as in `_strict_rows`, for one shared
-    slack t <= 1, which is the last variable."""
-    aug = list(constraints) + _strict_rows(strict)
-    aug.append(({_SLACK: ONE}, "<=", ONE))
-    return aug, list(variables) + [_SLACK]
-
-
-def strict_feasible_point(
-    constraints: Sequence[Constraint],
-    strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]],
-    variables: Sequence[Var],
-) -> dict[Var, Fraction] | None:
-    """A point satisfying `constraints` plus coeffs·x < rhs for each strict row.
-
-    Decided exactly by maximizing a shared slack t with coeffs·x + t <= rhs
-    (t capped at 1); a strict solution exists iff the optimum is positive.
-    """
-    if not strict:
-        return feasible_point(constraints, variables)
-    aug, aug_vars = _with_strict_slack(constraints, strict, variables)
-    res = solve({_SLACK: ONE}, aug, aug_vars, maximize=True)
+def feasible_point(constraints: Sequence[Constraint],
+                   variables: Sequence[Var]) -> dict[Var, Fraction] | None:
+    """A point of the constraint set, strict rows strict, or None if empty:
+    a vertex, of the system with t at the maximum of t if a row is strict."""
+    if not _has_strict(constraints):
+        res = solve({}, constraints, variables, maximize=False)
+        return res.point if res.optimal else None
+    res = solve({_SLACK: ONE}, _slack_rows(constraints) + [_CAP], [*variables, _SLACK])
     if not res.optimal or res.value <= 0:
         return None
     point = dict(res.point)
-    point.pop(_SLACK, None)
+    del point[_SLACK]
     return point
+
+
+def _has_strict(constraints: Sequence[Constraint]) -> bool:
+    return any(rel in _STRICT for _, rel, _ in constraints)
+
+
+def _slack_rows(constraints: Sequence[Constraint]) -> list[Constraint]:
+    """The nonstrict rows in their order, then each strict row on the
+    shared slack t: c·x < rhs as c·x + t <= rhs, and c·x > rhs as
+    c·x - t >= rhs, which `_append` negates to -c·x + t <= -rhs."""
+    nonstrict, strict = [], []
+    for coeffs, rel, rhs in constraints:
+        if rel in _STRICT:
+            rel, t = _STRICT[rel]
+            strict.append(({**coeffs, _SLACK: t}, rel, rhs))
+        else:
+            nonstrict.append((coeffs, rel, rhs))
+    return nonstrict + strict
+
+
+def _slack_basis(constraints: Sequence[Constraint], variables: Sequence[Var]) -> Tableau | None:
+    """The rows of `_slack_rows`, then t <= 1, with t the last variable,
+    from the slack start through phase 1, artificials dropped (None if
+    infeasible)."""
+    start = _append(_empty([*variables, _SLACK]), _slack_rows(constraints) + [_CAP],
+                    artificial_each=False)
+    return _feasible_basis(start)
 
 
 def _strict_slack_positive(tableau: Tableau | None) -> bool:
@@ -437,48 +432,25 @@ def _strict_slack_positive(tableau: Tableau | None) -> bool:
     return _price(tableau, t_cost)[-1] > 0  # -det times the minimum of -t
 
 
-def feasible(
-    constraints: Sequence[Constraint],
-    variables: Sequence[Var],
-    strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]] = (),
-) -> bool:
-    """Does some x >= 0 satisfy `constraints` and coeffs·x < rhs for each
-    strict row?  The same decision as `strict_feasible_point(...) is not
-    None`, from the slack basis: phase 1 runs only if some row needs an
-    artificial, and strict rows share the slack t of `strict_feasible_point`,
-    maximized in phase 2.  No vertex is read, so the pivot path is free."""
-    if strict:
-        constraints, variables = _with_strict_slack(constraints, strict, variables)
-    start = _append(_empty(variables), constraints, artificial_each=False)
-    if not strict:
-        return _phase_one(start)
-    return _strict_slack_positive(_feasible_basis(start))
+def feasible(constraints: Sequence[Constraint], variables: Sequence[Var]) -> bool:
+    """`feasible_point(...) is not None`, from the slack basis: phase 1 runs
+    only if some row needs an artificial, and phase 2 only if a row is
+    strict.  No vertex is read, so the pivot path is free."""
+    if _has_strict(constraints):
+        return _strict_slack_positive(_slack_basis(constraints, variables))
+    return _phase_one(_append(_empty(variables), constraints, artificial_each=False))
 
 
-def feasible_base(
-    constraints: Sequence[Constraint],
-    variables: Sequence[Var],
-    strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]],
-) -> Tableau | None:
-    """The rows that many `feasible_with` questions share, at a feasible
-    basis: the slack-basis start of `feasible`, with the strict slack t <= 1
-    as the last variable even when there are no strict rows, through phase 1
-    and with the artificials dropped.  None if the closure of the system
+def feasible_base(constraints: Sequence[Constraint], variables: Sequence[Var]) -> Tableau | None:
+    """The rows that many `feasible_with` questions share, with t even if no
+    row is strict, at a feasible basis; None if the closure of the system
     (t = 0) is empty, so that no appended row can make it feasible."""
-    constraints, variables = _with_strict_slack(constraints, strict, variables)
-    return _feasible_basis(_append(_empty(variables), constraints, artificial_each=False))
+    return _slack_basis(constraints, variables)
 
 
-def feasible_with(
-    base: Tableau,
-    constraints: Sequence[Constraint],
-    strict: Sequence[tuple[Mapping[Var, Fraction], Fraction]],
-) -> bool:
-    """`feasible` of the base's rows plus `constraints` and the strict rows,
-    entered in the base's basis by `_append` (the base, from `feasible_base`,
-    is never changed).  Phase 1 runs from there, and phase 2 maximizes t.
-    With no strict row anywhere, t is free up to 1, so its optimum is
-    positive iff the rows are feasible.
-    """
-    start = _append(base, list(constraints) + _strict_rows(strict), artificial_each=False)
+def feasible_with(base: Tableau, constraints: Sequence[Constraint]) -> bool:
+    """`feasible` of the base's rows plus `constraints`, entered in the
+    base's basis (the base is never changed).  With no strict row anywhere,
+    t is free up to 1, so its optimum is positive iff the rows are feasible."""
+    start = _append(base, _slack_rows(constraints), artificial_each=False)
     return _strict_slack_positive(_feasible_basis(start))

@@ -485,20 +485,13 @@ def expand(phi: ConstraintExpr) -> ConstraintExpr:
 @dataclass(frozen=True)
 class Piece:
     """One conjunct of a DNF cover: a half-open polyhedron inside the simplex,
-    as rows (coeffs, rel in {"<=", "<", "=="}, rhs)."""
+    as rows (coeffs, rel in {"<=", "<", "=="}, rhs).  `lp_rows` hands them
+    to `_lp` as they are, strict rows included; `closure_rows` closes them."""
 
     rows: tuple[tuple[tuple[tuple[State, Fraction], ...], str, Fraction], ...]
 
-    def lp_rows(self) -> tuple[list[_lp.Constraint], list[tuple[dict, Fraction]]]:
-        nonstrict: list[_lp.Constraint] = []
-        strict: list[tuple[dict, Fraction]] = []
-        for coeffs, rel, rhs in self.rows:
-            cmap = dict(coeffs)
-            if rel == "<":
-                strict.append((cmap, rhs))
-            else:
-                nonstrict.append((cmap, rel, rhs))
-        return nonstrict, strict
+    def lp_rows(self) -> list[_lp.Constraint]:
+        return [(dict(coeffs), rel, rhs) for coeffs, rel, rhs in self.rows]
 
     def closure_rows(self) -> list[_lp.Constraint]:
         return [(dict(coeffs), "<=" if rel == "<" else rel, rhs) for coeffs, rel, rhs in self.rows]
@@ -566,23 +559,17 @@ def _simplex_row(states: Sequence[State]) -> _lp.Constraint:
 
 
 def piece_point(piece: Piece, states: Sequence[State],
-                extra_nonstrict: Sequence[_lp.Constraint] = (),
-                extra_strict: Sequence[tuple[dict, Fraction]] = ()) -> dict[State, Fraction] | None:
-    """A distribution in the (half-open) piece, honoring strict rows exactly."""
-    nonstrict, strict = piece.lp_rows()
-    nonstrict = nonstrict + [_simplex_row(states)] + list(extra_nonstrict)
-    strict = strict + list(extra_strict)
-    return _lp.strict_feasible_point(nonstrict, strict, list(states))
+                extra: Sequence[_lp.Constraint] = ()) -> dict[State, Fraction] | None:
+    """A distribution in the (half-open) piece that also meets the `extra`
+    rows, strict rows strict."""
+    return _lp.feasible_point(piece.lp_rows() + [_simplex_row(states), *extra], list(states))
 
 
 def piece_feasible(piece: Piece, states: Sequence[State],
-                   extra_nonstrict: Sequence[_lp.Constraint] = (),
-                   extra_strict: Sequence[tuple[dict, Fraction]] = ()) -> bool:
+                   extra: Sequence[_lp.Constraint] = ()) -> bool:
     """Is `piece_point` of the same rows not None?  Decided by `_lp.feasible`,
     which builds no point, for callers that read no vertex."""
-    nonstrict, strict = piece.lp_rows()
-    nonstrict = nonstrict + [_simplex_row(states)] + list(extra_nonstrict)
-    return _lp.feasible(nonstrict, list(states), strict + list(extra_strict))
+    return _lp.feasible(piece.lp_rows() + [_simplex_row(states), *extra], list(states))
 
 
 def piece_base(piece: Piece, dom: Sequence[State]) -> _lp.Tableau:
@@ -595,12 +582,9 @@ def piece_base(piece: Piece, dom: Sequence[State]) -> _lp.Tableau:
     at every point of the nonempty piece.
     """
     keep = set(dom)
-    nonstrict, strict = piece.lp_rows()
-    nonstrict = [(row, rel, rhs) for coeffs, rel, rhs in nonstrict
-                 if (row := {s: c for s, c in coeffs.items() if s in keep})]
-    strict = [(row, rhs) for coeffs, rhs in strict
-              if (row := {s: c for s, c in coeffs.items() if s in keep})]
-    base = _lp.feasible_base(nonstrict + [_simplex_row(dom)], list(dom), strict)
+    base = _lp.feasible_base([(row, rel, rhs) for coeffs, rel, rhs in piece.rows
+                              if (row := {s: c for s, c in coeffs if s in keep})]
+                             + [_simplex_row(dom)], list(dom))
     assert base is not None, "piece_base needs a nonempty piece"
     return base
 
@@ -630,10 +614,9 @@ def piece_support(piece: Piece, states: Sequence[State],
 
 
 def piece_max(piece: Piece, states: Sequence[State],
-              objective: Mapping[State, Fraction],
-              extra_nonstrict: Sequence[_lp.Constraint] = ()) -> tuple[Fraction, dict] | None:
+              objective: Mapping[State, Fraction]) -> tuple[Fraction, dict] | None:
     """Maximize a linear objective over the CLOSURE of the piece (None if empty)."""
-    rows = piece.closure_rows() + [_simplex_row(states)] + list(extra_nonstrict)
+    rows = piece.closure_rows() + [_simplex_row(states)]
     res = _lp.solve(dict(objective), rows, list(states), maximize=True)
     if not res.optimal:
         return None

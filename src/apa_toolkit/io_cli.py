@@ -50,10 +50,19 @@ def _parse_frac(v, where: str) -> Fraction:
     raise InputError(f"{where}: rationals must be 'p/q' strings, got {type(v).__name__}")
 
 
-def _expect(value, shape: type, where: str):
-    """`value`, if it is a `shape`; otherwise an input error naming `where`."""
-    if not isinstance(value, shape):
+def _expect(value, shape: type, where: str, optional: bool = False):
+    """`value`, if it is a `shape` (or None, if `optional`); otherwise an
+    input error naming `where`."""
+    if not (isinstance(value, shape) or optional and value is None):
         raise InputError(f"{where}: expected {shape.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _list_of(value, shape: type, where: str) -> list:
+    """`value`, if it is a list of `shape`s; otherwise an input error naming
+    the first entry that is not."""
+    for i, v in enumerate(_expect(value, list, where)):
+        _expect(v, shape, f"{where}[{i}]")
     return value
 
 
@@ -76,14 +85,19 @@ def _state_doc(s) -> dict:
 def _state_from_doc(d, where: str):
     if not isinstance(d, dict) or "name" not in d:
         raise InputError(f"{where}: each state needs at least a name")
+    name = _expect(d["name"], str, f"{where}.name")
     kind = d.get("kind")
     if kind == "product":
-        return ProductState(d.get("s1"), d.get("s2"), d.get("e"), d.get("k"))
+        return ProductState(_expect(d.get("s1"), str, f"{where}.s1"),
+                            _expect(d.get("s2"), str, f"{where}.s2", optional=True),
+                            _expect(d.get("e"), str, f"{where}.e", optional=True),
+                            _expect(d.get("k"), int, f"{where}.k", optional=True))
     if kind == "pair":
-        return CexState(d.get("left"), d.get("matched"))
+        return CexState(_expect(d.get("left"), str, f"{where}.left"),
+                        _expect(d.get("matched"), str, f"{where}.matched", optional=True))
     if kind is not None:
         raise InputError(f"{where}: unknown state kind {kind!r}")
-    return d["name"]
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -169,37 +183,43 @@ def _expr_from_doc(d, table: dict, states: tuple, where: str):
     if "linear" in d:
         return _node_from_doc(d["linear"], table, where)
     if "point" in d:
-        mass = {table.get(k, k): _parse_frac(v, where) for k, v in d["point"].items()}
+        mass = {table.get(k, k): _parse_frac(v, where)
+                for k, v in _expect(d["point"], dict, f"{where}.point").items()}
         if sum(mass.values()) != 1:
             raise InputError(f"{where}: point masses must sum to 1")
         for s in states:
             mass.setdefault(s, Fraction(0))
         return C.point_constraint(mass)
     if "interval" in d:
-        spec = d["interval"]
+        spec = _expect(d["interval"], dict, at := f"{where}.interval")
         bounds = {}
-        for k, pair in spec.get("bounds", {}).items():
+        for k, pair in _expect(spec.get("bounds", {}), dict, f"{at}.bounds").items():
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise InputError(f"{where}: interval bounds must be [lo, hi] pairs")
             bounds[table.get(k, k)] = (_parse_frac(pair[0], where), _parse_frac(pair[1], where))
-        zero = [table.get(k, k) for k in spec.get("zero", [])]
+        zero = [table.get(k, k) for k in _list_of(spec.get("zero", []), str, f"{at}.zero")]
         return C.interval_constraint(bounds, zero)
     if "derived" in d:
-        spec = d["derived"]
+        spec = _expect(d["derived"], dict, at := f"{where}.derived")
         tag = spec.get("tag")
-        cells = tuple(table.get(c, c) for c in spec.get("cells", []))
-        source = tuple(spec.get("source_states", []))
+        cells = tuple(table.get(c, c) for c in _list_of(spec.get("cells", []), str, f"{at}.cells"))
+        source = tuple(_list_of(spec.get("source_states", []), str, f"{at}.source_states"))
         if tag == "bot-lift":
-            phi1 = _expr_from_doc(spec["phi1"], table, states, where)
+            phi1 = _expr_from_doc(spec.get("phi1"), table, states, where)
             return C.make_bot_lift(phi1, source, cells)
         if tag in ("phi-B", "phi-B-k"):
-            phi1 = _expr_from_doc(spec["phi1"], table, states, where)
-            phi2 = _expr_from_doc(spec["phi2"], table, states, where)
-            target = tuple(spec.get("target_states", []))
-            succ = {e["from"]: e.get("to") for e in spec.get("succ", [])}
-            b_map = {(e["left"], e["right"]): tuple(e.get("actions", []))
-                     for e in spec.get("b", [])}
-            k = spec.get("k") if tag == "phi-B-k" else None
+            phi1 = _expr_from_doc(spec.get("phi1"), table, states, where)
+            phi2 = _expr_from_doc(spec.get("phi2"), table, states, where)
+            target = tuple(_list_of(spec.get("target_states", []), str, f"{at}.target_states"))
+            succ, b_map = {}, {}
+            for i, e in enumerate(_list_of(spec.get("succ", []), dict, f"{at}.succ")):
+                src = _expect(e.get("from"), str, f"{at}.succ[{i}].from")
+                succ[src] = _expect(e.get("to"), str, f"{at}.succ[{i}].to", optional=True)
+            for i, e in enumerate(_list_of(spec.get("b", []), dict, f"{at}.b")):
+                e_at = f"{at}.b[{i}]"
+                pair = _expect(e.get("left"), str, f"{e_at}.left"), _expect(e.get("right"), str, f"{e_at}.right")
+                b_map[pair] = tuple(_list_of(e.get("actions", []), str, f"{e_at}.actions"))
+            k = _expect(spec.get("k"), int, f"{at}.k", optional=True) if tag == "phi-B-k" else None
             if tag == "phi-B-k" and k is None:
                 raise InputError(f"{where}: phi-B-k needs a level k")
             return C.make_phi_B(phi1, phi2, source, target, succ, b_map, cells, k)
@@ -282,21 +302,20 @@ def from_document(doc: dict) -> APA | PA:
             raise InputError(f"{where}: unknown state {name!r}")
         return table[name]
 
-    actions = list(doc.get("actions", []))
-    ap = list(doc.get("ap", []))
+    actions = _list_of(doc.get("actions", []), str, "actions")
+    ap = _list_of(doc.get("ap", []), str, "ap")
 
     if kind == "pa":
         labeling = {}
         for i, sd in enumerate(doc.get("states", [])):
-            labeling[table[sd["name"]]] = _expect(sd.get("valuation", []), list,
-                                                  f"states[{i}].valuation")
+            labeling[table[sd["name"]]] = _list_of(sd.get("valuation", []), str, f"states[{i}].valuation")
         transitions = []
         for i, td in enumerate(doc.get("transitions", [])):
             where = f"transitions[{i}]"
             src = resolve(_expect(td, dict, where).get("from"), where)
             dist = {resolve(k, where): _parse_frac(v, where)
-                    for k, v in td.get("distribution", {}).items()}
-            transitions.append((src, td.get("action"), dist))
+                    for k, v in _expect(td.get("distribution", {}), dict, f"{where}.distribution").items()}
+            transitions.append((src, _expect(td.get("action"), str, f"{where}.action"), dist))
         p = make_pa(states=states, actions=actions, ap=ap, labeling=labeling,
                     transitions=transitions, initial=resolve(doc.get("initial"), "initial"))
         report = validate_pa(p)
@@ -310,7 +329,7 @@ def from_document(doc: dict) -> APA | PA:
         if not isinstance(vals, list):
             raise InputError(f"states[{i}]: an automaton state needs a list of valuations")
         for j, v in enumerate(vals):
-            _expect(v, list, f"states[{i}].valuations[{j}]")
+            _list_of(v, str, f"states[{i}].valuations[{j}]")
         labeling[table[sd["name"]]] = vals
     transitions = []
     for i, td in enumerate(doc.get("transitions", [])):
@@ -319,7 +338,8 @@ def from_document(doc: dict) -> APA | PA:
         if mod not in ("must", "may"):
             raise InputError(f"{where}: unknown modality {mod!r} (want 'must' or 'may')")
         cid = _expect(td.get("constraint"), str, f"{where}.constraint")
-        transitions.append((resolve(td.get("from"), where), td.get("action"), cid, Modality(mod)))
+        action = _expect(td.get("action"), str, f"{where}.action")
+        transitions.append((resolve(td.get("from"), where), action, cid, Modality(mod)))
     constraints = {}
     for cid, cd in doc.get("constraints", {}).items():
         constraints[cid] = _expr_from_doc(cd, table, tuple(states), f"constraints[{cid!r}]")
@@ -330,8 +350,9 @@ def from_document(doc: dict) -> APA | PA:
     if diff is not None:
         n = DifferenceAPA(n.states, n.actions, n.ap, n.labeling, n.transitions,
                           n.initial, n.constraints,
-                          source_initial=tuple(diff.get("source_initial", [])),
-                          level=diff.get("level"))
+                          source_initial=tuple(_list_of(diff.get("source_initial", []), str,
+                                                        "difference.source_initial")),
+                          level=_expect(diff.get("level"), int, "difference.level", optional=True))
     report = validate(n)
     if not report.ok:
         raise InputError("; ".join(report.errors))

@@ -186,18 +186,15 @@ def _coupling_ok(mu_p: Distribution, phi, n: APA, relation: frozenset) -> bool:
     variables = [(t, u) for t in supp for u in cands[t]]
     base = [({(t, u): ONE for u in cands[t]}, "==", m) for t, m in mu_p.items]
     for piece in C.dnf_cover(phi):
-        nonstrict, strict = [], []
+        rows = list(base)
         for coeffs, rel, rhs in piece.rows:
             row: dict = {}
             for u, c in coeffs:
                 for t in supp:
                     if u in cands[t]:
                         row[(t, u)] = row.get((t, u), ZERO) + c
-            if rel == "<":
-                strict.append((row, rhs))
-            else:
-                nonstrict.append((row, rel, rhs))
-        if _lp.strict_feasible_point(base + nonstrict, strict, variables) is not None:
+            rows.append((row, rel, rhs))
+        if _lp.feasible_point(rows, variables) is not None:
             return True
     return False
 

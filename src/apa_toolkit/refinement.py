@@ -182,21 +182,13 @@ def forced_map(analysis: RefinementAnalysis, s2: State, a: Action,
     return tuple(out)
 
 
-def _pull_back(piece: C.Piece, image: Mapping[State, State]) -> tuple[list, list]:
-    """The rows of a right-hand piece as (nonstrict, strict) rows over left
-    states: a row c . nu REL rhs becomes c . T#mu REL rhs for the successor
-    map T = `image`.  Left states outside `image` get no coefficient, so the
+def _pull_back(piece: C.Piece, image: Mapping[State, State]) -> list:
+    """The rows of a right-hand piece as rows over left states: a row
+    c . nu REL rhs becomes c . T#mu REL rhs for the successor map
+    T = `image`.  Left states outside `image` get no coefficient, so the
     caller pins their mass separately."""
-    nonstrict: list = []
-    strict: list = []
-    for coeffs, rel, rhs in piece.rows:
-        cm = dict(coeffs)
-        row = {s: cm[t] for s, t in image.items() if t in cm}
-        if rel == "<":
-            strict.append((row, rhs))
-        else:
-            nonstrict.append((row, rel, rhs))
-    return nonstrict, strict
+    return [({s: cm[t] for s, t in image.items() if t in cm}, rel, rhs)
+            for cm, rel, rhs in piece.lp_rows()]
 
 
 def _sim_witness(phi1, states1: tuple, mapping: tuple, phi2, states2: tuple):
@@ -214,13 +206,12 @@ def _sim_witness(phi1, states1: tuple, mapping: tuple, phi2, states2: tuple):
     for piece in C.dnf_cover(phi1):
         # (i) mass on an unmapped successor
         for s in unmapped:
-            point = C.piece_point(piece, states1, extra_strict=[({s: -ONE}, ZERO)])
+            point = C.piece_point(piece, states1, [({s: ONE}, ">", ZERO)])
             if point is not None:
                 return WitnessDistribution(Distribution.of(point), SupportAtState(s))
         # (ii) fully mapped, image outside Sat(phi2)
         for neg_piece in C.dnf_cover(C.negate(phi2)):
-            pulled_nonstrict, pulled_strict = _pull_back(neg_piece, image)
-            point = C.piece_point(piece, states1, zero_rows + pulled_nonstrict, pulled_strict)
+            point = C.piece_point(piece, states1, zero_rows + _pull_back(neg_piece, image))
             if point is not None:
                 # the first row certifies the violation; name the right-hand
                 # condition it refutes
@@ -256,20 +247,17 @@ def _coupling_feasible(mu: Mapping[State, Fraction], phi, states2: tuple,
     variables = [(s, t) for s in supp for t in cands[s]]
     base = [({(s, t): ONE for t in cands[s]}, "==", mu[s]) for s in supp]
     for piece in C.dnf_cover(phi):
-        nonstrict, strict = [], []
+        rows = list(base)
         for coeffs, rel, rhs in piece.rows:
             row = {(s, t): c for t, c in coeffs for s in supp if (s, t) in relation}
-            if not row:
-                if not {"<=": ZERO <= rhs, "<": ZERO < rhs, "==": ZERO == rhs}[rel]:
-                    break  # the piece is empty
-            elif rel == "<":
-                strict.append((row, rhs))
-            else:
-                nonstrict.append((row, rel, rhs))
+            if row:
+                rows.append((row, rel, rhs))
+            elif not {"<=": ZERO <= rhs, "<": ZERO < rhs, "==": ZERO == rhs}[rel]:
+                break  # the piece is empty
         else:
             # Sat(phi) lives on the target simplex: the base rows already make
             # the column sums total 1, since mu sums to 1.
-            if _lp.feasible(base + nonstrict, variables, strict):
+            if _lp.feasible(rows, variables):
                 return True
     return False
 
@@ -451,8 +439,7 @@ def _map_condition(phi1, states1: tuple, phi2, states2: tuple,
 
         def push_ok(assign: dict) -> bool:
             for neg in neg_pieces:
-                pulled_nonstrict, pulled_strict = _pull_back(neg, assign)
-                if _lp.feasible_with(base, pulled_nonstrict, pulled_strict):
+                if _lp.feasible_with(base, _pull_back(neg, assign)):
                     return False  # some mu1 in the piece escapes Sat(phi2)
             return True
 
@@ -554,7 +541,7 @@ def lemma_indplus_witness(analysis: RefinementAnalysis, s1: State, s2: State,
         # (1) support state with no potential successor at all
         for s in states1:
             if full.get(s) is None:
-                point = C.piece_point(piece, states1, extra_strict=[({s: -ONE}, ZERO)])
+                point = C.piece_point(piece, states1, [({s: ONE}, ">", ZERO)])
                 if point is not None:
                     return WitnessDistribution(Distribution.of(point), SupportAtState(s))
     # (2) fully mapped image misses Sat(phi2)
@@ -567,7 +554,7 @@ def lemma_indplus_witness(analysis: RefinementAnalysis, s1: State, s2: State,
         for s in states1:
             t = full.get(s)
             if t is not None and (s, t) not in rel_k:
-                point = C.piece_point(piece, states1, extra_strict=[({s: -ONE}, ZERO)])
+                point = C.piece_point(piece, states1, [({s: ONE}, ">", ZERO)])
                 if point is not None:
                     return WitnessDistribution(Distribution.of(point), ReachesPair(s, t))
     raise AssertionError("breaking action admits no witness; analysis is inconsistent")

@@ -15,14 +15,12 @@ from fractions import Fraction as F
 from functools import lru_cache
 from itertools import islice
 
-import pytest
-
 from apa_toolkit.counterexample import counterexample
 from apa_toolkit.difference import over_diff, prune_unreachable, under_diff
 from apa_toolkit.distance import (DistanceParams, syntactic_distance,
                                   thorough_distance_lower_bound)
 from apa_toolkit.generators import random_pair
-from apa_toolkit.model import APA, PA
+from apa_toolkit.model import APA
 from apa_toolkit.oracle import (GridSpec, brute_satisfies,
                                 enumerate_implementations)
 from apa_toolkit.refinement import refines, satisfies

@@ -1,7 +1,6 @@
 """Constraint layer vs. naive evaluation, grid search, and vertex oracles."""
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -261,7 +260,7 @@ def test_supportable_states_of_interval_pieces(phi, states, expected):
 def _support_by_state(piece, states):
     """The support of a piece by its definition: one strict LP per state."""
     return tuple(s for s in states
-                 if C.piece_point(piece, states, extra_strict=[({s: -1}, 0)]) is not None)
+                 if C.piece_point(piece, states, [({s: -1}, "<", 0)]) is not None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -313,8 +312,8 @@ def test_piece_base_over_the_support_agrees_with_piece_feasible(piece, data):
     base = C.piece_base(piece, dom)
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         nonstrict, strict = data.draw(_rows_over(dom))
-        assert _lp.feasible_with(base, nonstrict, strict) == \
-            C.piece_feasible(piece, STATES, nonstrict, strict)
+        rows = nonstrict + [(coeffs, "<", rhs) for coeffs, rhs in strict]
+        assert _lp.feasible_with(base, rows) == C.piece_feasible(piece, STATES, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,13 @@
 """Structure and theorem smoke-checks for the difference constructions."""
 from __future__ import annotations
 
-from fractions import Fraction as F
-
 import pytest
 
 from apa_toolkit import constraints as C
 from apa_toolkit.difference import (DifferenceAPA, ProductState, over_diff,
                                     prune_unreachable, under_diff)
 from apa_toolkit.errors import InputError, PreconditionError
-from apa_toolkit.model import Modality, make_apa, validate
+from apa_toolkit.model import make_apa, validate
 from apa_toolkit.oracle import GridSpec, brute_satisfies, enumerate_implementations
 from apa_toolkit.refinement import refines, satisfies
 from tests.fixtures import (deferral_implementation_split, deferral_pair,

@@ -13,8 +13,8 @@ from apa_toolkit.distance import (DistanceParams, compatible,
                                   state_distances, syntactic_distance,
                                   thorough_distance_lower_bound)
 from apa_toolkit.errors import InputError
-from apa_toolkit.generators import random_apa, random_pair
-from apa_toolkit.model import Modality, make_apa, valuation
+from apa_toolkit.generators import random_apa
+from apa_toolkit.model import Modality, make_apa
 from apa_toolkit.oracle import GridSpec, enumerate_implementations
 from apa_toolkit.refinement import refines
 from tests.fixtures import (all_failing_pairs, deferral_pair, interval_pair,

@@ -1,4 +1,5 @@
-"""Every name a package module imports is read somewhere in that module."""
+"""Every name a package module, test or script imports is read somewhere in
+that file."""
 from __future__ import annotations
 
 import ast
@@ -8,7 +9,15 @@ import pytest
 
 import apa_toolkit
 
-MODULES = sorted(Path(apa_toolkit.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(apa_toolkit.__file__).parent
+FILES = [*sorted(PACKAGE.glob("*.py")), *sorted(ROOT.glob("tests/*.py")),
+         *sorted(ROOT.glob("scripts/*.py"))]
+
+
+def _id(path: Path) -> str:
+    """A package module by its name, any other file by its directory too."""
+    return path.name if path.parent == PACKAGE else f"{path.parent.name}/{path.name}"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -28,6 +37,6 @@ def test_the_scan_finds_an_unused_import():
         "itertools", "Callable"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", FILES, ids=_id)
 def test_module_reads_every_name_it_imports(path):
     assert _unused_imports(path.read_text()) == []

@@ -14,7 +14,7 @@ from apa_toolkit.difference import over_diff, under_diff
 from apa_toolkit.errors import InputError
 from apa_toolkit.io_cli import (export_dot, from_document, main, parse,
                                 provenance_document, serialize, to_document)
-from apa_toolkit.model import Modality, make_apa, make_pa
+from apa_toolkit.model import Modality, make_apa
 from tests.fixtures import (deferral_pair, incomparable_pairs,
                             interval_implementation_diff, interval_implementation_in,
                             interval_pair, may_gap_pair)
@@ -368,6 +368,35 @@ def test_cli_malformed_nested_field_exits_2_naming_it(tmp_path, capsys, edit, me
     good = _write_fixture(tmp_path, "n2.json", n2)
     assert main(["check", str(bad), good]) == 2
     assert message in capsys.readouterr().err
+
+
+_PHI_B = ("constraints", "phiB(s0|t0|a|1)", "derived")
+
+
+@pytest.mark.parametrize("model, edit, path", [
+    ("interval", _set(("states", 0, "name"), ["s0"]), "states[0].name"),
+    ("interval", _set(("ap", 0), ["p"]), "ap[0]"),
+    ("interval", _set(("transitions", 0, "action"), ["a"]), "transitions[0].action"),
+    ("under", _set(("states", 0, "s1"), ["s0"]), "states[0].s1"),
+    ("under", _set(_PHI_B + ("succ",), 3), "constraints['phiB(s0|t0|a|1)'].derived.succ"),
+    ("under", _set(_PHI_B + ("b",), 3), "constraints['phiB(s0|t0|a|1)'].derived.b"),
+    ("under", _set(_PHI_B + ("cells",), 3), "constraints['phiB(s0|t0|a|1)'].derived.cells"),
+    ("under", _set(_PHI_B + ("source_states",), 3),
+     "constraints['phiB(s0|t0|a|1)'].derived.source_states"),
+    ("under", _set(_PHI_B + ("succ",), [3]), "constraints['phiB(s0|t0|a|1)'].derived.succ[0]"),
+    ("under", _set(_PHI_B + ("k",), "x"), "constraints['phiB(s0|t0|a|1)'].derived.k"),
+], ids=["name", "ap", "action", "s1", "succ", "b", "cells", "source_states", "succ-entry", "k"])
+def test_cli_malformed_model_field_deep_in_a_document_exits_2_naming_it(
+        tmp_path, capsys, model, edit, path):
+    """Unhashable names and misshapen derived-constraint fields are input
+    errors naming their path, on a fixture and on a difference document."""
+    n1, n2 = interval_pair()
+    doc = to_document(n1 if model == "interval" else under_diff(n1, n2, 1))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad), _write_fixture(tmp_path, "n2.json", n2)]) == 2
+    assert f"{path}: expected " in capsys.readouterr().err
 
 
 def test_concrete_valuation_must_be_a_list():

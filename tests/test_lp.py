@@ -77,15 +77,25 @@ def test_feasible_point_agrees_with_vertex_oracle():
 
 def test_strict_feasibility_decisions():
     # x < 1 with x >= 0: satisfiable strictly.
-    point = _lp.strict_feasible_point([], [({"x": F(1)}, F(1))], ["x"])
+    point = _lp.feasible_point([({"x": F(1)}, "<", F(1))], ["x"])
     assert point is not None and point["x"] < 1
     # x >= 1 and x < 1: only the boundary remains, so no strict point.
-    assert _lp.strict_feasible_point([({"x": F(1)}, ">=", F(1))],
-                                     [({"x": F(1)}, F(1))], ["x"]) is None
+    assert _lp.feasible_point([({"x": F(1)}, ">=", F(1)),
+                               ({"x": F(1)}, "<", F(1))], ["x"]) is None
     # Two strict rows share the slack: x < 3/4 and -x < -1/4 leaves (1/4, 3/4).
-    point = _lp.strict_feasible_point(
-        [], [({"x": F(1)}, F(3, 4)), ({"x": F(-1)}, F(-1, 4))], ["x"])
+    point = _lp.feasible_point(
+        [({"x": F(1)}, "<", F(3, 4)), ({"x": F(-1)}, "<", F(-1, 4))], ["x"])
     assert point is not None and F(1, 4) < point["x"] < F(3, 4)
+
+
+@pytest.mark.parametrize("rel", ["<", ">"])
+def test_prepare_and_solve_reject_strict_rows(rel):
+    # An optimum over a half-open set need not be attained.
+    rows = [({"x": F(1)}, rel, F(1, 2))]
+    with pytest.raises(ValueError, match="relation"):
+        _lp.prepare(rows, ["x"])
+    with pytest.raises(ValueError, match="relation"):
+        _lp.solve({"x": F(1)}, rows, ["x"])
 
 
 _coeff = st.integers(min_value=-3, max_value=3).map(F)
@@ -325,12 +335,39 @@ def _feasibility_systems(draw, variables=None):
     return rows, variables, strict
 
 
+def _lt(strict):
+    """Drawn strict rows (coeffs, rhs) as "<" rows."""
+    return [(coeffs, "<", rhs) for coeffs, rhs in strict]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_feasibility_systems())
 def test_feasible_agrees_with_strict_feasible_point(system):
     rows, variables, strict = system
-    assert _lp.feasible(rows, variables, strict) == \
-        (_lp.strict_feasible_point(rows, strict, variables) is not None)
+    rows = rows + _lt(strict)
+    assert _lp.feasible(rows, variables) == (_lp.feasible_point(rows, variables) is not None)
+
+
+def test_strict_rows_enter_after_the_nonstrict_rows_on_the_shared_slack():
+    # Row order is part of the pivot path, so of every vertex read.
+    t = _lp._SLACK
+    rows = [({"x": F(1)}, "<", F(1, 2)), ({"x": F(1), "y": F(1)}, "==", F(1)),
+            ({"y": F(1)}, ">", F(1, 3)), ({"y": F(1)}, "<=", F(3, 4))]
+    assert _lp._slack_rows(rows) == [rows[1], rows[3],
+                                     ({"x": F(1), t: F(1)}, "<=", F(1, 2)),
+                                     ({"y": F(1), t: F(-1)}, ">=", F(1, 3))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_feasibility_systems())
+def test_a_greater_than_row_is_the_negated_less_than_row(system):
+    """c·x < r and (-c)·x > (-r) are one row to every feasibility entry
+    point: the same verdict, and the same point from the same pivots."""
+    rows, variables, strict = system
+    less = rows + _lt(strict)
+    greater = rows + [({v: -c for v, c in coeffs.items()}, ">", -rhs) for coeffs, rhs in strict]
+    assert _lp.feasible(greater, variables) == _lp.feasible(less, variables)
+    assert _lp.feasible_point(greater, variables) == _lp.feasible_point(less, variables)
 
 
 @st.composite
@@ -346,37 +383,37 @@ def _appended_systems(draw):
 @given(_appended_systems())
 def test_feasible_with_agrees_with_strict_feasible_point(systems):
     (rows, variables, strict), queries = systems
-    base = _lp.feasible_base(rows, variables, strict)
+    base = _lp.feasible_base(rows + _lt(strict), variables)
     before = copy.deepcopy(base)
     for extra, extra_strict in queries:
-        expected = _lp.strict_feasible_point(rows + extra, strict + extra_strict,
-                                             variables) is not None
-        assert (base is not None and _lp.feasible_with(base, extra, extra_strict)) == expected
+        expected = _lp.feasible_point(rows + extra + _lt(strict + extra_strict),
+                                      variables) is not None
+        assert (base is not None and _lp.feasible_with(base, extra + _lt(extra_strict))) == expected
         assert base == before  # every query starts from the same base
 
 
 def test_feasible_with_on_hand_systems():
     # x + y == 1 with x < 1/2, so y > 1/2
-    base = _lp.feasible_base([({"x": F(1), "y": F(1)}, "==", F(1))], ["x", "y"],
-                             [({"x": F(1)}, F(1, 2))])
+    base = _lp.feasible_base([({"x": F(1), "y": F(1)}, "==", F(1)),
+                              ({"x": F(1)}, "<", F(1, 2))], ["x", "y"])
     assert base is not None
-    assert not _lp.feasible_with(base, [({"y": F(1)}, "<=", F(1, 2))], [])
-    assert _lp.feasible_with(base, [({"y": F(1)}, "<=", F(3, 4))], [])
-    assert _lp.feasible_with(base, [({"y": F(1)}, "==", F(1))], [])
+    assert not _lp.feasible_with(base, [({"y": F(1)}, "<=", F(1, 2))])
+    assert _lp.feasible_with(base, [({"y": F(1)}, "<=", F(3, 4))])
+    assert _lp.feasible_with(base, [({"y": F(1)}, "==", F(1))])
     # -y >= -1/2 is y <= 1/2, as a ">=" row
-    assert not _lp.feasible_with(base, [({"y": F(-1)}, ">=", F(-1, 2))], [])
+    assert not _lp.feasible_with(base, [({"y": F(-1)}, ">=", F(-1, 2))])
     # a strict appended row against the base's strict row: y < 1/2 + 1/10
-    assert _lp.feasible_with(base, [], [({"y": F(1)}, F(3, 5))])
-    assert not _lp.feasible_with(base, [], [({"y": F(1)}, F(1, 2))])
+    assert _lp.feasible_with(base, [({"y": F(1)}, "<", F(3, 5))])
+    assert not _lp.feasible_with(base, [({"y": F(1)}, "<", F(1, 2))])
     # no strict row anywhere: t rises to 1 iff the rows are feasible
-    closed = _lp.feasible_base([({"x": F(1), "y": F(1)}, "==", F(1))], ["x", "y"], [])
+    closed = _lp.feasible_base([({"x": F(1), "y": F(1)}, "==", F(1))], ["x", "y"])
     assert closed is not None
-    assert _lp.feasible_with(closed, [({"x": F(1)}, ">=", F(1))], [])
-    assert not _lp.feasible_with(closed, [({"x": F(1)}, ">=", F(1)), ({"y": F(1)}, "==", F(1))], [])
+    assert _lp.feasible_with(closed, [({"x": F(1)}, ">=", F(1))])
+    assert not _lp.feasible_with(closed, [({"x": F(1)}, ">=", F(1)), ({"y": F(1)}, "==", F(1))])
     # an empty closure has no base
-    assert _lp.feasible_base([({"x": F(1)}, ">=", F(2)), ({"x": F(1)}, "<=", F(1))], ["x"], []) is None
+    assert _lp.feasible_base([({"x": F(1)}, ">=", F(2)), ({"x": F(1)}, "<=", F(1))], ["x"]) is None
     with pytest.raises(InputError):
-        _lp.feasible_with(closed, [({"z": F(1)}, "<=", F(1))], [])
+        _lp.feasible_with(closed, [({"z": F(1)}, "<=", F(1))])
 
 
 def _count_phases(monkeypatch) -> list:
@@ -398,10 +435,11 @@ def test_feasible_needs_no_artificial_for_nonnegative_upper_bounds(monkeypatch):
     assert _lp.feasible(rows, ["x", "y"])
     assert phases == []  # the slack basis is feasible: no phase 1
     # x > 1/4 and y > 1/4: phase 2 alone raises the shared slack
-    assert _lp.feasible(rows, ["x", "y"], [({"x": F(-1)}, F(-1, 4)), ({"y": F(-1)}, F(-1, 4))])
+    assert _lp.feasible(rows + [({"x": F(-1)}, "<", F(-1, 4)), ({"y": F(-1)}, "<", F(-1, 4))],
+                        ["x", "y"])
     assert len(phases) == 2  # phase 1 for the two negative right-hand sides, then phase 2
-    assert not _lp.feasible(rows, ["x", "y"], [({"x": F(-1)}, F(-1, 2)),
-                                               ({"y": F(-1)}, F(-1, 2))])
+    assert not _lp.feasible(rows + [({"x": F(-1)}, "<", F(-1, 2)),
+                                    ({"y": F(-1)}, "<", F(-1, 2))], ["x", "y"])
 
 
 def test_feasible_on_equality_rows_only():
@@ -409,8 +447,8 @@ def test_feasible_on_equality_rows_only():
                          ({"x": F(1), "y": F(-1)}, "==", F(1, 3))], ["x", "y"])
     # a redundant copy of the first row leaves a zero row after phase 1
     assert _lp.feasible([({"x": F(1), "y": F(1)}, "==", F(1)),
-                         ({"x": F(2), "y": F(2)}, "==", F(2))], ["x", "y"],
-                        [({"x": F(1)}, F(1, 2))])
+                         ({"x": F(2), "y": F(2)}, "==", F(2)),
+                         ({"x": F(1)}, "<", F(1, 2))], ["x", "y"])
     assert not _lp.feasible([({"x": F(1), "y": F(1)}, "==", F(1)),
                              ({"x": F(1), "y": F(1)}, "==", F(2))], ["x", "y"])
     # x - y == 2 forces x >= 2, against x + y == 1 and y >= 0
@@ -420,9 +458,9 @@ def test_feasible_on_equality_rows_only():
 
 def test_feasible_strict_row_tight_at_the_only_point():
     rows = [({"x": F(1), "y": F(1)}, "==", F(1)), ({"x": F(1)}, "==", F(1, 2))]
-    assert not _lp.feasible(rows, ["x", "y"], [({"y": F(1)}, F(1, 2))])
-    assert _lp.strict_feasible_point(rows, [({"y": F(1)}, F(1, 2))], ["x", "y"]) is None
-    assert _lp.feasible(rows, ["x", "y"], [({"y": F(1)}, F(3, 4))])
+    assert not _lp.feasible(rows + [({"y": F(1)}, "<", F(1, 2))], ["x", "y"])
+    assert _lp.feasible_point(rows + [({"y": F(1)}, "<", F(1, 2))], ["x", "y"]) is None
+    assert _lp.feasible(rows + [({"y": F(1)}, "<", F(3, 4))], ["x", "y"])
     assert _lp.feasible(rows, ["x", "y"])
 
 
@@ -455,7 +493,7 @@ def test_start_tableau_layout_and_the_prepared_tableaux():
                             [48, 0, 0, 6, 54]]
     # The same basis plus the slack of t <= 1 (6t + s_t = 6 at scale 6),
     # with t the last variable, so the slacks move up one column.
-    base = _lp.feasible_base(rows, ["x", "y"], [])
+    base = _lp.feasible_base(rows, ["x", "y"])
     assert list(base.var_index) == ["x", "y", _lp._SLACK]
     assert (base.columns, base.basis, base.det) == (6, [3, 1, 0, 5], 48)
     assert base.rows == [[0, 0, 0, 48, 42, 0, 186],

@@ -292,11 +292,11 @@ def test_map_condition_finds_each_piece_domain_with_one_prepare(monkeypatch):
     from apa_toolkit.difference import under_diff
     u1, u2 = under_diff(d1, d2, 1), under_diff(d1, d2, 2)
     counts = Counter()
-    prepare, strict_point = refinement._lp.prepare, refinement._lp.strict_feasible_point
+    prepare, point = refinement._lp.prepare, refinement._lp.feasible_point
     monkeypatch.setattr(refinement._lp, "prepare",
                         lambda *args: counts.update(["prepare"]) or prepare(*args))
-    monkeypatch.setattr(refinement._lp, "strict_feasible_point",
-                        lambda *args: counts.update(["strict_point"]) or strict_point(*args))
+    monkeypatch.setattr(refinement._lp, "feasible_point",
+                        lambda *args: counts.update(["point"]) or point(*args))
     checked = []
     map_condition = refinement._map_condition
 
@@ -306,7 +306,7 @@ def test_map_condition_finds_each_piece_domain_with_one_prepare(monkeypatch):
         counts.clear()
         verdict = map_condition(phi1, states1, phi2, states2, relation, neg_pieces)
         if verdict:
-            assert counts["strict_point"] == len(pieces)  # the probes, nothing per state
+            assert counts["point"] == len(pieces)  # the probes, nothing per state
             assert counts["prepare"] == len(pieces) + nonempty
             checked.append(nonempty)
         return verdict
