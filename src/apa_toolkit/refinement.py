@@ -26,9 +26,10 @@ kernels plus `constraints.piece_point`:
     reads the LP's vertex, which becomes a witness distribution and, through
     `counterexample`, a transition of the separating implementation;
     `push_ok` in `_map_condition` reads feasibility only.  Each nonempty
-    left piece is prepared once per call, over its own support
-    (`constraints.piece_base`), and every map test appends its pulled-back
-    rows to that base (`_lp.feasible_with`).
+    left piece is prepared once per `_refines_nondet` call, over its own
+    support (`constraints.piece_base`), and every map test appends its
+    pulled-back rows to that base (`_lp.feasible_with`), once per piece and
+    set of rows.
   * `_coupling_feasible` asks whether some distribution of a constraint
     simulates one concrete distribution, over the joint coupling weights.
     It is the one matching test of `satisfies`, for every target, and the
@@ -38,9 +39,10 @@ kernels plus `constraints.piece_point`:
     decides it, with no LP; otherwise `_lp.feasible` decides it.
   * "Mass at s" is `piece_point` with the strict row mu(s) > 0.
     `_sim_witness` and `lemma_indplus_witness` read its vertex.  The domain
-    of `_map_condition`, the states with mass somewhere in a left piece,
-    is one support pass per nonempty piece (`constraints.piece_support`):
-    phase 1 once, then re-priced until no unknown state gains mass.
+    of a left piece in `_map_condition`, the states with mass somewhere in
+    it, is one support pass (`constraints.piece_support`): phase 1 once, then
+    re-priced until no unknown state gains mass.  Their union over the
+    pieces is the left constraint's supportable states.
 
 The `RefinementAnalysis`, created before the fixpoint with one
 `model.successor_table` per side, is the one context of the deterministic
@@ -401,7 +403,9 @@ def refines(n1: APA, n2: APA) -> bool:
 
 # -- sound refinement for non-deterministic automata ------------------------
 
-_MAP_TEST_BUDGET = 256  # complete successor maps tried per constraint piece
+# Complete successor maps tried per left piece in one `_map_condition` call;
+# a map whose every push LP is a memo hit counts as well.
+_MAP_TEST_BUDGET = 256
 
 
 def _candidate_order(s: State):
@@ -410,36 +414,48 @@ def _candidate_order(s: State):
     return key
 
 
-def _map_condition(phi1, states1: tuple, phi2, states2: tuple,
-                   relation: frozenset, neg_pieces: tuple) -> bool:
-    """Sufficient check: every mu1 in Sat(phi1) simulated w.r.t. `relation` by
-    some mu2 in Sat(phi2).
+def _left_pieces(phi1, states1: tuple) -> tuple:
+    """(probe, support, base) per nonempty piece of phi1, in cover order: its
+    `piece_point`, its `piece_support` in `states1` order, and its
+    `piece_base` over that support; none of it reads a relation."""
+    out = []
+    for piece in C.dnf_cover(phi1):
+        if (probe := C.piece_point(piece, states1)) is not None:
+            support = C.piece_support(piece, states1, (s for s, m in probe.items() if m > 0))
+            out.append((probe, support, C.piece_base(piece, support)))
+    return tuple(out)
+
+
+def _map_condition(pieces: tuple, phi2, states2: tuple, relation: frozenset,
+                   neg_pieces: tuple, tested: dict) -> bool:
+    """Sufficient check: every mu1 in the left `pieces` (`_left_pieces` of
+    phi1) simulated w.r.t. `relation` by some mu2 in Sat(phi2).
 
     Witness shape: per piece of Sat(phi1), one deterministic successor map T
     (relation-compatible); the pushforward condition T#piece being inside
     Sat(phi2) is then exact, decided against the complement cover.  Searching
     only deterministic maps is the conservative part.  Only pairs whose left
-    state is supportable in phi1 are ever read.  `neg_pieces` is the DNF
-    cover of the complement of phi2.
+    state is in a piece's support are ever read.  `neg_pieces` is the DNF
+    cover of the complement of phi2.  `tested` keeps each push LP's verdict
+    by (piece index, pulled-back rows) for every call on the same phi1.
     """
-    for piece in C.dnf_cover(phi1):
-        probe = C.piece_point(piece, states1)
-        if probe is None:
-            continue
+    for index, (probe, support, base) in enumerate(pieces):
         # complete rejection filter: one concrete point with no simulating image
         if not _coupling_feasible(probe, phi2, states2, relation):
             return False
-        dom = list(C.piece_support(piece, states1, (s for s, m in probe.items() if m > 0)))
         cands = {s: sorted((t for t in states2 if (s, t) in relation), key=_candidate_order(s))
-                 for s in dom}
-        if any(not cands[s] for s in dom):
+                 for s in support}
+        if any(not cands[s] for s in support):
             return False
-        dom.sort(key=lambda s: (len(cands[s]), str(s)))
-        base = C.piece_base(piece, dom)
+        dom = sorted(support, key=lambda s: (len(cands[s]), str(s)))
 
         def push_ok(assign: dict) -> bool:
             for neg in neg_pieces:
-                if _lp.feasible_with(base, _pull_back(neg, assign)):
+                rows = _pull_back(neg, assign)
+                key = (index, tuple((frozenset(c.items()), rel, rhs) for c, rel, rhs in rows))
+                if key not in tested:
+                    tested[key] = _lp.feasible_with(base, rows)
+                if tested[key]:
                     return False  # some mu1 in the piece escapes Sat(phi2)
             return True
 
@@ -467,25 +483,34 @@ def _map_condition(phi1, states1: tuple, phi2, states2: tuple,
 
 
 def _refines_nondet(n1: APA, n2: APA) -> bool:
-    """`refines` on inputs that passed `_require_comparable`."""
+    """`refines` on inputs that passed `_require_comparable`.  A left
+    constraint's `_left_pieces` are built once per call, and its supportable
+    states are the union of their supports: a nonempty piece is dense in its
+    closure, as in `supportable_states`."""
     states1, states2 = tuple(n1.states), tuple(n2.states)
     # The memos live for this call only, so memory stays bounded by one analysis.
+    left: dict = {}         # constraint id of n1 -> its `_left_pieces`
     supportable: dict = {}  # constraint id of n1 -> its supportable states
     complement: dict = {}   # constraint id of n2 -> the cover of its complement
-    decided: dict = {}      # (cid1, cid2, relation on supportable x S2) -> verdict
+    slices: dict = {}       # (sweep relation, cid1) -> relation on supportable x S2
+    decided: dict = {}      # (cid1, cid2, relation slice) -> verdict
+    tested: dict = {}       # cid1 -> `_map_condition`'s feasibility memo
 
     def map_ok(t1: Transition, t2: Transition, relation: frozenset) -> bool:
         cid1, cid2 = t1.constraint_id, t2.constraint_id
-        if cid1 not in supportable:
-            supportable[cid1] = frozenset(C.supportable_states(n1.constraint(cid1), states1))
-        supp1 = supportable[cid1]
-        relation_slice = frozenset(p for p in relation if p[0] in supp1)
+        if cid1 not in left:
+            left[cid1] = _left_pieces(n1.constraint(cid1), states1)
+            supportable[cid1] = frozenset(s for _, support, _ in left[cid1] for s in support)
+        if (relation, cid1) not in slices:
+            slices[relation, cid1] = frozenset(p for p in relation if p[0] in supportable[cid1])
+        relation_slice = slices[relation, cid1]
         key = (cid1, cid2, relation_slice)
         if key not in decided:
             if cid2 not in complement:
                 complement[cid2] = C.dnf_cover(C.negate(n2.constraint(cid2)))
-            decided[key] = _map_condition(n1.constraint(cid1), states1, n2.constraint(cid2),
-                                          states2, relation_slice, complement[cid2])
+            decided[key] = _map_condition(left[cid1], n2.constraint(cid2), states2,
+                                          relation_slice, complement[cid2],
+                                          tested.setdefault(cid1, {}))
         return decided[key]
 
     initial = [(s1, s2) for s1 in n1.states for s2 in n2.states

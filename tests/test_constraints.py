@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from apa_toolkit import _lp, constraints as C
 from apa_toolkit.errors import InputError, ResourceLimitError
-from tests.fixtures import deferral_pair, interval_pair
+from tests.fixtures import all_failing_pairs, deferral_pair, interval_pair
 from tests.oracles import basic_points, grid_masses, naive_member, piece_accepts
 
 STATES = ("s0", "s1", "s2")
@@ -402,6 +402,36 @@ def test_piece_support_of_derived_pieces():
             checked += 1
     assert checked
 
+
+
+def _supports_union(phi, states):
+    """The union of `piece_support` over the nonempty pieces of phi's cover,
+    in the order of `states`: the supportable states of the map search."""
+    union = set()
+    for piece in C.dnf_cover(phi):
+        point = C.piece_point(piece, states)
+        if point is not None:
+            union.update(C.piece_support(piece, states, [s for s, m in point.items() if m > 0]))
+    return tuple(s for s in states if s in union)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expr_trees())
+def test_piece_supports_cover_the_supportable_states(expr):
+    assert _supports_union(expr, STATES) == C.supportable_states(expr, STATES)
+
+
+def test_piece_supports_cover_the_supportable_states_of_derived_constraints():
+    from apa_toolkit.difference import under_diff
+    checked = 0
+    for n1, n2 in all_failing_pairs().values():
+        diff = under_diff(n1, n2, 1)
+        for _, expr in diff.constraints:
+            if isinstance(expr, (C.BotLift, C.PhiB)):
+                assert _supports_union(expr, diff.states) == C.supportable_states(expr,
+                                                                                  diff.states)
+                checked += 1
+    assert checked
 
 def test_membership_rejects_mass_outside_the_cells():
     expr, states = _derived_nodes()[0]

@@ -271,58 +271,67 @@ def test_refines_checks_determinism_once_per_automaton(monkeypatch):
     assert len(calls) == 2
 
 
-def test_nondeterministic_refinement_computes_support_once_per_constraint(monkeypatch):
-    d1, d2 = deferral_pair()
+def _deferral_chain():
     from apa_toolkit.difference import under_diff
-    u1, u2 = under_diff(d1, d2, 1), under_diff(d1, d2, 2)
+    d1, d2 = deferral_pair()
+    return under_diff(d1, d2, 1), under_diff(d1, d2, 2)
+
+
+def _rows_key(rows) -> tuple:
+    """LP rows as a hashable value, each row's coefficients in a fixed order."""
+    return tuple((tuple(sorted(coeffs.items(), key=str)), rel, rhs) for coeffs, rel, rhs in rows)
+
+
+def _left_covers(n) -> list:
+    """The DNF cover of each distinct constraint of n's transitions."""
+    return [C.dnf_cover(n.constraint(cid)) for cid in dict.fromkeys(
+        t.constraint_id for t in n.transitions)]
+
+
+def test_nondeterministic_refinement_computes_support_once_per_constraint(monkeypatch):
+    """A left constraint's supportable states are the union of its nonempty
+    pieces' supports: one `piece_support` pass per nonempty piece in one
+    `_refines_nondet` call, and no `supportable_states` call."""
+    u1, u2 = _deferral_chain()
     calls = []
-    supportable = C.supportable_states
+    supportable, support = C.supportable_states, C.piece_support
     monkeypatch.setattr(C, "supportable_states",
-                        lambda phi, states, *rest: calls.append(phi) or supportable(phi, states, *rest))
+                        lambda *args: calls.append("supportable") or supportable(*args))
+    monkeypatch.setattr(C, "piece_support",
+                        lambda piece, *args: calls.append(piece) or support(piece, *args))
     assert refinement._refines_nondet(u1, u2)
-    assert calls and len(calls) == len(set(calls))
+    nonempty = [piece for cover in _left_covers(u1) for piece in cover
+                if C.piece_point(piece, u1.states) is not None]
+    assert nonempty and Counter(calls) == Counter(nonempty)
 
 
 def test_map_condition_finds_each_piece_domain_with_one_prepare(monkeypatch):
-    """The domain of a left piece is one support pass, one phase 1, not one
-    LP per state: every piece takes one `prepare` for its probe point, and a
-    nonempty one a second for its support.  Mass-at-s LPs would need one
-    strict point per state of the product."""
-    d1, d2 = deferral_pair()
-    from apa_toolkit.difference import under_diff
-    u1, u2 = under_diff(d1, d2, 1), under_diff(d1, d2, 2)
-    counts = Counter()
-    prepare, point = refinement._lp.prepare, refinement._lp.feasible_point
-    monkeypatch.setattr(refinement._lp, "prepare",
-                        lambda *args: counts.update(["prepare"]) or prepare(*args))
-    monkeypatch.setattr(refinement._lp, "feasible_point",
-                        lambda *args: counts.update(["point"]) or point(*args))
-    checked = []
-    map_condition = refinement._map_condition
-
-    def recording(phi1, states1, phi2, states2, relation, neg_pieces):
-        pieces = C.dnf_cover(phi1)
-        nonempty = sum(C.piece_point(piece, states1) is not None for piece in pieces)
-        counts.clear()
-        verdict = map_condition(phi1, states1, phi2, states2, relation, neg_pieces)
-        if verdict:
-            assert counts["point"] == len(pieces)  # the probes, nothing per state
-            assert counts["prepare"] == len(pieces) + nonempty
-            checked.append(nonempty)
-        return verdict
-
-    monkeypatch.setattr(refinement, "_map_condition", recording)
+    """One `_refines_nondet` call makes one probe point per piece of each left
+    constraint, and per nonempty piece one more `prepare`, for its support,
+    however many right constraints, relation slices and sweeps meet it.
+    (`feasible_point` prepares through `solve`, so its probes count too.)"""
+    u1, u2 = _deferral_chain()
+    calls = {"feasible_point": [], "prepare": []}
+    for name, seen in calls.items():
+        def recording(rows, variables, original=getattr(refinement._lp, name), seen=seen):
+            result = original(rows, variables)
+            seen.append((_rows_key(rows), result))
+            return result
+        monkeypatch.setattr(refinement._lp, name, recording)
     assert refinement._refines_nondet(u1, u2)
-    assert checked and sum(checked) > 0 and len(u1.states) > 2
+    points = calls["feasible_point"]
+    pieces = sum(len(cover) for cover in _left_covers(u1))
+    nonempty = sum(point is not None for _, point in points)
+    assert len(points) == pieces and len({key for key, _ in points}) == pieces
+    assert nonempty > 0 and len(calls["prepare"]) == pieces + nonempty
 
 
 def test_map_condition_prepares_each_piece_once_and_appends_the_pulled_back_rows(monkeypatch):
-    """Each nonempty left piece is prepared once per `_map_condition` call,
-    and every map test appends its pulled-back rows to that base: outside
-    the rejection filter's coupling LPs, no `_lp.feasible` call is made."""
-    d1, d2 = deferral_pair()
-    from apa_toolkit.difference import under_diff
-    u1, u2 = under_diff(d1, d2, 1), under_diff(d1, d2, 2)
+    """Each nonempty left piece is prepared once per `_refines_nondet` call
+    (`feasible_base`), and every map test appends its pulled-back rows to
+    that base: outside the rejection filter's coupling LPs, no
+    `_lp.feasible` call is made."""
+    u1, u2 = _deferral_chain()
     lp = refinement._lp
     counts = Counter()
     in_filter = []
@@ -346,23 +355,50 @@ def test_map_condition_prepares_each_piece_once_and_appends_the_pulled_back_rows
         finally:
             in_filter.pop()
     monkeypatch.setattr(refinement, "_coupling_feasible", rejection_filter)
-    checked = []
-    map_condition = refinement._map_condition
-
-    def recording(phi1, states1, phi2, states2, relation, neg_pieces):
-        nonempty = sum(C.piece_point(piece, states1) is not None for piece in C.dnf_cover(phi1))
-        counts.clear()
-        verdict = map_condition(phi1, states1, phi2, states2, relation, neg_pieces)
-        assert counts["feasible", False] == 0
-        if verdict:
-            assert counts["feasible_base", False] == nonempty
-            assert counts["feasible_with", False] >= nonempty
-            checked.append(nonempty)
-        return verdict
-
-    monkeypatch.setattr(refinement, "_map_condition", recording)
     assert refinement._refines_nondet(u1, u2)
-    assert checked and sum(checked) > 0
+    nonempty = sum(C.piece_point(piece, u1.states) is not None
+                   for cover in _left_covers(u1) for piece in cover)
+    assert nonempty > 0
+    assert counts["feasible", False] == 0
+    assert counts["feasible_base", False] == nonempty
+    assert counts["feasible_with", False] >= nonempty
+
+
+@pytest.mark.parametrize("pair", [interval_pair, deferral_pair])
+def test_map_search_tests_each_base_and_pulled_back_rows_once(monkeypatch, pair):
+    """Within one `refines` call, no prepared left piece meets the same
+    pulled-back rows twice in `_lp.feasible_with`, whatever map, right
+    constraint, relation slice or sweep they come from."""
+    from apa_toolkit.difference import over_diff, under_diff
+    n1, n2 = pair()
+    seen = []
+    feasible_with = refinement._lp.feasible_with
+
+    def recording(base, rows):
+        content = (tuple(base.var_index.items()), tuple(map(tuple, base.rows)),
+                   tuple(base.basis), base.det)
+        seen.append((content, _rows_key(rows)))
+        return feasible_with(base, rows)
+    monkeypatch.setattr(refinement._lp, "feasible_with", recording)
+    u1, u2 = under_diff(n1, n2, 1), under_diff(n1, n2, 2)
+    for left, right in ((u1, u2), (u1, n1), (u1, over_diff(n1, n2))):
+        seen.clear()
+        refines(left, right)
+        assert len(seen) == len(set(seen))
+
+
+def test_map_budget_counts_every_complete_map(monkeypatch):
+    """`_MAP_TEST_BUDGET` bounds the complete maps tried per left piece and
+    `_map_condition` call, memoized push verdicts included.  On the interval
+    fixture, under(1) refines over only through a map past the first."""
+    from apa_toolkit.difference import over_diff, under_diff
+    n1, n2 = interval_pair()
+    u1, over = under_diff(n1, n2, 1), over_diff(n1, n2)
+    assert refines(u1, over) and refines(over, u1)
+    monkeypatch.setattr(refinement, "_MAP_TEST_BUDGET", 1)
+    C.dnf_cover.cache_clear()
+    assert not refines(u1, over)
+    assert not refines(over, u1)
 
 
 def test_nondeterministic_refinement_on_the_largest_chain_instance():
