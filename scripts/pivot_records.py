@@ -2,19 +2,20 @@
 """Record every simplex pivot of a benchmark workload, to show that a change
 leaves the LPs as they were.
 
-    python3 scripts/pivot_records.py [WORKLOAD ...] [--seed 901] [--root CHECKOUT]
+    python3 scripts/pivot_records.py [WORKLOAD ...] [--root CHECKOUT]
 
 Each workload (all of `BENCHMARK.json` by default) runs in its own child
 process with PYTHONHASHSEED=0, on the sources of `--root` (default: this
 checkout).  The child wraps `_lp._pivot` to record (p, q, det, pivot entry,
-rows, columns) for each pivot, runs the workload's `build(seed, ...)` and
+rows, columns) for each pivot, runs the workload's `build(SEED, ...)` and
 then one round of its queries, emptying the toolkit's caches before each
 query, as `perfbench/run.py` does.  It prints one JSON line per workload:
 the pivots of set-up and of the round, the calls of each `_lp` entry point
-in the round, and the sha256 of the sorted set-up records, of the sorted
-round records and of the `repr` of the round's answers.  Two checkouts make
-the same LPs on a workload when their lines agree; the order of the pivots
-is left out, so a change may reorder the LPs it makes.
+in the round, the queries that raised, and the sha256 of the sorted set-up
+records, of the sorted round records and of the `repr` of the round's
+answers.  Two checkouts make the same LPs on a workload when their lines
+agree; the order of the pivots is left out, so a change may reorder the LPs
+it makes.  The script exits non-zero when a query of some workload raised.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 901
 ENTRY_POINTS = ("prepare", "reprice", "solve", "feasible_point", "feasible",
                 "feasible_base", "feasible_with")
 
@@ -37,7 +39,7 @@ def digest(items) -> str:
     return hashlib.sha256(repr(items).encode()).hexdigest()
 
 
-def child(root: Path, workload: str, seed: int) -> dict:
+def child(root: Path, workload: str) -> dict:
     """Run in the child: set-up and one round, with the pivots recorded."""
     sys.path[:0] = [str(root / "src"), str(root), str(root / "perfbench")]
     import run
@@ -64,15 +66,16 @@ def child(root: Path, workload: str, seed: int) -> dict:
     _lp._pivot = recording
     with tempfile.TemporaryDirectory() as tmp:
         workloads.reset_caches()
-        tasks = workloads.WORKLOADS[workload]().build(seed, Path(tmp))
+        tasks = workloads.WORKLOADS[workload]().build(SEED, Path(tmp))
         setup = sorted(records)
         records.clear()
         for name in ENTRY_POINTS:
             setattr(_lp, name, counted(name))
         answers, _ = run.run_round(tasks, workloads.reset_caches)
-    return {"workload": workload, "seed": seed,
+    return {"workload": workload, "seed": SEED,
             "setup_pivots": len(setup), "round_pivots": len(records),
             "calls": dict(sorted(calls.items())),
+            "raised": [label for label, answer in answers if isinstance(answer, run.QueryError)],
             "setup_sha256": digest(setup), "round_sha256": digest(sorted(records)),
             "answers_sha256": digest(answers)}
 
@@ -80,25 +83,27 @@ def child(root: Path, workload: str, seed: int) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("workloads", nargs="*", help="default: every workload of BENCHMARK.json")
-    ap.add_argument("--seed", type=int, default=901)
     ap.add_argument("--root", type=Path, default=ROOT,
                     help="the checkout whose sources run (default: this one)")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     root = args.root.resolve()
     if args.child:
-        print(json.dumps(child(root, args.workloads[0], args.seed)))
-        return 0
+        line = child(root, args.workloads[0])
+        print(json.dumps(line))
+        return 1 if line["raised"] else 0
     names = args.workloads or [w["name"] for w in
                                json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    status = 0
     for name in names:
         out = subprocess.run(
-            [sys.executable, str(Path(__file__).resolve()), "--child", "--seed", str(args.seed),
-             "--root", str(root), name],
-            env={**os.environ, "PYTHONHASHSEED": "0"}, cwd=root, check=True,
-            stdout=subprocess.PIPE, text=True).stdout
-        print(out.strip().splitlines()[-1], flush=True)
-    return 0
+            [sys.executable, str(Path(__file__).resolve()), "--child", "--root", str(root), name],
+            env={**os.environ, "PYTHONHASHSEED": "0"}, cwd=root,
+            stdout=subprocess.PIPE, text=True)
+        print(out.stdout.strip().splitlines()[-1] if out.stdout.strip() else
+              json.dumps({"workload": name, "exit": out.returncode}), flush=True)
+        status = status or out.returncode
+    return status
 
 
 if __name__ == "__main__":

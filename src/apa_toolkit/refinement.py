@@ -426,7 +426,7 @@ def _left_pieces(phi1, states1: tuple) -> tuple:
     return tuple(out)
 
 
-def _map_condition(pieces: tuple, phi2, states2: tuple, relation: frozenset,
+def _map_condition(cid1, pieces: tuple, phi2, states2: tuple, relation: frozenset,
                    neg_pieces: tuple, tested: dict) -> bool:
     """Sufficient check: every mu1 in the left `pieces` (`_left_pieces` of
     phi1) simulated w.r.t. `relation` by some mu2 in Sat(phi2).
@@ -437,7 +437,7 @@ def _map_condition(pieces: tuple, phi2, states2: tuple, relation: frozenset,
     only deterministic maps is the conservative part.  Only pairs whose left
     state is in a piece's support are ever read.  `neg_pieces` is the DNF
     cover of the complement of phi2.  `tested` keeps each push LP's verdict
-    by (piece index, pulled-back rows) for every call on the same phi1.
+    by (cid1, the constraint id of phi1; piece index; pulled-back rows).
     """
     for index, (probe, support, base) in enumerate(pieces):
         # complete rejection filter: one concrete point with no simulating image
@@ -452,7 +452,7 @@ def _map_condition(pieces: tuple, phi2, states2: tuple, relation: frozenset,
         def push_ok(assign: dict) -> bool:
             for neg in neg_pieces:
                 rows = _pull_back(neg, assign)
-                key = (index, tuple((frozenset(c.items()), rel, rhs) for c, rel, rhs in rows))
+                key = (cid1, index, tuple((frozenset(c.items()), rel, rhs) for c, rel, rhs in rows))
                 if key not in tested:
                     tested[key] = _lp.feasible_with(base, rows)
                 if tested[key]:
@@ -489,28 +489,27 @@ def _refines_nondet(n1: APA, n2: APA) -> bool:
     closure, as in `supportable_states`."""
     states1, states2 = tuple(n1.states), tuple(n2.states)
     # The memos live for this call only, so memory stays bounded by one analysis.
-    left: dict = {}         # constraint id of n1 -> its `_left_pieces`
-    supportable: dict = {}  # constraint id of n1 -> its supportable states
-    complement: dict = {}   # constraint id of n2 -> the cover of its complement
-    slices: dict = {}       # (sweep relation, cid1) -> relation on supportable x S2
-    decided: dict = {}      # (cid1, cid2, relation slice) -> verdict
-    tested: dict = {}       # cid1 -> `_map_condition`'s feasibility memo
+    left: dict = {}        # cid1 -> (its `_left_pieces`, its supportable states)
+    complement: dict = {}  # constraint id of n2 -> the cover of its complement
+    slices: dict = {}      # (sweep relation, cid1) -> relation on supportable x S2
+    decided: dict = {}     # (cid1, cid2, relation slice) -> verdict
+    tested: dict = {}      # `_map_condition`'s feasibility memo
 
     def map_ok(t1: Transition, t2: Transition, relation: frozenset) -> bool:
         cid1, cid2 = t1.constraint_id, t2.constraint_id
         if cid1 not in left:
-            left[cid1] = _left_pieces(n1.constraint(cid1), states1)
-            supportable[cid1] = frozenset(s for _, support, _ in left[cid1] for s in support)
+            pieces = _left_pieces(n1.constraint(cid1), states1)
+            left[cid1] = pieces, frozenset(s for _, support, _ in pieces for s in support)
+        pieces, supportable = left[cid1]
         if (relation, cid1) not in slices:
-            slices[relation, cid1] = frozenset(p for p in relation if p[0] in supportable[cid1])
+            slices[relation, cid1] = frozenset(p for p in relation if p[0] in supportable)
         relation_slice = slices[relation, cid1]
         key = (cid1, cid2, relation_slice)
         if key not in decided:
             if cid2 not in complement:
                 complement[cid2] = C.dnf_cover(C.negate(n2.constraint(cid2)))
-            decided[key] = _map_condition(left[cid1], n2.constraint(cid2), states2,
-                                          relation_slice, complement[cid2],
-                                          tested.setdefault(cid1, {}))
+            decided[key] = _map_condition(cid1, pieces, n2.constraint(cid2), states2,
+                                          relation_slice, complement[cid2], tested)
         return decided[key]
 
     initial = [(s1, s2) for s1 in n1.states for s2 in n2.states

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apa_toolkit import _lp, constraints as C
+from apa_toolkit import _lp, constraints as C, refinement
 from apa_toolkit.errors import InputError, ResourceLimitError
 from tests.fixtures import all_failing_pairs, deferral_pair, interval_pair
 from tests.oracles import basic_points, grid_masses, naive_member, piece_accepts
@@ -214,10 +214,17 @@ def _supportable_by_lp(phi, states):
                  if C.sat_nonempty(C.and_(phi, C.atom({s: 1}, ">", 0)), states) is not None)
 
 
+def _left_pieces_union(phi, states):
+    """The union of the supports of the map search's left pieces of phi."""
+    pieces = refinement._left_pieces(phi, states)
+    return tuple(s for s in states if any(s in support for _, support, _ in pieces))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_support_trees())
 def test_supportable_states_agree_with_strict_support_lps(expr):
     assert C.supportable_states(expr, STATES) == _supportable_by_lp(expr, STATES)
+    assert _left_pieces_union(expr, STATES) == C.supportable_states(expr, STATES)
 
 
 @pytest.mark.parametrize("phi, states, expected", [
@@ -359,13 +366,11 @@ def test_vertices_dimension_cap():
 
 def _derived_nodes():
     from apa_toolkit.difference import over_diff, under_diff
-    out = []
-    for n1, n2 in (interval_pair(), deferral_pair()):
-        for diff in (over_diff(n1, n2), under_diff(n1, n2, 2)):
-            for _, expr in diff.constraints:
-                if isinstance(expr, (C.BotLift, C.PhiB)):
-                    out.append((expr, diff.states))
-    return out
+    diffs = [diff for n1, n2 in (interval_pair(), deferral_pair())
+             for diff in (over_diff(n1, n2), under_diff(n1, n2, 2))]
+    diffs += [under_diff(n1, n2, 1) for n1, n2 in all_failing_pairs().values()]
+    return [(expr, diff.states) for diff in diffs for _, expr in diff.constraints
+            if isinstance(expr, (C.BotLift, C.PhiB))]
 
 
 def test_derived_nodes_present_in_difference_constraints():
@@ -400,38 +405,9 @@ def test_piece_support_of_derived_pieces():
             known = [s for s, m in point.items() if m > 0]
             assert C.piece_support(piece, states, known) == _support_by_state(piece, states)
             checked += 1
+        assert _left_pieces_union(expr, states) == C.supportable_states(expr, states)
     assert checked
 
-
-
-def _supports_union(phi, states):
-    """The union of `piece_support` over the nonempty pieces of phi's cover,
-    in the order of `states`: the supportable states of the map search."""
-    union = set()
-    for piece in C.dnf_cover(phi):
-        point = C.piece_point(piece, states)
-        if point is not None:
-            union.update(C.piece_support(piece, states, [s for s, m in point.items() if m > 0]))
-    return tuple(s for s in states if s in union)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_expr_trees())
-def test_piece_supports_cover_the_supportable_states(expr):
-    assert _supports_union(expr, STATES) == C.supportable_states(expr, STATES)
-
-
-def test_piece_supports_cover_the_supportable_states_of_derived_constraints():
-    from apa_toolkit.difference import under_diff
-    checked = 0
-    for n1, n2 in all_failing_pairs().values():
-        diff = under_diff(n1, n2, 1)
-        for _, expr in diff.constraints:
-            if isinstance(expr, (C.BotLift, C.PhiB)):
-                assert _supports_union(expr, diff.states) == C.supportable_states(expr,
-                                                                                  diff.states)
-                checked += 1
-    assert checked
 
 def test_membership_rejects_mass_outside_the_cells():
     expr, states = _derived_nodes()[0]
