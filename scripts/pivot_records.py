@@ -31,8 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 901
-ENTRY_POINTS = ("prepare", "reprice", "solve", "feasible_point", "feasible",
-                "feasible_base", "feasible_with")
+ENTRY_POINTS = ("prepare", "reprice", "reprice_value", "solve", "feasible_point",
+                "feasible", "feasible_base", "feasible_with")
 
 
 def digest(items) -> str:
@@ -70,7 +70,8 @@ def child(root: Path, workload: str) -> dict:
         setup = sorted(records)
         records.clear()
         for name in ENTRY_POINTS:
-            setattr(_lp, name, counted(name))
+            if hasattr(_lp, name):  # an older checkout may lack some
+                setattr(_lp, name, counted(name))
         answers, _ = run.run_round(tasks, workloads.reset_caches)
     return {"workload": workload, "seed": SEED,
             "setup_pivots": len(setup), "round_pivots": len(records),

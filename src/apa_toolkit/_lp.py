@@ -63,7 +63,9 @@ from any feasible basis, and the optimal value does not depend on where
 phase 2 starts.  The optimal vertex does, when the optimum is not unique, so
 only a caller that reads the value alone may re-price; a caller that builds
 on the vertex calls `solve`, whose pivot path starts from the phase-1 basis
-every time.
+every time.  `reprice_value` is `reprice` without the point: the same
+objective parsing and phase 2 (`_reprice`), the same pivots, and the value
+alone, for callers that read nothing else.
 
 `feasible_point`, `feasible`, `feasible_base` and `feasible_with` also take
 strict rows, "<" and ">".  They share one slack t <= 1 (`_slack_rows`), and
@@ -327,16 +329,11 @@ def _price(tableau: Tableau, int_cost: list[int]) -> list[int] | None:
     return cost if bounded else None
 
 
-def reprice(tableau: Tableau, objective: Mapping[Var, Fraction],
-            maximize: bool = True) -> LpResult:
-    """Phase 2: optimize `objective` from the tableau's current basis.
-
-    The tableau is left at the optimal basis, or at the last feasible basis
-    if the objective is unbounded, so it can be re-priced again.  The optimal
-    value does not depend on the starting basis, but the returned vertex may.
-    """
-    var_index, rows, basis = tableau.var_index, tableau.rows, tableau.basis
-    n = len(var_index)
+def _reprice(tableau: Tableau, objective: Mapping[Var, Fraction],
+             maximize: bool) -> Fraction | None:
+    """Phase 2 of `objective` from the tableau's current basis, by `_price`:
+    the optimal value, or None if unbounded."""
+    var_index = tableau.var_index
     try:
         terms = [(var_index[v], _rational(c)) for v, c in objective.items()]
     except KeyError as err:
@@ -349,14 +346,35 @@ def reprice(tableau: Tableau, objective: Mapping[Var, Fraction],
         int_cost[j] = sign * c.numerator * (cost_scale // c.denominator)
     cost = _price(tableau, int_cost)
     if cost is None:
+        return None
+    return Fraction(sign * -cost[-1], tableau.det * cost_scale)
+
+
+def reprice_value(tableau: Tableau, objective: Mapping[Var, Fraction],
+                  maximize: bool = True) -> Fraction | None:
+    """`reprice(...).value`, with no point built: the optimal value, or None
+    if unbounded.  The tableau is left as `reprice` leaves it."""
+    return _reprice(tableau, objective, maximize)
+
+
+def reprice(tableau: Tableau, objective: Mapping[Var, Fraction],
+            maximize: bool = True) -> LpResult:
+    """Phase 2: optimize `objective` from the tableau's current basis.
+
+    The tableau is left at the optimal basis, or at the last feasible basis
+    if the objective is unbounded, so it can be re-priced again.  The optimal
+    value does not depend on the starting basis, but the returned vertex may.
+    """
+    value = _reprice(tableau, objective, maximize)
+    if value is None:
         return LpResult("unbounded", None, None)
-    det = tableau.det
+    var_index, rows, det = tableau.var_index, tableau.rows, tableau.det
+    n = len(var_index)
     x = [ZERO] * n
-    for r, col in enumerate(basis):
+    for r, col in enumerate(tableau.basis):
         if col < n:
             x[col] = Fraction(rows[r][-1], det)
-    point = {v: x[i] for v, i in var_index.items()}
-    return LpResult("optimal", Fraction(sign * -cost[-1], det * cost_scale), point)
+    return LpResult("optimal", value, {v: x[i] for v, i in var_index.items()})
 
 
 def solve(

@@ -500,6 +500,11 @@ class Piece:
         return any(rel == "<" for _, rel, _ in self.rows)
 
 
+def zero_row_holds(rel: str, rhs: Fraction) -> bool:
+    """Does a piece row that names no state, 0 REL rhs, hold?"""
+    return {"<=": 0 <= rhs, "<": 0 < rhs, "==": 0 == rhs}[rel]
+
+
 def _atom_rows(a: LinearAtom) -> list[tuple[tuple[tuple[State, Fraction], ...], str, Fraction]]:
     neg = tuple((s, -c) for s, c in a.coeffs)
     return {
@@ -655,7 +660,7 @@ class _Box:
                 return None
             t, c = coeffs[0] if coeffs else (None, ZERO)
             if c == 0:
-                consistent = consistent and {"<=": 0 <= rhs, "<": 0 < rhs, "==": 0 == rhs}[rel]
+                consistent = consistent and zero_row_holds(rel, rhs)
                 continue
             end = (Fraction(rhs) / c, rel == "<")
             # of two ends at the same bound, the open one is tighter
@@ -795,17 +800,89 @@ def _rank(vectors: list[tuple[Fraction, ...]]) -> int:
 
 
 def vertices(poly: Polytope, dim_cap: int = VERTEX_DIM_CAP) -> list[Distribution]:
-    """Exact V-representation by incremental double description.
+    """Exact V-representation, sorted by the coordinate tuple in the order
+    of `poly.states`; raises ResourceLimitError beyond `dim_cap` states.
 
-    Starts from the simplex vertices and cuts one halfspace at a time; new
-    vertices arise on edges between kept and cut vertices, with adjacency
-    decided by a rank test on the common tight constraints.
+    A polytope whose rows each name at most one state (every interval
+    constraint gives one) is a box cut by the simplex, and its vertices are
+    found in closed form (`_box_vertices`); any other goes through double
+    description (`_double_description`).  Both give the same list.
     """
     n = len(poly.states)
     if n > dim_cap:
         raise ResourceLimitError(f"vertex enumeration capped at dimension {dim_cap}, got {n}")
     if n == 0:
         return []
+    verts = _box_vertices(poly)
+    if verts is None:
+        verts = _double_description(poly)
+    order = sorted(range(n), key=lambda i: str(poly.states[i]))
+    return [Distribution(tuple((poly.states[i], v[i]) for i in order if v[i]))
+            for v in sorted(verts)]
+
+
+def _box_vertices(poly: Polytope) -> list[tuple[Fraction, ...]] | None:
+    """The vertices of a polytope whose rows each name at most one state, as
+    coordinate tuples in no set order; None if a row names two states.
+
+    Such a polytope is a box, lo_s <= x_s <= hi_s with 0 <= lo_s and
+    hi_s <= 1, cut by the simplex row sum x = 1; `_Box` reads the bounds and
+    decides emptiness.  A point of it is a vertex
+    iff at least n - 1 coordinates sit at a bound, since the simplex row and
+    the unit rows of those coordinates are then n independent tight rows.  So
+    a vertex either has every coordinate at a bound, summing to 1, or one
+    coordinate strictly inside its interval, at 1 minus the others.  The
+    search gives each coordinate in turn its lower bound, its upper bound
+    (unless equal) or, for one coordinate, the remainder, and drops a branch
+    once the running sum plus the least (greatest) completion lies above
+    (below) 1; each vertex is reached once.
+    """
+    box = _Box.of(Piece(poly.rows), poly.states)
+    if box is None:
+        return None
+    if not box.nonempty:
+        return []
+    n = len(poly.states)
+    lo = [box.lo.get(s, (ZERO, False))[0] for s in poly.states]
+    hi = [box.hi.get(s, (ONE, False))[0] for s in poly.states]
+    rest_lo, rest_hi = [ZERO] * (n + 1), [ZERO] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        rest_lo[i], rest_hi[i] = rest_lo[i + 1] + lo[i], rest_hi[i + 1] + hi[i]
+    out: list[tuple[Fraction, ...]] = []
+    x = [ZERO] * n
+
+    def walk(i: int, total: Fraction, free: int | None) -> None:
+        """Coordinates from i on, with `total` the sum of those set before
+        i and `free` the coordinate that takes the remainder, if chosen."""
+        low, high = (ZERO, ZERO) if free is None else (lo[free], hi[free])
+        if total + low + rest_lo[i] > 1 or total + high + rest_hi[i] < 1:
+            return
+        if i == n:
+            if free is None:
+                out.append(tuple(x))  # the sum is 1 by the test above
+            elif lo[free] < 1 - total < hi[free]:
+                x[free] = 1 - total
+                out.append(tuple(x))
+            return
+        for bound in (lo[i],) if lo[i] == hi[i] else (lo[i], hi[i]):
+            x[i] = bound
+            walk(i + 1, total + bound, free)
+        if free is None:
+            walk(i + 1, total, i)
+
+    walk(0, ZERO, None)
+    return out
+
+
+def _double_description(poly: Polytope) -> list[tuple[Fraction, ...]]:
+    """The vertices of a polytope over at least one state, as coordinate
+    tuples in no set order, by incremental double description.
+
+    Starts from the simplex vertices and cuts one halfspace at a time; new
+    vertices arise on edges between kept and cut vertices, with adjacency
+    decided by a rank test on the common tight constraints.
+    """
+    n = len(poly.states)
     ones = tuple(ONE for _ in range(n))
 
     # Each vertex: coordinate tuple. Tight sets recomputed against processed rows.
@@ -843,10 +920,8 @@ def vertices(poly: Polytope, dim_cap: int = VERTEX_DIM_CAP) -> list[Distribution
                         new.append(p)
         processed.append((a, b))
         verts = keep + [p for p in new if p not in keep]
-
     # Points on the boundary of several halfspaces can coincide; dedupe done above.
-    out = [Distribution.of({s: v[i] for i, s in enumerate(poly.states)}) for v in verts]
-    return sorted(out, key=lambda d: tuple(d.mass.get(s, ZERO) for s in poly.states))
+    return verts
 
 
 # ---------------------------------------------------------------------------

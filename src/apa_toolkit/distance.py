@@ -13,19 +13,25 @@ a binary64 float, with the contraction giving a certified error bound.
 
 Every sweep poses the same transport polytopes with new costs: one per
 (left vertex, right piece) pair, and one per right piece for all point-mass
-vertices.  Within one `state_distances` call, phase 1 runs once per polytope
-(`_lp.prepare`), and each sweep re-prices the prepared tableau from its last
-optimal basis (`_lp.reprice`).  Bland's rule terminates from any feasible
-basis, and the optimal value does not depend on the basis phase 2 starts
-from; the optimal coupling may, but the distance reads the value alone.  The
-tableaux are dropped when the call returns.
+vertices.  One `state_distances` call does once what does not change between
+sweeps.  It finds each left constraint's vertices (`constraints.vertices`,
+in closed form on interval pieces) and each right constraint's nonempty
+pieces, numbers each distinct vertex and piece, and keys the tableaux on
+those numbers.  Phase 1 runs once per polytope (`_lp.prepare`).  Each sweep
+converts the distances to `Fraction`s once, one per state pair, and
+re-prices the prepared tableaux from their last optimal basis
+(`_lp.reprice_value`).  Bland's rule terminates from any feasible basis,
+and the optimal value does not depend on the basis phase 2 starts from; the
+optimal coupling may, but the distance reads the value alone, and
+`reprice_value` builds no coupling.  The tableaux are dropped when the call
+returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import _lp
 from . import constraints as C
@@ -109,20 +115,42 @@ def _outer_points(phi: ConstraintExpr, states: tuple, dim_cap: int) -> tuple[Dis
     return tuple(points)
 
 
-def _transport_tableau(tableaux: dict, mu: Distribution, piece: Piece,
+class _Vertex(NamedTuple):
+    """A left vertex as `state_distances` numbers it: equal vertices share a
+    number, and every point mass has the number None."""
+
+    number: int | None
+    mu: Distribution
+    cells: tuple  # (transport variable, the (left, right) state pair pricing it)
+
+
+class _RightPiece(NamedTuple):
+    """A right piece as `state_distances` numbers it: equal pieces share a
+    number."""
+
+    number: int
+    piece: Piece
+
+
+def _transport_tableau(tableaux: dict, vertex: _Vertex, right: _RightPiece,
                        states2: tuple) -> _lp.Tableau:
-    """The prepared tableau of the transport LP from mu into the closure of a
-    right piece (the couplings of mu with any distribution in it), taken from
-    `tableaux` or made by phase 1 and added there.  The polytope of a point
-    mass is the piece itself, so all point masses share one tableau per
-    piece, under the key (None, piece); any other mu keys as (mu, piece)."""
-    supp = mu.support()
-    key = (mu if len(supp) > 1 else None, piece)
+    """The prepared tableau of the transport LP from a left vertex into the
+    closure of a right piece (the couplings of the vertex with any
+    distribution in it), taken from `tableaux` or made by phase 1 and added
+    there.
+
+    The tableaux key on the two numbers, so equal vertices share one
+    tableau.  The polytope of a point mass is the piece itself, so all point
+    masses, numbered None, share one tableau per piece.
+    """
+    key = (vertex.number, right.number)
     tableau = tableaux.get(key)
     if tableau is not None:
         return tableau
-    rows = piece.closure_rows()
-    if len(supp) == 1:
+    rows = right.piece.closure_rows()
+    mu = vertex.mu
+    supp = mu.support()
+    if vertex.number is None:
         variables = list(states2)
         rows.append(({t: ONE for t in states2}, "==", ONE))
     else:
@@ -135,31 +163,25 @@ def _transport_tableau(tableaux: dict, mu: Distribution, piece: Piece,
     return tableau
 
 
-def _transport_value(tableau: _lp.Tableau, mu: Distribution, states2: tuple,
-                     dval: Callable[[State, State], float]) -> Fraction:
-    """Cheapest coupling over the prepared transport tableau of mu; cost of a
-    (left, right) cell is the current distance.  Phase 2 starts from the
-    tableau's last optimal basis."""
-    supp = mu.support()
-    if len(supp) == 1:
-        s = supp[0]
-        obj = {t: Fraction(dval(s, t)) for t in states2}
-    else:
-        obj = {(s, t): Fraction(dval(s, t)) for s in supp for t in states2}
-    return _lp.reprice(tableau, obj, maximize=False).value
+def _transport_value(tableau: _lp.Tableau, vertex: _Vertex, cost: dict) -> Fraction:
+    """Cheapest coupling over the prepared transport tableau of a vertex; a
+    variable costs the `cost` entry of its state pair, the current distance
+    as a `Fraction`.  Phase 2 starts from the tableau's last optimal basis,
+    and only the value is read (`_lp.reprice_value`)."""
+    return _lp.reprice_value(tableau, {var: cost[cell] for var, cell in vertex.cells},
+                             maximize=False)
 
 
-def _expr_distance(points1: tuple[Distribution, ...], pieces2: tuple[Piece, ...],
-                   states2: tuple, dval: Callable[[State, State], float],
-                   tableaux: dict) -> tuple[float, bool]:
+def _expr_distance(points1: tuple[_Vertex, ...], pieces2: tuple[_RightPiece, ...],
+                   states2: tuple, cost: dict, tableaux: dict) -> tuple[float, bool]:
     """(value, exact): distance between two constraint expressions, given by
-    the `_outer_points` of the left one and the `_feasible_pieces` of the
-    right one.
+    the numbered `_outer_points` of the left one and the numbered
+    `_feasible_pieces` of the right one, under the sweep's `cost`.
 
     With a multi-piece right cover the inner value is only piecewise convex,
     so the vertex scan yields a certified lower bound (exact=False).
     `tableaux` holds the prepared transport tableaux of one
-    `state_distances` call (see `_transport_tableau`).
+    `state_distances` call.
     """
     if not pieces2:
         return 1.0, True  # nothing to transport into
@@ -167,10 +189,10 @@ def _expr_distance(points1: tuple[Distribution, ...], pieces2: tuple[Piece, ...]
         return 0.0, True  # supremum over an empty set
     exact = len(pieces2) == 1
     best = Fraction(0)
-    for mu in points1:
-        inner = min(_transport_value(_transport_tableau(tableaux, mu, piece, states2),
-                                     mu, states2, dval)
-                    for piece in pieces2)
+    for vertex in points1:
+        inner = min(_transport_value(_transport_tableau(tableaux, vertex, right, states2),
+                                     vertex, cost)
+                    for right in pieces2)
         if inner > best:
             best = inner
     return min(float(best), 1.0), exact
@@ -214,11 +236,26 @@ def state_distances(n1: APA, n2: APA, params: DistanceParams | None = None) -> D
                     key=lambda cp: (str(cp[0]), str(cp[1])))
     combo_index = {cp: i for i, cp in enumerate(combos)}
     terms = {p: [[combo_index[cp] for cp in opts] for opts in tl] for p, tl in terms.items()}
-    points1 = {l: _outer_points(l, states1, params.vertex_dim_cap)
+    # Each distinct left vertex and right piece is numbered once per call;
+    # the transport tableaux key on the numbers (see _transport_tableau).
+    vertex_ids: dict = {}
+    piece_ids: dict = {}
+
+    def vertex(mu: Distribution) -> _Vertex:
+        supp = mu.support()
+        if len(supp) == 1:
+            return _Vertex(None, mu, tuple((t, (supp[0], t)) for t in states2))
+        return _Vertex(vertex_ids.setdefault(mu, len(vertex_ids)), mu,
+                       tuple(((s, t), (s, t)) for s in supp for t in states2))
+
+    points1 = {l: tuple(vertex(mu) for mu in _outer_points(l, states1, params.vertex_dim_cap))
                for l in dict.fromkeys(l for l, _ in combos)}
-    pieces2 = {r: _feasible_pieces(r, states2) for r in dict.fromkeys(r for _, r in combos)}
-    dims1 = [tuple(sorted({s for v in points1[l] for s in v.support()}, key=str))
-             for l, _ in combos]
+    pieces2 = {r: tuple(_RightPiece(piece_ids.setdefault(piece, len(piece_ids)), piece)
+                        for piece in _feasible_pieces(r, states2))
+               for r in dict.fromkeys(r for _, r in combos)}
+    problems = [(points1[l], pieces2[r]) for l, r in combos]
+    dims1 = [tuple(sorted({s for v in points for s in v.mu.support()}, key=str))
+             for points, _ in problems]
 
     d = {p: (1.0 if p in incompat else 0.0) for p in pairs}
     threshold = params.epsilon * (1 - lam) / lam
@@ -231,9 +268,7 @@ def state_distances(n1: APA, n2: APA, params: DistanceParams | None = None) -> D
     while iterations < params.max_iter:
         iterations += 1
 
-        def dval(s: State, t: State) -> float:
-            return d[(s, t)]
-
+        cost = {p: Fraction(x) for p, x in d.items()}  # exact, once per sweep
         new = {}
         residual = 0.0
         for p in pairs:
@@ -246,9 +281,7 @@ def state_distances(n1: APA, n2: APA, params: DistanceParams | None = None) -> D
                 for i in opts:
                     key = (i, tuple(d[(s, t)] for s in dims1[i] for t in states2))
                     if key not in cache:
-                        l, r = combos[i]
-                        cache[key] = _expr_distance(points1[l], pieces2[r], states2, dval,
-                                                    tableaux)
+                        cache[key] = _expr_distance(*problems[i], states2, cost, tableaux)
                     val, ex = cache[key]
                     exact = exact and ex
                     inner = min(inner, lam * val)

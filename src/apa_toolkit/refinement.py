@@ -193,6 +193,15 @@ def _pull_back(piece: C.Piece, image: Mapping[State, State]) -> list:
             for cm, rel, rhs in piece.lp_rows()]
 
 
+def _named_rows(rows: list) -> list | None:
+    """The rows that name some state, or None if a row that names none is
+    false: such a row compares 0 with its right-hand side, which decides it
+    with no LP."""
+    if all(coeffs or C.zero_row_holds(rel, rhs) for coeffs, rel, rhs in rows):
+        return [row for row in rows if row[0]]
+    return None
+
+
 def _sim_witness(phi1, states1: tuple, mapping: tuple, phi2, states2: tuple):
     """A mu1 in Sat(phi1) that no mu2 in Sat(phi2) simulates under the forced
     map, or None if every mu1 is matched.
@@ -254,7 +263,7 @@ def _coupling_feasible(mu: Mapping[State, Fraction], phi, states2: tuple,
             row = {(s, t): c for t, c in coeffs for s in supp if (s, t) in relation}
             if row:
                 rows.append((row, rel, rhs))
-            elif not {"<=": ZERO <= rhs, "<": ZERO < rhs, "==": ZERO == rhs}[rel]:
+            elif not C.zero_row_holds(rel, rhs):
                 break  # the piece is empty
         else:
             # Sat(phi) lives on the target simplex: the base rows already make
@@ -436,8 +445,11 @@ def _map_condition(cid1, pieces: tuple, phi2, states2: tuple, relation: frozense
     Sat(phi2) is then exact, decided against the complement cover.  Searching
     only deterministic maps is the conservative part.  Only pairs whose left
     state is in a piece's support are ever read.  `neg_pieces` is the DNF
-    cover of the complement of phi2.  `tested` keeps each push LP's verdict
-    by (cid1, the constraint id of phi1; piece index; pulled-back rows).
+    cover of the complement of phi2.  A pulled-back row that names no left
+    state decides itself (`_named_rows`): if false, no mu1 is pushed into
+    that complement piece; if true, it is dropped, and with no row left
+    every mu1 is.  `tested` keeps each push LP's verdict by (cid1, the
+    constraint id of phi1; piece index; pulled-back rows).
     """
     for index, (probe, support, base) in enumerate(pieces):
         # complete rejection filter: one concrete point with no simulating image
@@ -451,7 +463,11 @@ def _map_condition(cid1, pieces: tuple, phi2, states2: tuple, relation: frozense
 
         def push_ok(assign: dict) -> bool:
             for neg in neg_pieces:
-                rows = _pull_back(neg, assign)
+                rows = _named_rows(_pull_back(neg, assign))
+                if rows is None:
+                    continue  # a false row: no mu1 is pushed into this complement piece
+                if not rows:
+                    return False  # every mu1 in the piece is pushed into it
                 key = (cid1, index, tuple((frozenset(c.items()), rel, rhs) for c, rel, rhs in rows))
                 if key not in tested:
                     tested[key] = _lp.feasible_with(base, rows)

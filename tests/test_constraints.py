@@ -4,7 +4,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apa_toolkit import _lp, constraints as C, refinement
 from apa_toolkit.errors import InputError, ResourceLimitError
@@ -353,10 +353,62 @@ def test_vertices_match_square_subsystem_enumeration(rows):
     assert got == want
 
 
+BOX_STATES = ("b0", "b1", "b2", "b3")
+_box_end = st.integers(min_value=-1, max_value=5).map(lambda k: F(k, 4))
+
+
+@st.composite
+def _box_rows(draw):
+    """Rows that each name at most one state: up to six bounds of every
+    relation, scaled by a coefficient of either sign, on a few of the states
+    (so some states get no row, and some two bounds that may meet or cross),
+    and now and then a row that names no state."""
+    rows = [({s: (c := draw(_support_coeff))}, draw(st.sampled_from(["<=", ">=", "=="])),
+             c * draw(_box_end))
+            for s in draw(st.lists(st.sampled_from(BOX_STATES[:3]), max_size=6))]
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        rows.append(({}, draw(st.sampled_from(["<=", ">=", "=="])), draw(_box_end)))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_box_rows())
+@example([])
+@example([({"b0": F(1)}, "==", F(1, 4)), ({"b1": F(2)}, ">=", F(1, 2)),
+          ({"b1": F(1)}, "<=", F(1, 4))])  # zero width
+@example([({"b0": F(1)}, ">=", F(3, 4)), ({"b1": F(-1)}, "<=", F(-1, 2))])  # lows past 1
+@example([({"b2": F(1)}, ">=", F(1, 2)), ({"b2": F(3)}, "<=", F(3, 4))])  # crossed bounds
+def test_box_vertices_equal_double_description(rows):
+    """On a box cut by the simplex, `vertices` takes the closed form, and its
+    list equals double description's, sorted and converted as before, and
+    the square-subsystem oracle's vertex set."""
+    poly = C.Polytope.make(BOX_STATES, rows)
+    assert C._box_vertices(poly) is not None
+    got = C.vertices(poly)
+    by_dd = sorted((C.Distribution.of(dict(zip(BOX_STATES, v)))
+                    for v in C._double_description(poly)),
+                   key=lambda mu: tuple(mu[s] for s in BOX_STATES))
+    assert got == by_dd
+    oracle_rows = list(rows) + [({s: F(1) for s in BOX_STATES}, "==", F(1))]
+    assert {tuple(mu[s] for s in BOX_STATES) for mu in got} == \
+        {tuple(p[s] for s in BOX_STATES) for p in basic_points(oracle_rows, BOX_STATES)}
+
+
+def test_vertices_of_interval_pieces_take_the_closed_form(monkeypatch):
+    """Every piece of an interval constraint is a box: no double description."""
+    monkeypatch.setattr(C, "_double_description", None)
+    phi = C.interval_constraint({"s0": (F(1, 4), F(1, 2)), "s1": (0, F(3, 4))}, zero=["s2"])
+    (piece,) = C.dnf_cover(phi)
+    assert [mu.mass for mu in C.vertices(C.Polytope.from_piece(piece, STATES))] == \
+        [{"s0": F(1, 4), "s1": F(3, 4)}, {"s0": F(1, 2), "s1": F(1, 2)}]
+
+
 def test_vertices_dimension_cap():
+    """The cap is checked before either enumeration."""
     big = [f"x{i}" for i in range(13)]
-    with pytest.raises(ResourceLimitError):
-        C.vertices(C.Polytope.make(big, []), dim_cap=12)
+    for rows in ([], [({"x0": F(1)}, "<=", F(1, 2))], [({"x0": F(1), "x1": F(1)}, "<=", F(1, 2))]):
+        with pytest.raises(ResourceLimitError):
+            C.vertices(C.Polytope.make(big, rows), dim_cap=12)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,8 +192,8 @@ class _ColdLp:
     def prepare(self, constraints, variables):
         return list(constraints), list(variables)
 
-    def reprice(self, system, objective, maximize=True):
-        return _lp.solve(objective, *system, maximize=maximize)
+    def reprice_value(self, system, objective, maximize=True):
+        return _lp.solve(objective, *system, maximize=maximize).value
 
 
 def test_warm_started_tables_equal_cold_solves(monkeypatch):
@@ -222,9 +225,9 @@ class _CountingLp:
         self.phase1.append(_system_key(constraints, variables))
         return _lp.prepare(constraints, variables)
 
-    def reprice(self, tableau, objective, maximize=True):
+    def reprice_value(self, tableau, objective, maximize=True):
         self.reprices += 1
-        return _lp.reprice(tableau, objective, maximize)
+        return _lp.reprice_value(tableau, objective, maximize)
 
     def solve(self, objective, constraints, variables, maximize=True):
         self.phase1.append(_system_key(constraints, variables))
@@ -247,3 +250,14 @@ def test_phase_one_runs_once_per_transport_polytope(monkeypatch):
         assert set(counted.phase1) == set(first_sweep.phase1), name
     # the deferral pair alone needs dozens of sweeps, each re-pricing
     assert sweeps > 2 * len(pairs)
+
+
+def test_distance_demo_output_matches_the_golden_file():
+    """`scripts/distance_demo.py` prints the fixture tables at three
+    discounts, the sampled bound and the convergence of the difference
+    approximations (the one run at `vertex_dim_cap=24`), all exact up to
+    the printed digits; its stdout must match the recording byte for byte."""
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, str(root / "scripts" / "distance_demo.py")],
+                         check=True, stdout=subprocess.PIPE).stdout
+    assert out == (root / "tests" / "golden" / "distance_demo.stdout").read_bytes()

@@ -271,8 +271,11 @@ def _repriced_systems(draw):
 @settings(max_examples=150, deadline=None)
 @given(_repriced_systems())
 def test_repricing_a_prepared_tableau_matches_cold_solves(system):
+    """`reprice` matches `solve` on the value; `reprice_value`, on a second
+    copy of the tableau, returns that value and leaves the copy as `reprice`
+    leaves the first."""
     rows, variables, objectives = system
-    tableau = _lp.prepare(rows, variables)
+    tableau, twin = _lp.prepare(rows, variables), _lp.prepare(rows, variables)
     for objective, maximize in objectives:
         cold = _lp.solve(objective, rows, variables, maximize=maximize)
         if tableau is None:
@@ -281,6 +284,8 @@ def test_repricing_a_prepared_tableau_matches_cold_solves(system):
         warm = _lp.reprice(tableau, objective, maximize=maximize)
         assert warm.status == cold.status
         assert warm.value == cold.value
+        assert _lp.reprice_value(twin, objective, maximize=maximize) == warm.value
+        assert (twin.rows, twin.basis, twin.det) == (tableau.rows, tableau.basis, tableau.det)
         if warm.optimal:
             assert _holds(warm.point, rows)
             assert sum((c * warm.point[v] for v, c in objective.items()), ZERO) == warm.value

@@ -387,6 +387,40 @@ def test_map_search_tests_each_base_and_pulled_back_rows_once(monkeypatch, pair)
         assert len(seen) == len(set(seen))
 
 
+@pytest.mark.parametrize("pair, verdicts", [
+    (interval_pair, (True, True, True, True)),
+    (deferral_pair, (True, True, True, False)),
+])
+def test_map_search_decides_rows_that_name_no_state_without_an_lp(monkeypatch, pair, verdicts):
+    """A pulled-back row that names no left state compares 0 with its
+    right-hand side: if false, the complement piece is skipped, and if true
+    the row is dropped.  No such row reaches `_lp.feasible_with`, and the
+    verdicts of under(1) against under(2), n1 and over, and of over against
+    under(1), stay as they were."""
+    from apa_toolkit.difference import over_diff, under_diff
+    n1, n2 = pair()
+    rows_seen = []
+    feasible_with = refinement._lp.feasible_with
+
+    def recording(base, rows):
+        rows_seen.extend(rows)
+        return feasible_with(base, rows)
+    monkeypatch.setattr(refinement._lp, "feasible_with", recording)
+    u1, u2, over = under_diff(n1, n2, 1), under_diff(n1, n2, 2), over_diff(n1, n2)
+    got = tuple(refines(left, right) for left, right in ((u1, u2), (u1, n1), (u1, over),
+                                                         (over, u1)))
+    assert got == verdicts
+    assert rows_seen and all(coeffs for coeffs, _, _ in rows_seen)
+
+
+def test_named_rows_decide_rows_that_name_no_state():
+    row = ({"s": F(1)}, "<=", F(1, 2))
+    assert refinement._named_rows([({}, "<", F(1)), row, ({}, "==", F(0))]) == [row]
+    assert refinement._named_rows([row, ({}, "<", F(0))]) is None
+    assert refinement._named_rows([({}, "<=", F(-1)), row]) is None
+    assert refinement._named_rows([({}, "<=", F(0))]) == []
+
+
 def test_map_budget_counts_every_complete_map(monkeypatch):
     """`_MAP_TEST_BUDGET` bounds the complete maps tried per left piece and
     `_map_condition` call, memoized push verdicts included.  On the interval
