@@ -816,9 +816,7 @@ def vertices(poly: Polytope, dim_cap: int = VERTEX_DIM_CAP) -> list[Distribution
     verts = _box_vertices(poly)
     if verts is None:
         verts = _double_description(poly)
-    order = sorted(range(n), key=lambda i: str(poly.states[i]))
-    return [Distribution(tuple((poly.states[i], v[i]) for i in order if v[i]))
-            for v in sorted(verts)]
+    return [Distribution.of(dict(zip(poly.states, v))) for v in sorted(verts)]
 
 
 def _box_vertices(poly: Polytope) -> list[tuple[Fraction, ...]] | None:
@@ -826,16 +824,16 @@ def _box_vertices(poly: Polytope) -> list[tuple[Fraction, ...]] | None:
     coordinate tuples in no set order; None if a row names two states.
 
     Such a polytope is a box, lo_s <= x_s <= hi_s with 0 <= lo_s and
-    hi_s <= 1, cut by the simplex row sum x = 1; `_Box` reads the bounds and
-    decides emptiness.  A point of it is a vertex
-    iff at least n - 1 coordinates sit at a bound, since the simplex row and
-    the unit rows of those coordinates are then n independent tight rows.  So
-    a vertex either has every coordinate at a bound, summing to 1, or one
-    coordinate strictly inside its interval, at 1 minus the others.  The
-    search gives each coordinate in turn its lower bound, its upper bound
-    (unless equal) or, for one coordinate, the remainder, and drops a branch
-    once the running sum plus the least (greatest) completion lies above
-    (below) 1; each vertex is reached once.
+    hi_s <= 1, cut by the simplex row sum x = 1; `_Box` reads the bounds
+    and decides emptiness.  A point of it is a vertex iff at least n - 1
+    coordinates sit at a bound, since the simplex row and the unit rows of
+    those coordinates are then n independent tight rows.  So a vertex either
+    has every coordinate at a bound, summing to 1, or one coordinate
+    strictly inside its interval, at 1 minus the others.  The search gives
+    each coordinate in turn its lower bound, its upper bound (unless equal)
+    or, for one coordinate, the remainder, and drops a branch once the
+    running sum plus the least (greatest) completion lies above (below) 1;
+    each vertex is reached once.
     """
     box = _Box.of(Piece(poly.rows), poly.states)
     if box is None:

@@ -59,13 +59,14 @@ class DistanceParams:
             raise InputError("the iteration cap must be at least 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class DistanceTable:
     """Fixed-point iterate with its convergence certificate.
 
     `exact` is False when some constraint pair needed the sampled outer bound
     (a non-convex right-hand cover); every reported value is then a certified
     lower bound of the true distance rather than an epsilon-close value.
+    Slots keep a table that a caller holds on to at its fields.
     """
 
     d: dict
