@@ -918,6 +918,7 @@ def _double_description(poly: Polytope) -> list[tuple[Fraction, ...]]:
                         new.append(p)
         processed.append((a, b))
         verts = keep + [p for p in new if p not in keep]
+
     # Points on the boundary of several halfspaces can coincide; dedupe done above.
     return verts
 

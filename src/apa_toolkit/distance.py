@@ -66,7 +66,8 @@ class DistanceTable:
     `exact` is False when some constraint pair needed the sampled outer bound
     (a non-convex right-hand cover); every reported value is then a certified
     lower bound of the true distance rather than an epsilon-close value.
-    Slots keep a table that a caller holds on to at its fields.
+    With slots, a table that a caller keeps costs its fields and no
+    instance dict.
     """
 
     d: dict
