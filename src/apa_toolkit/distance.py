@@ -53,7 +53,7 @@ class DistanceParams:
     def __post_init__(self):
         if not 0 < self.lam < 1:
             raise InputError("the discount factor must lie strictly between 0 and 1")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise InputError("the convergence tolerance must be positive")
         if self.max_iter < 1:
             raise InputError("the iteration cap must be at least 1")

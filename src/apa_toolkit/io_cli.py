@@ -1,15 +1,23 @@
 """JSON model documents, DOT export, and the command-line surface.
 
-Documents carry exact rationals as "p/q" strings; serialization is canonical
-(fixed key order, rationals in lowest terms), so serialize(parse(text)) is
+Documents carry exact rationals as integers or "p/q" strings, matched in
+full (no decimals, exponents or spaces); serialization is canonical (fixed
+key order, rationals in lowest terms), so serialize(parse(text)) is
 idempotent and parse(serialize(model)) reproduces the model including
 product-state structure and derived constraints.
+
+The reader checks every key against one table, `_SHAPES`, and names the
+JSON path of the first value of the wrong shape.  A constraint has one
+form per kind: {"linear": node} for a Boolean combination of linear atoms,
+and {"derived": {...}} for the bot-lift, phi-B and phi-B-k constraints of
+a difference.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any
@@ -25,7 +33,48 @@ from .refinement import CaseLabel, compute_refinement, satisfies
 
 FORMAT_VERSION = 1
 
-_RELS = ("<=", ">=", "==", "<", ">")
+# The JSON shape of each document key: a type, (type, None) for a value that
+# may also be null or absent, or [shape] for a list of that shape.  No key
+# takes a bool, so true and false are not ints here.  `initial` is the one
+# key whose shape depends on the kind: a name for a concrete automaton, a
+# list of names for an abstract one.  Rationals (distribution masses, atom
+# coefficients and right-hand sides) go through `_parse_frac`, and
+# constraint nodes through `_node_from_doc`.
+_SHAPES = {
+    "format_version": int, "kind": (str, None), "ap": [str], "actions": [str],
+    "states": [dict], "transitions": [dict], "constraints": dict, "difference": dict,
+    "name": str, "s1": str, "s2": (str, None), "e": (str, None), "k": (int, None),
+    "left": str, "matched": (str, None), "valuation": [str], "valuations": [[str]],
+    "from": str, "to": (str, None), "action": str, "modality": str, "constraint": str,
+    "distribution": dict, "derived": dict, "tag": str, "phi1": dict, "phi2": dict,
+    "source_states": [str], "target_states": [str], "cells": [str], "succ": [dict],
+    "b": [dict], "right": str, "atom": dict, "coeffs": dict, "rel": str,
+    "all_of": list, "any_of": list, "source_initial": [str], "level": (int, None),
+}
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _check(value, shape, where: str):
+    """`value`, if it has `shape` (see `_SHAPES`); otherwise an input error
+    naming `where`, or the first list entry that does not."""
+    if isinstance(shape, list):
+        for i, item in enumerate(_check(value, list, where)):
+            _check(item, shape[0], f"{where}[{i}]")
+        return value
+    if isinstance(shape, tuple):
+        if value is None:
+            return value
+        shape = shape[0]
+    if isinstance(value, bool) or not isinstance(value, shape):
+        raise InputError(f"{where}: expected {shape.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _get(d: dict, key: str, where: str, default=None):
+    """`d[key]`, or `default` when the key is absent, checked against its
+    shape in `_SHAPES`; `where` is its JSON path."""
+    return _check(d.get(key, default), _SHAPES[key], where)
 
 
 # ---------------------------------------------------------------------------
@@ -38,32 +87,15 @@ def _frac_str(x) -> str:
 
 
 def _parse_frac(v, where: str) -> Fraction:
-    if isinstance(v, bool) or isinstance(v, float):
-        raise InputError(f"{where}: rationals must be 'p/q' strings or integers, got {v!r}")
-    if isinstance(v, int):
+    """An integer, or a string of the form `_frac_str` writes."""
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{where}: bad rational {v!r} ({exc})")
-    raise InputError(f"{where}: rationals must be 'p/q' strings, got {type(v).__name__}")
-
-
-def _expect(value, shape: type, where: str, optional: bool = False):
-    """`value`, if it is a `shape` (or None, if `optional`); otherwise an
-    input error naming `where`."""
-    if not (isinstance(value, shape) or optional and value is None):
-        raise InputError(f"{where}: expected {shape.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _list_of(value, shape: type, where: str) -> list:
-    """`value`, if it is a list of `shape`s; otherwise an input error naming
-    the first entry that is not."""
-    for i, v in enumerate(_expect(value, list, where)):
-        _expect(v, shape, f"{where}[{i}]")
-    return value
+    if not (isinstance(v, str) and _RATIONAL.fullmatch(v)):
+        raise InputError(f"{where}: rationals must be 'p/q' strings or integers, got {v!r}")
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{where}: bad rational {v!r} ({exc})")
 
 
 def _ref(s) -> str:
@@ -82,22 +114,24 @@ def _state_doc(s) -> dict:
     return {"name": s}
 
 
-def _state_from_doc(d, where: str):
-    if not isinstance(d, dict) or "name" not in d:
-        raise InputError(f"{where}: each state needs at least a name")
-    name = _expect(d["name"], str, f"{where}.name")
-    kind = d.get("kind")
-    if kind == "product":
-        return ProductState(_expect(d.get("s1"), str, f"{where}.s1"),
-                            _expect(d.get("s2"), str, f"{where}.s2", optional=True),
-                            _expect(d.get("e"), str, f"{where}.e", optional=True),
-                            _expect(d.get("k"), int, f"{where}.k", optional=True))
-    if kind == "pair":
-        return CexState(_expect(d.get("left"), str, f"{where}.left"),
-                        _expect(d.get("matched"), str, f"{where}.matched", optional=True))
-    if kind is not None:
+_STATE_KINDS = {"product": (ProductState, ("s1", "s2", "e", "k")),
+                "pair": (CexState, ("left", "matched"))}
+
+
+def _state_from_doc(d: dict, where: str):
+    """The state `d` describes.  A product or pair state must carry the name
+    it prints as, so equal states cannot hide under different names."""
+    name = _get(d, "name", f"{where}.name")
+    kind = _get(d, "kind", f"{where}.kind")
+    if kind is None:
+        return name
+    if kind not in _STATE_KINDS:
         raise InputError(f"{where}: unknown state kind {kind!r}")
-    return name
+    make, keys = _STATE_KINDS[kind]
+    s = make(*(_get(d, key, f"{where}.{key}") for key in keys))
+    if str(s) != name:
+        raise InputError(f"{where}.name: expected {str(s)!r} for its fields, got {name!r}")
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -156,75 +190,54 @@ def _node_from_doc(d, table: dict, where: str):
     if not isinstance(d, dict):
         raise InputError(f"{where}: bad constraint node {d!r}")
     if "atom" in d:
-        a = _expect(d["atom"], dict, f"{where}: atom")
-        rel = a.get("rel")
-        if rel not in _RELS:
-            raise InputError(f"{where}: unknown relation {rel!r} (want one of {_RELS})")
-        coeffs = {table.get(k, k): _parse_frac(v, where)
-                  for k, v in _expect(a.get("coeffs", {}), dict, f"{where}: atom.coeffs").items()}
-        return C.atom(coeffs, rel, _parse_frac(a.get("rhs", 0), where))
+        a = _get(d, "atom", f"{where}: atom")
+        rel = _get(a, "rel", f"{where}: atom.rel")
+        if rel not in C.RELATIONS:
+            raise InputError(f"{where}: unknown relation {rel!r} (want one of {C.RELATIONS})")
+        coeffs = {table.get(k, k): _parse_frac(v, f"{where}: atom.coeffs[{k!r}]")
+                  for k, v in _get(a, "coeffs", f"{where}: atom.coeffs", {}).items()}
+        return C.atom(coeffs, rel, _parse_frac(a.get("rhs", 0), f"{where}: atom.rhs"))
     if "all_of" in d:
-        items = _expect(d["all_of"], list, f"{where}: all_of")
-        return C.and_(*[_node_from_doc(i, table, where) for i in items])
+        return C.and_(*[_node_from_doc(i, table, where)
+                        for i in _get(d, "all_of", f"{where}: all_of")])
     if "any_of" in d:
-        items = _expect(d["any_of"], list, f"{where}: any_of")
-        return C.or_(*[_node_from_doc(i, table, where) for i in items])
+        return C.or_(*[_node_from_doc(i, table, where)
+                       for i in _get(d, "any_of", f"{where}: any_of")])
     if "not" in d:
         return C.Not(_node_from_doc(d["not"], table, where))
     raise InputError(f"{where}: constraint node needs one of atom/all_of/any_of/not")
 
 
-def _expr_from_doc(d, table: dict, states: tuple, where: str):
-    if d is True or d is False or (isinstance(d, dict) and
-                                   any(k in d for k in ("atom", "all_of", "any_of", "not"))):
-        return _node_from_doc(d, table, where)
-    if not isinstance(d, dict):
-        raise InputError(f"{where}: bad constraint {d!r}")
+def _expr_from_doc(d: dict, table: dict, where: str):
     if "linear" in d:
         return _node_from_doc(d["linear"], table, where)
-    if "point" in d:
-        mass = {table.get(k, k): _parse_frac(v, where)
-                for k, v in _expect(d["point"], dict, f"{where}.point").items()}
-        if sum(mass.values()) != 1:
-            raise InputError(f"{where}: point masses must sum to 1")
-        for s in states:
-            mass.setdefault(s, Fraction(0))
-        return C.point_constraint(mass)
-    if "interval" in d:
-        spec = _expect(d["interval"], dict, at := f"{where}.interval")
-        bounds = {}
-        for k, pair in _expect(spec.get("bounds", {}), dict, f"{at}.bounds").items():
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise InputError(f"{where}: interval bounds must be [lo, hi] pairs")
-            bounds[table.get(k, k)] = (_parse_frac(pair[0], where), _parse_frac(pair[1], where))
-        zero = [table.get(k, k) for k in _list_of(spec.get("zero", []), str, f"{at}.zero")]
-        return C.interval_constraint(bounds, zero)
-    if "derived" in d:
-        spec = _expect(d["derived"], dict, at := f"{where}.derived")
-        tag = spec.get("tag")
-        cells = tuple(table.get(c, c) for c in _list_of(spec.get("cells", []), str, f"{at}.cells"))
-        source = tuple(_list_of(spec.get("source_states", []), str, f"{at}.source_states"))
-        if tag == "bot-lift":
-            phi1 = _expr_from_doc(spec.get("phi1"), table, states, where)
-            return C.make_bot_lift(phi1, source, cells)
-        if tag in ("phi-B", "phi-B-k"):
-            phi1 = _expr_from_doc(spec.get("phi1"), table, states, where)
-            phi2 = _expr_from_doc(spec.get("phi2"), table, states, where)
-            target = tuple(_list_of(spec.get("target_states", []), str, f"{at}.target_states"))
-            succ, b_map = {}, {}
-            for i, e in enumerate(_list_of(spec.get("succ", []), dict, f"{at}.succ")):
-                src = _expect(e.get("from"), str, f"{at}.succ[{i}].from")
-                succ[src] = _expect(e.get("to"), str, f"{at}.succ[{i}].to", optional=True)
-            for i, e in enumerate(_list_of(spec.get("b", []), dict, f"{at}.b")):
-                e_at = f"{at}.b[{i}]"
-                pair = _expect(e.get("left"), str, f"{e_at}.left"), _expect(e.get("right"), str, f"{e_at}.right")
-                b_map[pair] = tuple(_list_of(e.get("actions", []), str, f"{e_at}.actions"))
-            k = _expect(spec.get("k"), int, f"{at}.k", optional=True) if tag == "phi-B-k" else None
-            if tag == "phi-B-k" and k is None:
-                raise InputError(f"{where}: phi-B-k needs a level k")
-            return C.make_phi_B(phi1, phi2, source, target, succ, b_map, cells, k)
+    if "derived" not in d:
+        raise InputError(f"{where}: constraint needs one of linear/derived")
+    spec = _get(d, "derived", at := f"{where}.derived")
+    tag = _get(spec, "tag", f"{at}.tag")
+    if tag not in ("bot-lift", "phi-B", "phi-B-k"):
         raise InputError(f"{where}: unknown derived constraint tag {tag!r}")
-    raise InputError(f"{where}: constraint needs one of linear/point/interval/derived")
+    cells = tuple(table.get(c) for c in _get(spec, "cells", f"{at}.cells", []))
+    if not all(isinstance(c, ProductState) for c in cells):
+        raise InputError(f"{at}.cells: every cell must name a product state")
+    source = tuple(_get(spec, "source_states", f"{at}.source_states", []))
+    phi1 = _expr_from_doc(_get(spec, "phi1", f"{at}.phi1"), table, f"{at}.phi1")
+    if tag == "bot-lift":
+        return C.make_bot_lift(phi1, source, cells)
+    phi2 = _expr_from_doc(_get(spec, "phi2", f"{at}.phi2"), table, f"{at}.phi2")
+    target = tuple(_get(spec, "target_states", f"{at}.target_states", []))
+    if any(c.s1 not in source or c.s2 not in target + (None,) for c in cells):
+        raise InputError(f"{at}.cells: every cell must pair a source state with a target "
+                         f"state or bot")
+    succ = {_get(e, "from", f"{at}.succ[{i}].from"): _get(e, "to", f"{at}.succ[{i}].to")
+            for i, e in enumerate(_get(spec, "succ", f"{at}.succ", []))}
+    b_map = {(_get(e, "left", f"{at}.b[{i}].left"), _get(e, "right", f"{at}.b[{i}].right")):
+             tuple(_get(e, "actions", f"{at}.b[{i}].actions", []))
+             for i, e in enumerate(_get(spec, "b", f"{at}.b", []))}
+    k = _get(spec, "k", f"{at}.k") if tag == "phi-B-k" else None
+    if tag == "phi-B-k" and k is None:
+        raise InputError(f"{where}: phi-B-k needs a level k")
+    return C.make_phi_B(phi1, phi2, source, target, succ, b_map, cells, k)
 
 
 # ---------------------------------------------------------------------------
@@ -233,37 +246,26 @@ def _expr_from_doc(d, table: dict, states: tuple, where: str):
 
 
 def to_document(model: APA | PA) -> dict:
-    if isinstance(model, PA):
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "pa",
-            "ap": list(model.ap),
-            "actions": list(model.actions),
-            "states": [dict(_state_doc(s),
-                            valuation=sorted(model.valuation_of(s)))
-                       for s in model.states],
-            "initial": _ref(model.initial),
-            "transitions": [
-                {"from": _ref(t.source), "action": t.action,
-                 "distribution": {_ref(s): _frac_str(m) for s, m in t.distribution.items}}
-                for t in model.transitions],
-        }
-        return doc
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "apa",
-        "ap": list(model.ap),
-        "actions": list(model.actions),
-        "states": [dict(_state_doc(s),
-                        valuations=[sorted(v) for v in model.valuations(s)])
-                   for s in model.states],
-        "initial": [_ref(s) for s in model.initial],
-        "transitions": [
+    concrete = isinstance(model, PA)
+    doc = {"format_version": FORMAT_VERSION, "kind": "pa" if concrete else "apa",
+           "ap": list(model.ap), "actions": list(model.actions)}
+    if concrete:
+        doc["states"] = [dict(_state_doc(s), valuation=sorted(model.valuation_of(s)))
+                         for s in model.states]
+        doc["initial"] = _ref(model.initial)
+        doc["transitions"] = [
             {"from": _ref(t.source), "action": t.action,
-             "modality": t.modality.value, "constraint": t.constraint_id}
-            for t in model.transitions],
-        "constraints": {cid: _expr_doc(expr) for cid, expr in model.constraints},
-    }
+             "distribution": {_ref(s): _frac_str(m) for s, m in t.distribution.items}}
+            for t in model.transitions]
+        return doc
+    doc["states"] = [dict(_state_doc(s), valuations=[sorted(v) for v in model.valuations(s)])
+                     for s in model.states]
+    doc["initial"] = [_ref(s) for s in model.initial]
+    doc["transitions"] = [
+        {"from": _ref(t.source), "action": t.action,
+         "modality": t.modality.value, "constraint": t.constraint_id}
+        for t in model.transitions]
+    doc["constraints"] = {cid: _expr_doc(expr) for cid, expr in model.constraints}
     if isinstance(model, DifferenceAPA):
         doc["difference"] = {
             "source_initial": [_ref(s) for s in model.source_initial],
@@ -274,89 +276,70 @@ def to_document(model: APA | PA) -> dict:
 def from_document(doc: dict) -> APA | PA:
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
-    version = doc.get("format_version")
+    version = _get(doc, "format_version", "format_version")
     if version != FORMAT_VERSION:
         raise InputError(f"format_version: expected {FORMAT_VERSION}, got {version!r}")
-    kind = doc.get("kind")
+    kind = _get(doc, "kind", "kind")
     if kind not in ("apa", "pa"):
         raise InputError(f"kind: expected 'apa' or 'pa', got {kind!r}")
-    shapes = {"states": list, "actions": list, "ap": list, "transitions": list,
-              "constraints": dict, "difference": dict,
-              "initial": str if kind == "pa" else list}
-    for key, shape in shapes.items():
-        if key in doc:
-            _expect(doc[key], shape, key)
+    concrete = kind == "pa"
 
-    states = []
     table: dict[str, Any] = {}
-    for i, sd in enumerate(doc.get("states", [])):
-        s = _state_from_doc(sd, f"states[{i}]")
-        name = sd["name"]
-        if name in table:
-            raise InputError(f"states[{i}]: duplicate state name {name!r}")
-        table[name] = s
-        states.append(s)
+    labeling = {}
+    for i, sd in enumerate(_get(doc, "states", "states", [])):
+        s = _state_from_doc(sd, where := f"states[{i}]")
+        if sd["name"] in table:
+            raise InputError(f"{where}: duplicate state name {sd['name']!r}")
+        table[sd["name"]] = s
+        labeling[s] = (_get(sd, "valuation", f"{where}.valuation", []) if concrete
+                       else _get(sd, "valuations", f"{where}.valuations"))
+    states = list(table.values())
 
-    def resolve(name, where):
-        if not isinstance(name, str) or name not in table:
+    def resolve(name: str, where: str):
+        if name not in table:
             raise InputError(f"{where}: unknown state {name!r}")
         return table[name]
 
-    actions = _list_of(doc.get("actions", []), str, "actions")
-    ap = _list_of(doc.get("ap", []), str, "ap")
-
-    if kind == "pa":
-        labeling = {}
-        for i, sd in enumerate(doc.get("states", [])):
-            labeling[table[sd["name"]]] = _list_of(sd.get("valuation", []), str, f"states[{i}].valuation")
-        transitions = []
-        for i, td in enumerate(doc.get("transitions", [])):
-            where = f"transitions[{i}]"
-            src = resolve(_expect(td, dict, where).get("from"), where)
-            dist = {resolve(k, where): _parse_frac(v, where)
-                    for k, v in _expect(td.get("distribution", {}), dict, f"{where}.distribution").items()}
-            transitions.append((src, _expect(td.get("action"), str, f"{where}.action"), dist))
-        p = make_pa(states=states, actions=actions, ap=ap, labeling=labeling,
-                    transitions=transitions, initial=resolve(doc.get("initial"), "initial"))
-        report = validate_pa(p)
-        if not report.ok:
-            raise InputError("; ".join(report.errors))
-        return p
-
-    labeling = {}
-    for i, sd in enumerate(doc.get("states", [])):
-        vals = sd.get("valuations")
-        if not isinstance(vals, list):
-            raise InputError(f"states[{i}]: an automaton state needs a list of valuations")
-        for j, v in enumerate(vals):
-            _list_of(v, str, f"states[{i}].valuations[{j}]")
-        labeling[table[sd["name"]]] = vals
+    common = {"states": states, "labeling": labeling,
+              "actions": _get(doc, "actions", "actions", []), "ap": _get(doc, "ap", "ap", [])}
     transitions = []
-    for i, td in enumerate(doc.get("transitions", [])):
+    for i, td in enumerate(_get(doc, "transitions", "transitions", [])):
         where = f"transitions[{i}]"
-        mod = _expect(td, dict, where).get("modality")
+        src = resolve(_get(td, "from", f"{where}.from"), where)
+        action = _get(td, "action", f"{where}.action")
+        if concrete:
+            transitions.append((src, action, {
+                resolve(k, where): _parse_frac(v, f"{where}.distribution[{k!r}]")
+                for k, v in _get(td, "distribution", f"{where}.distribution", {}).items()}))
+            continue
+        mod = _get(td, "modality", f"{where}.modality")
         if mod not in ("must", "may"):
             raise InputError(f"{where}: unknown modality {mod!r} (want 'must' or 'may')")
-        cid = _expect(td.get("constraint"), str, f"{where}.constraint")
-        action = _expect(td.get("action"), str, f"{where}.action")
-        transitions.append((resolve(td.get("from"), where), action, cid, Modality(mod)))
-    constraints = {}
-    for cid, cd in doc.get("constraints", {}).items():
-        constraints[cid] = _expr_from_doc(cd, table, tuple(states), f"constraints[{cid!r}]")
-    initial = [resolve(s, "initial") for s in doc.get("initial", [])]
-    n = make_apa(states=states, actions=actions, ap=ap, labeling=labeling,
-                 transitions=transitions, initial=initial, constraints=constraints)
-    diff = doc.get("difference")
-    if diff is not None:
-        n = DifferenceAPA(n.states, n.actions, n.ap, n.labeling, n.transitions,
-                          n.initial, n.constraints,
-                          source_initial=tuple(_list_of(diff.get("source_initial", []), str,
-                                                        "difference.source_initial")),
-                          level=_expect(diff.get("level"), int, "difference.level", optional=True))
-    report = validate(n)
+        transitions.append((src, action, _get(td, "constraint", f"{where}.constraint"),
+                            Modality(mod)))
+
+    if concrete:
+        initial = resolve(_check(doc.get("initial"), str, "initial"), "initial")
+        model = make_pa(transitions=transitions, initial=initial, **common)
+        report = validate_pa(model)
+    else:
+        constraints = {
+            cid: _expr_from_doc(_check(cd, dict, at := f"constraints[{cid!r}]"), table, at)
+            for cid, cd in _get(doc, "constraints", "constraints", {}).items()}
+        initial = [resolve(s, "initial") for s in _check(doc.get("initial", []), [str], "initial")]
+        model = make_apa(transitions=transitions, initial=initial, constraints=constraints,
+                         **common)
+        if "difference" in doc:
+            diff = _get(doc, "difference", "difference")
+            model = DifferenceAPA(model.states, model.actions, model.ap, model.labeling,
+                                  model.transitions, model.initial, model.constraints,
+                                  source_initial=tuple(_get(diff, "source_initial",
+                                                            "difference.source_initial", [])),
+                                  level=_get(diff, "level", "difference.level"))
+        report = validate(model)
     if not report.ok:
         raise InputError("; ".join(report.errors))
-    return n
+    return model
 
 
 def serialize(model: APA | PA) -> str:
@@ -368,6 +351,8 @@ def parse(text: str) -> APA | PA:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # an integer literal longer than int() may read
+        raise InputError(str(exc))
     return from_document(doc)
 
 
@@ -399,37 +384,28 @@ def export_dot(model: APA | PA) -> str:
     """Deterministic graph rendering: boxes labeled name + valuation(s),
     one edge statement per transition fanning out to its possible targets
     (solid for required, dashed for optional)."""
+    concrete = isinstance(model, PA)
+    initial = {model.initial} if concrete else set(model.initial)
     lines = ["digraph model {", "  rankdir=LR;", '  node [shape=box];']
-    if isinstance(model, PA):
-        initial = {model.initial}
-        for s in model.states:
-            label = f"{s}\\n{_val_text(model.valuation_of(s))}"
-            extra = ", peripheries=2" if s in initial else ""
-            lines.append(f"  {_dot_quote(str(s))} [label=\"{label}\"{extra}];")
-        for t in model.transitions:
+    for s in model.states:
+        vals = [model.valuation_of(s)] if concrete else model.valuations(s)
+        label = f"{s}\\n{'|'.join(_val_text(v) for v in vals) or '(none)'}"
+        extra = ", peripheries=2" if s in initial else ""
+        lines.append(f"  {_dot_quote(str(s))} [label=\"{label}\"{extra}];")
+    for t in model.transitions:
+        if concrete:
             targets = " ".join(_dot_quote(str(s)) for s, _ in t.distribution.items)
             masses = ", ".join(f"{s}:{m}" for s, m in t.distribution.items)
             lines.append(f"  {_dot_quote(str(t.source))} -> {{{targets}}} "
                          f"[label={_dot_quote(f'{t.action}: {masses}')}, style=solid];")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    initial = set(model.initial)
-    for s in model.states:
-        vals = "|".join(_val_text(v) for v in model.valuations(s)) or "(none)"
-        label = f"{s}\\n{vals}"
-        extra = ", peripheries=2" if s in initial else ""
-        lines.append(f"  {_dot_quote(str(s))} [label=\"{label}\"{extra}];")
-    for t in model.transitions:
+            continue
         expr = model.constraint(t.constraint_id)
         targets = C.supportable_states(expr, model.states)
         style = "solid" if t.modality is Modality.MUST else "dashed"
         label = f"{t.action} [{t.constraint_id}]"
         if not targets:
-            empty = f"{t.constraint_id}_unsat"
-            lines.append(f"  {_dot_quote(empty)} [label=\"unsatisfiable\", shape=plaintext];")
-            lines.append(f"  {_dot_quote(str(t.source))} -> {{{_dot_quote(empty)}}} "
-                         f"[label=\"{label}\", style={style}];")
-            continue
+            targets = [f"{t.constraint_id}_unsat"]
+            lines.append(f"  {_dot_quote(targets[0])} [label=\"unsatisfiable\", shape=plaintext];")
         tgt = " ".join(_dot_quote(str(s)) for s in targets)
         lines.append(f"  {_dot_quote(str(t.source))} -> {{{tgt}}} "
                      f"[label=\"{label}\", style={style}];")
@@ -442,29 +418,25 @@ def export_dot(model: APA | PA) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load(path: str) -> APA | PA:
+_KIND_TEXT = {"apa": "an abstract", "pa": "a concrete"}
+
+
+def _load(path: str, kind: str | None = None) -> APA | PA:
+    """The model in the document at `path`; with `kind` ("apa" or "pa"),
+    an input error unless it is of that kind."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}")
     try:
-        return parse(text)
+        model = parse(text)
     except InputError as exc:
         raise InputError(f"{path}: {exc}")
-
-
-def _load_apa(path: str) -> APA:
-    model = _load(path)
-    if isinstance(model, PA):
-        raise InputError(f"{path}: expected an abstract automaton, found a concrete one")
-    return model
-
-
-def _load_pa(path: str) -> PA:
-    model = _load(path)
-    if not isinstance(model, PA):
-        raise InputError(f"{path}: expected a concrete automaton, found an abstract one")
+    found = "pa" if isinstance(model, PA) else "apa"
+    if kind not in (None, found):
+        raise InputError(f"{path}: expected {_KIND_TEXT[kind]} automaton, "
+                         f"found {_KIND_TEXT[found]} one")
     return model
 
 
@@ -485,7 +457,7 @@ def _emit(args, payload: dict, human: list[str]) -> None:
 
 
 def cmd_check(args) -> int:
-    n1, n2 = _load_apa(args.n1), _load_apa(args.n2)
+    n1, n2 = _load(args.n1, "apa"), _load(args.n2, "apa")
     analysis = compute_refinement(n1, n2)
     diagnosis = []
     if not analysis.refines:
@@ -509,27 +481,22 @@ def cmd_check(args) -> int:
     return 0 if analysis.refines else 1
 
 
-def cmd_diff_over(args) -> int:
-    n1, n2 = _load_apa(args.n1), _load_apa(args.n2)
-    diff = over_diff(n1, n2)
+def cmd_diff(args) -> int:
+    """diff-over, or diff-under when a level -K is given."""
+    n1, n2 = _load(args.n1, "apa"), _load(args.n2, "apa")
+    if args.K is None:
+        diff, what, level = over_diff(n1, n2), "over-approximating difference", {}
+    else:
+        diff = under_diff(n1, n2, args.K)
+        what, level = f"under-approximating difference (level {args.K})", {"level": args.K}
     _write(args.output, serialize(diff))
-    _emit(args, {"states": len(diff.states), "output": args.output},
-          [f"wrote over-approximating difference with {len(diff.states)} states"])
-    return 0
-
-
-def cmd_diff_under(args) -> int:
-    n1, n2 = _load_apa(args.n1), _load_apa(args.n2)
-    diff = under_diff(n1, n2, args.K)
-    _write(args.output, serialize(diff))
-    _emit(args, {"states": len(diff.states), "level": args.K, "output": args.output},
-          [f"wrote under-approximating difference (level {args.K}) "
-           f"with {len(diff.states)} states"])
+    _emit(args, {"states": len(diff.states), **level, "output": args.output},
+          [f"wrote {what} with {len(diff.states)} states"])
     return 0
 
 
 def cmd_distance(args) -> int:
-    n1, n2 = _load_apa(args.n1), _load_apa(args.n2)
+    n1, n2 = _load(args.n1, "apa"), _load(args.n2, "apa")
     extra = {} if args.max_iter is None else {"max_iter": args.max_iter}
     params = DistanceParams(lam=args.lam, epsilon=args.eps, **extra)
     value, table = syntactic_distance_table(n1, n2, params)
@@ -553,7 +520,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    n1, n2 = _load_apa(args.n1), _load_apa(args.n2)
+    n1, n2 = _load(args.n1, "apa"), _load(args.n2, "apa")
     cex = counterexample(n1, n2)
     _write(args.output, serialize(cex))
     if args.provenance:
@@ -565,14 +532,14 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_satisfy(args) -> int:
-    p, n = _load_pa(args.p), _load_apa(args.n)
+    p, n = _load(args.p, "pa"), _load(args.n, "apa")
     ok = satisfies(p, n, budget=args.budget)[0]
     _emit(args, {"satisfies": ok}, [f"satisfies: {'true' if ok else 'false'}"])
     return 0 if ok else 1
 
 
 def cmd_oracle_check(args) -> int:
-    n1, n2 = _load_apa(args.n1), _load_apa(args.n2)
+    n1, n2 = _load(args.n1, "apa"), _load(args.n2, "apa")
     grid = GridSpec(denominator=args.grid)
     if args.suite == "cex":
         cex = counterexample(n1, n2)
@@ -643,14 +610,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n1")
     p.add_argument("n2")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_diff_over)
+    p.set_defaults(func=cmd_diff, K=None)
 
     p = sub.add_parser("diff-under", help="under-approximating difference")
     p.add_argument("n1")
     p.add_argument("n2")
     p.add_argument("-K", type=int, required=True, help="deferral depth")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_diff_under)
+    p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("distance", help="discounted behavioral distance")
     p.add_argument("n1")

@@ -1,11 +1,15 @@
 """JSON round trips, DOT export, and the command-line surface."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from apa_toolkit import io_cli
 from apa_toolkit import constraints as C
@@ -18,6 +22,7 @@ from apa_toolkit.model import Modality, make_apa
 from tests.fixtures import (deferral_pair, incomparable_pairs,
                             interval_implementation_diff, interval_implementation_in,
                             interval_pair, may_gap_pair)
+from tests.test_cli_golden import GOLDEN, _pairs
 
 
 # ---------------------------------------------------------------- round trips
@@ -62,6 +67,22 @@ def test_serialize_parse_is_idempotent():
     m = interval_pair()[0]
     once = serialize(m)
     assert serialize(parse(once)) == once
+
+
+_GOLDEN_MODELS = sorted(p for p in GOLDEN.glob("*/*.json") if "provenance" not in p.name)
+
+
+@pytest.mark.parametrize("path", _GOLDEN_MODELS,
+                         ids=[f"{p.parent.name}/{p.name}" for p in _GOLDEN_MODELS])
+def test_golden_documents_read_back_to_the_same_bytes(path):
+    """Every committed concrete, difference and counterexample document is a
+    form the reader accepts and writes back unchanged."""
+    text = path.read_text()
+    assert serialize(parse(text)) == text
+
+
+def test_golden_documents_are_all_there():
+    assert len(_GOLDEN_MODELS) == 12
 
 
 # ---------------------------------------------------------------- bad inputs
@@ -109,9 +130,24 @@ def test_rejects_unknown_state_reference():
         from_document(doc)
 
 
+def test_rationals_are_integers_or_p_over_q_strings():
+    for good, value in ((1, F(1)), (-2, F(-2)), ("7", F(7)), ("-3/6", F(-1, 2))):
+        assert io_cli._parse_frac(good, "x") == value
+    for bad in ("1e9999", "1E5", "0.5", " 1/2", "1/2 ", "+1", "1_0", "1/-2", "\u0661", True, 0.5):
+        with pytest.raises(InputError, match="x: rationals must be"):
+            io_cli._parse_frac(bad, "x")
+    with pytest.raises(InputError, match="x: bad rational '1/0'"):
+        io_cli._parse_frac("1/0", "x")
+
+
 def test_parse_reports_json_position():
     with pytest.raises(InputError, match=r"line 1, column"):
         parse("{not json")
+
+
+def test_parse_rejects_an_integer_literal_past_the_digit_limit():
+    with pytest.raises(InputError, match="digits"):
+        parse('{"format_version": ' + "1" * 5000 + "}")
 
 
 # ---------------------------------------------------------------- DOT export
@@ -455,3 +491,170 @@ def test_cli_unknown_relation_names_the_constraint(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "constraints['phi1']: unknown relation '!='" in err
     assert "want one of" in err
+
+
+def test_cli_exponent_rational_exits_2_naming_its_path(tmp_path, capsys):
+    """Fraction reads "1e9999" as a 10,000-digit integer, which the writer
+    then cannot print; the reader takes integers and "p/q" only."""
+    n1, n2 = interval_pair()
+    doc = to_document(n1)
+    _set(_ATOM + ("coeffs", "s1"), "1e9999")(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "over.json"
+    assert main(["diff-over", str(bad), _write_fixture(tmp_path, "n2.json", n2),
+                 "-o", str(out)]) == 2
+    assert "constraints['phi1']: atom.coeffs['s1']: rationals must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_UNDER_PHI_B = ("constraints", "phiB(s0|t0|a|1)", "derived")
+
+
+@pytest.mark.parametrize("model, path", [
+    ("interval", ("format_version",)),
+    ("under", ("states", 0, "k")),
+    ("under", _UNDER_PHI_B + ("k",)),
+    ("under", ("difference", "level")),
+], ids=["format_version", "state-k", "derived-k", "level"])
+def test_cli_bool_in_an_int_field_exits_2(tmp_path, capsys, model, path):
+    """true is not the int 1: a product state at level true would equal the
+    one at level 1."""
+    n1, n2 = interval_pair()
+    doc = to_document(n1 if model == "interval" else under_diff(n1, n2, 1))
+    _set(path, True)(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["export-dot", str(bad), "-o", str(tmp_path / "out.dot")]) == 2
+    assert "expected int, got bool" in capsys.readouterr().err
+
+
+def test_cli_distance_nan_tolerance_exits_2(tmp_path, capsys):
+    n1, n2 = interval_pair()
+    f1 = _write_fixture(tmp_path, "n1.json", n1)
+    f2 = _write_fixture(tmp_path, "n2.json", n2)
+    assert main(["--max-iter", "5", "distance", f1, f2, "--eps", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "convergence tolerance must be positive" in captured.err
+
+
+@pytest.mark.parametrize("constraint", [
+    {"point": {"s1": "1"}},
+    {"interval": {"bounds": {"s1": ["0", "1"]}}},
+    {"atom": {"coeffs": {"s1": "1"}, "rel": "==", "rhs": "1"}},
+    True,
+], ids=["point", "interval", "bare-node", "bare-true"])
+def test_cli_constraint_forms_the_writer_does_not_write_exit_2(tmp_path, capsys, constraint):
+    doc = to_document(interval_pair()[0])
+    doc["constraints"]["phi1"] = constraint
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad), str(bad)]) == 2
+    assert "constraints['phi1']: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set(("states", 0, "name"), "s0|t0|a|2"),
+     "states[0].name: expected 's0|t0|a|1' for its fields, got 's0|t0|a|2'"),
+    (_set(_UNDER_PHI_B + ("cells", 0), "ghost"), ".derived.cells: every cell must name"),
+    (_set(_UNDER_PHI_B + ("target_states",), []), ".derived.cells: every cell must pair"),
+], ids=["product-name", "cell-name", "cell-target"])
+def test_cli_difference_document_out_of_step_with_its_states_exits_2(
+        tmp_path, capsys, edit, message):
+    """A product state is named by its fields, and a derived constraint's
+    cells are product states over its source and target states."""
+    n1, n2 = interval_pair()
+    doc = to_document(under_diff(n1, n2, 1))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["export-dot", str(bad), "-o", str(tmp_path / "out.dot")]) == 2
+    assert message in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- fuzz gate
+
+_FUZZ_PAIRS = ("interval", "deferral", "may_gap", "random26")
+_FUZZ_INPUTS = {"cex.json": "counterexample.cex.json", "over.json": "diff-over.over.json",
+                "under3.json": "diff-under.under3.json"}
+_FUZZ_COMMANDS = {
+    "check": ["check", "n1.json", "n2.json"],
+    "diff-over": ["diff-over", "n1.json", "n2.json", "-o", "out.json"],
+    "diff-under": ["diff-under", "n1.json", "n2.json", "-K", "2", "-o", "out.json"],
+    "distance": ["--max-iter", "50", "distance", "n1.json", "n2.json"],
+    "counterexample": ["counterexample", "n1.json", "n2.json", "-o", "out.json"],
+    "satisfy": ["satisfy", "cex.json", "over.json"],
+    "oracle-check cex": ["oracle-check", "cex", "n1.json", "n2.json"],
+    "oracle-check over": ["oracle-check", "over", "n1.json", "n2.json", "--limit", "3"],
+    "export-dot": ["export-dot", "under3.json", "-o", "out.dot"],
+}
+_FUZZ_POOL = (None, True, False, 0, -1, 0.5, float("nan"), 1e300, [], {}, [[]], [3],
+              {"ghost": 1}, "1/0", "1e9999", "ghost", "s0")
+
+
+def _fuzz_documents() -> dict:
+    docs = {}
+    for name, (n1, n2) in _pairs().items():
+        if name in _FUZZ_PAIRS:
+            docs[name] = {"n1.json": to_document(n1), "n2.json": to_document(n2),
+                          **{f: json.loads((GOLDEN / name / g).read_text())
+                             for f, g in _FUZZ_INPUTS.items()}}
+    return docs
+
+
+def _json_paths(value, prefix=()):
+    """Every key and index path inside a JSON value."""
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+_FUZZ_DOCS = _fuzz_documents()
+
+
+@st.composite
+def _fuzz_cases(draw):
+    pair = draw(st.sampled_from(_FUZZ_PAIRS))
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    name = draw(st.sampled_from([a for a in _FUZZ_COMMANDS[command] if a in _FUZZ_DOCS[pair]]))
+    path = draw(st.sampled_from(list(_json_paths(_FUZZ_DOCS[pair][name]))))
+    edit = draw(st.one_of(st.just(("delete",)),
+                          st.sampled_from(_FUZZ_POOL).map(lambda v: ("set", v))))
+    return pair, command, name, path, edit
+
+
+@pytest.mark.filterwarnings("ignore:optional transition")
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(case=_fuzz_cases())
+# Rejected at the parse: an exponent rational, a bool level that made two
+# product states equal, a product state without its kind, and a cell
+# outside its constraint's target states.
+@example(case=("interval", "diff-over", "n1.json", _ATOM + ("coeffs", "s1"), ("set", "1e9999")))
+@example(case=("interval", "export-dot", "under3.json", ("states", 4, "k"), ("set", True)))
+@example(case=("interval", "satisfy", "over.json", ("states", 3, "kind"), ("delete",)))
+@example(case=("deferral", "export-dot", "under3.json",
+               ("constraints", "phiB(u0|v0|a|1)", "derived", "target_states", 1), ("set", "1/0")))
+def test_cli_survives_one_edit_anywhere_in_a_document(case):
+    """One deleted or replaced value anywhere in a fixture document, read by
+    any subcommand: the exit code is 0-3 and no exception escapes `main`."""
+    pair, command, name, path, edit = case
+    docs = json.loads(json.dumps(_FUZZ_DOCS[pair]))
+    *parents, last = path
+    node = docs[name]
+    for key in parents:
+        node = node[key]
+    if edit[0] == "delete":
+        del node[last]
+    else:
+        node[last] = edit[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        for file, doc in docs.items():
+            with open(os.path.join(tmp, file), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        argv = [os.path.join(tmp, a) if a.endswith((".json", ".dot")) else a
+                for a in _FUZZ_COMMANDS[command]]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
