@@ -32,7 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 901
 ENTRY_POINTS = ("prepare", "reprice", "reprice_value", "solve", "feasible_point",
-                "feasible", "feasible_base", "feasible_with")
+                "feasible", "feasible_base", "slack_point", "feasible_with")
 
 
 def digest(items) -> str:

@@ -80,7 +80,9 @@ every vertex a caller reads.
 rows.  `feasible_base` takes the shared rows, with t, through the slack
 start and phase 1 once, and drops the artificials.  Each question enters its
 own rows into that tableau by the same rule, which leaves the base
-unchanged, runs phase 1 from the basis it gets, and maximizes t.
+unchanged, runs phase 1 from the basis it gets, and maximizes t.  Any
+feasible basis of the base serves, so it may be re-priced in between, for t
+(`slack_point`) or for any objective over its closure (`reprice`).
 """
 
 from __future__ import annotations
@@ -464,6 +466,13 @@ def feasible_base(constraints: Sequence[Constraint], variables: Sequence[Var]) -
     row is strict, at a feasible basis; None if the closure of the system
     (t = 0) is empty, so that no appended row can make it feasible."""
     return _slack_basis(constraints, variables)
+
+
+def slack_point(base: Tableau) -> dict[Var, Fraction] | None:
+    """Re-price a `feasible_base` tableau for t: the vertex of t's maximum
+    without t, or None if no point has the strict rows strict."""
+    point = reprice(base, {_SLACK: ONE}).point
+    return point if point.pop(_SLACK) > 0 else None
 
 
 def feasible_with(base: Tableau, constraints: Sequence[Constraint]) -> bool:

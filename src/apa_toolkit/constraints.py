@@ -577,45 +577,30 @@ def piece_feasible(piece: Piece, states: Sequence[State],
     return _lp.feasible(piece.lp_rows() + [_simplex_row(states), *extra], list(states))
 
 
-def piece_base(piece: Piece, dom: Sequence[State]) -> _lp.Tableau:
-    """A nonempty piece over its support `dom` (`piece_support`), prepared
-    for `_lp.feasible_with` questions whose rows name states of `dom` only.
+def prepare_piece(piece: Piece, states: Sequence[State]
+                  ) -> tuple[dict[State, Fraction], tuple[State, ...], _lp.Tableau] | None:
+    """(point, support, base) of a piece from one tableau, or None if the
+    piece is empty.
 
-    Every point of the piece is zero off `dom`, so the other states'
-    coefficients are dropped, and with them every row that names no state
-    of `dom`: such a row reads 0 against its right-hand side, which holds
-    at every point of the nonempty piece.
+    `_lp.feasible_base` takes the rows once.  Re-priced for the strict slack
+    (`_lp.slack_point`), the tableau gives a point or shows the piece empty.
+    It projects onto the closure of the piece, in which a nonempty piece is
+    dense (see `supportable_states`), so it also gives the support, in
+    `states` order: the sum of the masses not yet seen positive is maximized,
+    re-pricing from the last optimum, until it reaches 0.  The tableau stays
+    the base of `_lp.feasible_with` questions.  The point follows its pivot
+    path, not `piece_point`'s, so no witness is built from it.
     """
-    keep = set(dom)
-    base = _lp.feasible_base([(row, rel, rhs) for coeffs, rel, rhs in piece.rows
-                              if (row := {s: c for s, c in coeffs if s in keep})]
-                             + [_simplex_row(dom)], list(dom))
-    assert base is not None, "piece_base needs a nonempty piece"
-    return base
-
-
-def piece_support(piece: Piece, states: Sequence[State],
-                  known: Iterable[State] = ()) -> tuple[State, ...]:
-    """The states s with mu(s) > 0 for some mu in a piece known to be
-    nonempty, in the order of `states`; `known` holds some of them already.
-
-    The piece is dense in its closure (see `supportable_states`), so this is
-    the support of the closure.  Phase 1 runs once on the closure rows; then
-    the sum of the still unknown masses is maximized, re-pricing from the
-    last optimum, until it reaches 0.  Each positive optimum adds the unknown
-    states with mass at its vertex, at least one, and an optimum of 0 shows
-    that no unknown state is supportable.  The result does not depend on the
-    pivot path.
-    """
-    tableau = _lp.prepare(piece.closure_rows() + [_simplex_row(states)], list(states))
-    assert tableau is not None, "piece_support needs a nonempty piece"
-    support = set(known)
+    base = _lp.feasible_base(piece.lp_rows() + [_simplex_row(states)], list(states))
+    if base is None or (point := _lp.slack_point(base)) is None:
+        return None
+    support = {s for s, m in point.items() if m > 0}
     while unknown := [s for s in states if s not in support]:
-        best = _lp.reprice(tableau, {s: ONE for s in unknown})
+        best = _lp.reprice(base, {s: ONE for s in unknown})
         if best.value == 0:
             break
         support.update(s for s in unknown if best.point[s] > 0)
-    return tuple(s for s in states if s in support)
+    return point, tuple(s for s in states if s in support), base
 
 
 def piece_max(piece: Piece, states: Sequence[State],

@@ -20,7 +20,7 @@ from typing import Iterable
 from . import constraints as C
 from .constraints import ConstraintExpr, State
 from .errors import InputError, PreconditionError
-from .model import APA, Action, Modality, Step, Transition
+from .model import APA, Action, Modality, Step, Transition, reachable_states
 from .refinement import CaseLabel, RefinementAnalysis, compute_refinement, forced_map
 
 BOT = None   # second component: right execution already broken
@@ -29,12 +29,22 @@ EPS = None   # third component: no action earmarked
 
 @dataclass(frozen=True)
 class ProductState:
-    """(left state, right state or bot, earmarked action or eps[, level])."""
+    """(left state, right state or bot, earmarked action or eps[, level]),
+    whose hash is computed once; a copy or unpickled state is built anew."""
 
     s1: State
     s2: State | None
     e: Action | None
     k: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.s1, self.s2, self.e, self.k)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return ProductState, (self.s1, self.s2, self.e, self.k)
 
     def __str__(self) -> str:
         parts = [str(self.s1),
@@ -234,19 +244,9 @@ def _restrict_expr(expr: ConstraintExpr, kept: frozenset) -> ConstraintExpr:
 def prune_unreachable(apa: APA) -> APA:
     """Drop states that carry no mass under any satisfying distribution of a
     transition reachable from the initial states."""
-    reached: set = set(apa.initial)
-    queue = list(apa.initial)
-    while queue:
-        s = queue.pop(0)
-        for tr in apa.transitions_from(s):
-            phi = apa.constraint(tr.constraint_id)
-            for nxt in C.supportable_states(phi, apa.states):
-                if nxt not in reached:
-                    reached.add(nxt)
-                    queue.append(nxt)
-    if reached == set(apa.states):
+    kept = frozenset(reachable_states(apa))
+    if kept == set(apa.states):
         return apa
-    kept = frozenset(reached)
     states = tuple(s for s in apa.states if s in kept)
     transitions = tuple(t for t in apa.transitions if t.source in kept)
     used = {t.constraint_id for t in transitions}

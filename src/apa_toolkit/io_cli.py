@@ -578,7 +578,7 @@ def cmd_oracle_check(args) -> int:
         human.append("  violating implementation:")
         human.extend("    " + line for line in serialize(pa).splitlines())
     _emit(args, payload, human)
-    return 0 if not bad else 1
+    return {"pass": 0, "fail": 1, "empty": 3}[report.verdict]
 
 
 def cmd_export_dot(args) -> int:
@@ -647,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n2")
     p.add_argument("--grid", type=int, default=10, help="grid denominator")
     p.add_argument("-K", type=int, default=1, help="deferral depth for the under suite")
-    p.add_argument("--limit", type=int, default=None, help="cap on sampled implementations")
+    p.add_argument("--limit", type=int, default=None, help="cap on sampled implementations (>= 1)")
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("export-dot", help="render a model as a DOT graph")

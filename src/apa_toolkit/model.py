@@ -40,6 +40,31 @@ class Modality(enum.Enum):
         return self.value
 
 
+class _Indexed:
+    """An automaton indexed at construction: labeling by state (the first
+    entry wins), transitions by state and by (state, action) in declaration
+    order.  Equality, hashing and repr read the dataclass fields alone."""
+
+    def __post_init__(self):
+        by_state: dict = {}
+        by_action: dict = {}
+        for t in self.transitions:
+            by_state[t.source] = by_state.get(t.source, ()) + (t,)
+            by_action[t.source, t.action] = by_action.get((t.source, t.action), ()) + (t,)
+        object.__setattr__(self, "_labels", dict(reversed(self.labeling)))
+        object.__setattr__(self, "_from", by_state)
+        object.__setattr__(self, "_from_action", by_action)
+
+    def _label(self, s: State):
+        try:
+            return self._labels[s]
+        except KeyError:
+            raise InputError(f"state {s!r} has no labeling entry") from None
+
+    def transitions_from(self, s: State, a: Action | None = None) -> tuple:
+        return self._from.get(s, ()) if a is None else self._from_action.get((s, a), ())
+
+
 @dataclass(frozen=True)
 class Transition:
     source: State
@@ -49,7 +74,7 @@ class Transition:
 
 
 @dataclass(frozen=True)
-class APA:
+class APA(_Indexed):
     """Abstract probabilistic automaton.
 
     labeling maps each state to the set of admissible valuations; transitions
@@ -66,13 +91,14 @@ class APA:
     initial: tuple[State, ...]
     constraints: tuple[tuple[ConstraintId, ConstraintExpr], ...]
 
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "_constraints", dict(reversed(self.constraints)))
+
     # -- accessors ---------------------------------------------------------
 
     def valuations(self, s: State) -> tuple[Valuation, ...]:
-        for state, vals in self.labeling:
-            if state == s:
-                return vals
-        raise InputError(f"state {s!r} has no labeling entry")
+        return self._label(s)
 
     def valuation_of(self, s: State) -> Valuation:
         vals = self.valuations(s)
@@ -81,14 +107,10 @@ class APA:
         return vals[0]
 
     def constraint(self, cid: ConstraintId) -> ConstraintExpr:
-        for key, expr in self.constraints:
-            if key == cid:
-                return expr
-        raise InputError(f"unknown constraint id {cid!r}")
-
-    def transitions_from(self, s: State, a: Action | None = None) -> tuple[Transition, ...]:
-        return tuple(t for t in self.transitions
-                     if t.source == s and (a is None or t.action == a))
+        try:
+            return self._constraints[cid]
+        except KeyError:
+            raise InputError(f"unknown constraint id {cid!r}") from None
 
     def initial_state(self) -> State:
         if len(self.initial) != 1:
@@ -122,7 +144,7 @@ class PATransition:
 
 
 @dataclass(frozen=True)
-class PA:
+class PA(_Indexed):
     """Concrete probabilistic automaton: single valuation per state, concrete
     distributions, a single initial state."""
 
@@ -134,14 +156,7 @@ class PA:
     initial: State
 
     def valuation_of(self, s: State) -> Valuation:
-        for state, val in self.labeling:
-            if state == s:
-                return val
-        raise InputError(f"state {s!r} has no labeling entry")
-
-    def transitions_from(self, s: State, a: Action | None = None) -> tuple[PATransition, ...]:
-        return tuple(t for t in self.transitions
-                     if t.source == s and (a is None or t.action == a))
+        return self._label(s)
 
 
 def make_pa(*, states: Sequence[State], actions: Sequence[Action], ap: Sequence[str],
@@ -309,6 +324,20 @@ def successor_table(apa: APA) -> dict[tuple[State, Action], Step] | None:
             successors[vals[0]] = s
         table[key] = Step(t, support, successors)
     return table
+
+
+def reachable_states(apa: APA) -> tuple[State, ...]:
+    """States reachable from the initial ones through any transition's
+    supportable successors, in visit order."""
+    order: list[State] = list(apa.initial)
+    seen = set(order)
+    for s in order:
+        for tr in apa.transitions_from(s):
+            for t in C.supportable_states(apa.constraint(tr.constraint_id), apa.states):
+                if t not in seen:
+                    seen.add(t)
+                    order.append(t)
+    return tuple(order)
 
 
 def is_deterministic(apa: APA) -> bool:

@@ -19,7 +19,7 @@ from . import _lp
 from . import constraints as C
 from .constraints import Distribution, ONE, State, ZERO
 from .errors import GridTooCoarseError, InputError, PreconditionError, ResourceLimitError
-from .model import APA, Modality, PA, is_svnf, make_pa
+from .model import APA, Modality, PA, is_svnf, make_pa, reachable_states
 
 DEFAULT_PAIR_CAP = 400  # |S_P| * |S_N| guard for the exhaustive checker
 
@@ -48,6 +48,7 @@ class InclusionReport:
 
     Sampling uses one PA state per automaton state, so a pass is evidence for
     the sampled slice of the implementation set, not a proof over all of it.
+    A sample of no implementation is no evidence at all, so it reads "empty".
     """
 
     sampled: int
@@ -55,7 +56,7 @@ class InclusionReport:
 
     @property
     def verdict(self) -> str:
-        return "pass" if not self.violations else "fail"
+        return "fail" if self.violations else "pass" if self.sampled else "empty"
 
 
 # ---------------------------------------------------------------------------
@@ -86,23 +87,6 @@ def _grid_distributions(phi, states: tuple, denominator: int) -> tuple[Distribut
     return tuple(out)
 
 
-def _reachable_skeleton(n: APA) -> tuple[State, ...]:
-    """States reachable from the initial ones through any transition's
-    supportable successors, in visit order."""
-    order: list[State] = list(n.initial)
-    seen = set(order)
-    idx = 0
-    while idx < len(order):
-        s = order[idx]
-        idx += 1
-        for tr in n.transitions_from(s):
-            for t in C.supportable_states(n.constraint(tr.constraint_id), n.states):
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-    return tuple(order)
-
-
 def enumerate_implementations(n: APA, grid: GridSpec | None = None) -> Iterator[PA]:
     """Concrete automata over the same state skeleton: per Must transition a
     grid distribution satisfying its constraint, per May transition either
@@ -121,7 +105,7 @@ def enumerate_implementations(n: APA, grid: GridSpec | None = None) -> Iterator[
     grid = grid or GridSpec()
     if not is_svnf(n):
         raise PreconditionError("implementation enumeration needs single-valuation input")
-    states = _reachable_skeleton(n)
+    states = reachable_states(n)
     if len(states) > grid.max_states:
         raise ResourceLimitError(
             f"enumeration capped at {grid.max_states} states, automaton has {len(states)}")
@@ -242,8 +226,8 @@ def check_inclusion_sampled(lhs: Callable[[PA], bool], rhs: Callable[[PA], bool]
                             limit: int | None = None) -> InclusionReport:
     """Enumerate implementations of `source`, at most `limit` of them, keep
     those passing `lhs`, and report every one that then fails `rhs`."""
-    if limit is not None and limit < 0:
-        raise InputError(f"the sample limit must be >= 0, got {limit}")
+    if limit is not None and limit < 1:
+        raise InputError(f"the sample limit must be >= 1, got {limit}")
     sampled = 0
     violations = []
     stream = enumerate_implementations(source, grid)

@@ -25,24 +25,21 @@ kernels plus `constraints.piece_point`:
     through a successor map.  `_sim_witness` adds them to a left piece and
     reads the LP's vertex, which becomes a witness distribution and, through
     `counterexample`, a transition of the separating implementation;
-    `push_ok` in `_map_condition` reads feasibility only.  Each nonempty
-    left piece is prepared once per `_refines_nondet` call, over its own
-    support (`constraints.piece_base`), and every map test appends its
-    pulled-back rows to that base (`_lp.feasible_with`), once per piece and
-    set of rows.
+    `push_ok` in `_map_condition` reads feasibility only.  Each left piece
+    takes one tableau per `_refines_nondet` call (`constraints.prepare_piece`),
+    which gives its probe point, its support (the domain of the map search)
+    and the base to which every map test appends its pulled-back rows
+    (`_lp.feasible_with`), once per piece and set of rows.
   * `_coupling_feasible` asks whether some distribution of a constraint
     simulates one concrete distribution, over the joint coupling weights.
     It is the one matching test of `satisfies`, for every target, and the
-    rejection filter of `_map_condition`.  When each support state has a
+    rejection filter of `_map_condition`, which runs on a piece's probe
+    once its first complete map fails.  When each support state has a
     single related state, as on a deterministic target whose states carry
     distinct valuations, the coupling is forced and membership of its image
     decides it, with no LP; otherwise `_lp.feasible` decides it.
   * "Mass at s" is `piece_point` with the strict row mu(s) > 0.
-    `_sim_witness` and `lemma_indplus_witness` read its vertex.  The domain
-    of a left piece in `_map_condition`, the states with mass somewhere in
-    it, is one support pass (`constraints.piece_support`): phase 1 once, then
-    re-priced until no unknown state gains mass.  Their union over the
-    pieces is the left constraint's supportable states.
+    `_sim_witness` and `lemma_indplus_witness` read its vertex.
 
 The `RefinementAnalysis`, created before the fixpoint with one
 `model.successor_table` per side, is the one context of the deterministic
@@ -53,7 +50,9 @@ the fixpoint, the blame sets and the witnesses share their LPs.
 
 Every LP whose vertex is read keeps its rows, row order and variable order,
 and starts from the all-artificial basis of `_lp.solve`, so witnesses and
-counterexamples do not depend on which caller built them.
+counterexamples do not depend on which caller built them.  The map search's
+probe is exempt: it follows its piece's re-priced tableau, but only gates
+the search and never becomes a witness.
 """
 
 from __future__ import annotations
@@ -417,22 +416,11 @@ def refines(n1: APA, n2: APA) -> bool:
 _MAP_TEST_BUDGET = 256
 
 
-def _candidate_order(s: State):
-    def key(t: State):
-        return (t != s, str(t))
-    return key
-
-
 def _left_pieces(phi1, states1: tuple) -> tuple:
-    """(probe, support, base) per nonempty piece of phi1, in cover order: its
-    `piece_point`, its `piece_support` in `states1` order, and its
-    `piece_base` over that support; none of it reads a relation."""
-    out = []
-    for piece in C.dnf_cover(phi1):
-        if (probe := C.piece_point(piece, states1)) is not None:
-            support = C.piece_support(piece, states1, (s for s, m in probe.items() if m > 0))
-            out.append((probe, support, C.piece_base(piece, support)))
-    return tuple(out)
+    """(probe, support, base) of each nonempty piece of phi1, in cover order
+    (`constraints.prepare_piece`); none of it reads a relation."""
+    return tuple(prepared for piece in C.dnf_cover(phi1)
+                 if (prepared := C.prepare_piece(piece, states1)) is not None)
 
 
 def _map_condition(cid1, pieces: tuple, phi2, states2: tuple, relation: frozenset,
@@ -450,13 +438,14 @@ def _map_condition(cid1, pieces: tuple, phi2, states2: tuple, relation: frozense
     that complement piece; if true, it is dropped, and with no row left
     every mu1 is.  `tested` keeps each push LP's verdict by (cid1, the
     constraint id of phi1; piece index; pulled-back rows).
+
+    The rejection filter runs after a piece's first failed complete map: if
+    its probe has no simulating image (`_coupling_feasible`), no map passes
+    and the search stops.  It only refutes, so verdicts are as if it ran first.
     """
     for index, (probe, support, base) in enumerate(pieces):
-        # complete rejection filter: one concrete point with no simulating image
-        if not _coupling_feasible(probe, phi2, states2, relation):
-            return False
-        cands = {s: sorted((t for t in states2 if (s, t) in relation), key=_candidate_order(s))
-                 for s in support}
+        cands = {s: sorted((t for t in states2 if (s, t) in relation),
+                           key=lambda t: (t != s, str(t))) for s in support}
         if any(not cands[s] for s in support):
             return False
         dom = sorted(support, key=lambda s: (len(cands[s]), str(s)))
@@ -475,7 +464,7 @@ def _map_condition(cid1, pieces: tuple, phi2, states2: tuple, relation: frozense
                     return False  # some mu1 in the piece escapes Sat(phi2)
             return True
 
-        budget = _MAP_TEST_BUDGET
+        budget = first = _MAP_TEST_BUDGET
 
         def dfs(i: int, assign: dict) -> bool:
             nonlocal budget
@@ -483,7 +472,11 @@ def _map_condition(cid1, pieces: tuple, phi2, states2: tuple, relation: frozense
                 return False
             if i == len(dom):
                 budget -= 1
-                return push_ok(assign)
+                if push_ok(assign):
+                    return True
+                if budget == first - 1 and not _coupling_feasible(probe, phi2, states2, relation):
+                    budget = 0  # the rejection filter refutes the piece
+                return False
             for t in cands[dom[i]]:
                 assign[dom[i]] = t
                 if dfs(i + 1, assign):

@@ -276,11 +276,13 @@ def test_piece_support_agrees_with_the_per_state_probes(expr):
     for piece in C.dnf_cover(expr):
         point = C.piece_point(piece, STATES)
         assert C.piece_feasible(piece, STATES) == (point is not None)
+        prepared = C.prepare_piece(piece, STATES)
+        assert (prepared is None) == (point is None)
         if point is None:
             continue
-        expected = _support_by_state(piece, STATES)
-        assert C.piece_support(piece, STATES) == expected
-        assert C.piece_support(piece, STATES, [s for s, m in point.items() if m > 0]) == expected
+        probe, support, _ = prepared
+        assert piece_accepts(piece, probe) and sum(probe.values()) == 1
+        assert support == _support_by_state(piece, STATES)
 
 
 @st.composite
@@ -310,13 +312,15 @@ def _rows_over(draw, states):
 
 @settings(max_examples=200, deadline=None)
 @given(_pinned_pieces(), st.data())
-def test_piece_base_over_the_support_agrees_with_piece_feasible(piece, data):
-    """Prepared over its support, a piece answers every question about rows
-    over that support as `piece_feasible` does over all states."""
-    if C.piece_point(piece, STATES) is None:
+def test_prepared_piece_base_agrees_with_piece_feasible(piece, data):
+    """Prepared once (`prepare_piece`), a piece answers every question about
+    rows over its support as `piece_feasible` does, the base left re-priced
+    for the probe and the support."""
+    prepared = C.prepare_piece(piece, STATES)
+    assert (prepared is None) == (C.piece_point(piece, STATES) is None)
+    if prepared is None:
         return
-    dom = C.piece_support(piece, STATES)
-    base = C.piece_base(piece, dom)
+    _, dom, base = prepared
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         nonstrict, strict = data.draw(_rows_over(dom))
         rows = nonstrict + [(coeffs, "<", rhs) for coeffs, rhs in strict]
@@ -452,10 +456,13 @@ def test_piece_support_of_derived_pieces():
     for expr, states in _derived_nodes():
         for piece in C.dnf_cover(expr):
             point = C.piece_point(piece, states)
+            prepared = C.prepare_piece(piece, states)
+            assert (prepared is None) == (point is None)
             if point is None:
                 continue
-            known = [s for s, m in point.items() if m > 0]
-            assert C.piece_support(piece, states, known) == _support_by_state(piece, states)
+            probe, support, _ = prepared
+            assert piece_accepts(piece, probe) and sum(probe.values()) == 1
+            assert support == _support_by_state(piece, states)
             checked += 1
         assert _left_pieces_union(expr, states) == C.supportable_states(expr, states)
     assert checked
@@ -478,7 +485,7 @@ def test_state_outside_the_given_states_is_an_input_error():
                  lambda: C.sat_nonempty(phi, states),
                  lambda: C.piece_point(piece, states),
                  lambda: C.piece_feasible(piece, states),
-                 lambda: C.piece_support(piece, states),
+                 lambda: C.prepare_piece(piece, states),
                  lambda: C.piece_max(piece, states, {"s0": F(1)})):
         with pytest.raises(InputError, match="'zz'"):
             call()

@@ -1,6 +1,9 @@
 """Structure and theorem smoke-checks for the difference constructions."""
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from apa_toolkit import constraints as C
@@ -21,6 +24,26 @@ def test_difference_needs_a_failed_refinement():
         over_diff(n1, n2)
     with pytest.raises(PreconditionError):
         under_diff(n1, n2, 2)
+
+
+def test_equal_product_states_built_apart_hash_equal():
+    """A product state computes its hash once, at construction, as the
+    dataclass hash of its four fields; equal states built apart, copied or
+    read back from a document hash equal."""
+    a = ProductState("s0", "t0", "a", 2)
+    b = ProductState("".join(["s", "0"]), "t0", "a", 1 + 1)
+    assert a is not b and a == b and hash(a) == hash(b) == hash(("s0", "t0", "a", 2))
+    assert {a: 1}[b] == 1 and len({a, b}) == 1
+    for copy in (pickle.loads(pickle.dumps(a)), replace(b, k=2)):
+        assert copy == a and hash(copy) == hash(a)
+    moved = replace(a, k=3)
+    assert moved == ProductState("s0", "t0", "a", 3) and hash(moved) == hash(("s0", "t0", "a", 3))
+    assert repr(a) == "ProductState(s1='s0', s2='t0', e='a', k=2)"
+    from apa_toolkit.io_cli import parse, serialize
+    diff = under_diff(*deferral_pair(), 2)
+    read = parse(serialize(diff))
+    assert read.states == diff.states and set(read.states) == set(diff.states)
+    assert [hash(s) for s in read.states] == [hash(s) for s in diff.states]
 
 
 def test_under_diff_level_must_be_positive():

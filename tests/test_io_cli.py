@@ -318,6 +318,35 @@ def test_cli_oracle_check_negative_limit_exits_2(tmp_path, capsys):
         assert "sample limit" in capsys.readouterr().err
 
 
+def test_cli_oracle_check_limit_zero_exits_2(tmp_path, capsys):
+    """A limit of 0 would sample nothing, so it is refused as an input error
+    instead of reading as a passed suite."""
+    n1, n2 = interval_pair()
+    f1 = _write_fixture(tmp_path, "n1.json", n1)
+    f2 = _write_fixture(tmp_path, "n2.json", n2)
+    for suite in ("over", "under"):
+        assert main(["oracle-check", suite, f1, f2, "--limit", "0"]) == 2
+        out = capsys.readouterr()
+        assert "sample limit must be >= 1, got 0" in out.err and "pass" not in out.out
+
+
+def test_cli_oracle_check_empty_sample_is_not_a_pass(tmp_path, capsys, monkeypatch):
+    """A report of no sampled implementation reads "empty" and exits 3."""
+    from apa_toolkit import io_cli
+    from apa_toolkit.oracle import InclusionReport
+    assert InclusionReport(0, ()).verdict == "empty"
+    monkeypatch.setattr(io_cli, "check_inclusion_sampled", lambda *args: InclusionReport(0, ()))
+    n1, n2 = interval_pair()
+    f1 = _write_fixture(tmp_path, "n1.json", n1)
+    f2 = _write_fixture(tmp_path, "n2.json", n2)
+    assert main(["--json", "oracle-check", "over", f1, f2]) == 3
+    assert json.loads(capsys.readouterr().out) == {"suite": "over", "sampled": 0,
+                                                   "violations": 0, "verdict": "empty"}
+    assert main(["oracle-check", "under", f1, f2]) == 3
+    assert capsys.readouterr().out == ("under-approximation (level 1) suite: sampled 0 "
+                                       "implementations, 0 violations -> empty\n")
+
+
 def test_cli_distance_max_iter(tmp_path, capsys):
     n1, n2 = deferral_pair()
     f1 = _write_fixture(tmp_path, "d1.json", n1)

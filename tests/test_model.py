@@ -7,7 +7,7 @@ import pytest
 
 from apa_toolkit import constraints as C
 from apa_toolkit.errors import InputError, PreconditionError
-from apa_toolkit.model import (Modality, PATransition, Transition, is_deterministic, is_svnf,
+from apa_toolkit.model import (APA, Modality, PATransition, Transition, is_deterministic, is_svnf,
                                make_apa, make_pa, obligations, pa_as_apa, successor_table,
                                valuation, validate, validate_pa)
 from tests.fixtures import (interval_implementation_in, interval_pair,
@@ -46,6 +46,51 @@ def test_accessors():
         n1.constraint("nope")
     with pytest.raises(InputError):
         n1.valuations("zz")
+
+
+def test_accessors_raise_the_same_error_on_an_unknown_key():
+    n1, _ = interval_pair()
+    p = interval_implementation_in()
+    for call, text in ((lambda: n1.valuations("zz"), "state 'zz' has no labeling entry"),
+                       (lambda: n1.valuation_of("zz"), "state 'zz' has no labeling entry"),
+                       (lambda: p.valuation_of("zz"), "state 'zz' has no labeling entry"),
+                       (lambda: n1.constraint("nope"), "unknown constraint id 'nope'")):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == text
+
+
+def test_accessors_read_the_first_entry_of_a_key():
+    """The indexes built at construction answer as a scan of the fields
+    would: the first labeling entry and the first constraint of an id."""
+    n = make_apa(**_one_state(constraints={"c": C.TRUE}))
+    twice = APA(n.states, n.actions, n.ap, n.labeling + (("s", ()),), n.transitions,
+                n.initial, n.constraints + (("c", C.FALSE),))
+    assert twice.valuations("s") == (valuation(["p"]),) and twice.constraint("c") is C.TRUE
+    assert twice != n
+    again = APA(n.states, n.actions, n.ap, n.labeling, n.transitions, n.initial, n.constraints)
+    assert again == n and hash(again) == hash(n) and repr(again) == repr(n)
+
+
+def test_transitions_from_keeps_declaration_order():
+    n = make_apa(states=["s", "t"], actions=["a", "b"], ap=[], labeling={"s": [[]], "t": [[]]},
+                 transitions=[("s", "b", "c2", Modality.MAY), ("t", "a", "c1", Modality.MUST),
+                              ("s", "a", "c3", Modality.MUST), ("s", "b", "c1", Modality.MUST),
+                              ("s", "a", "c2", Modality.MAY)],
+                 initial=["s"], constraints={"c1": C.TRUE, "c2": C.TRUE, "c3": C.TRUE})
+    t = n.transitions
+    assert n.transitions_from("s") == (t[0], t[2], t[3], t[4])
+    assert n.transitions_from("s", "a") == (t[2], t[4])
+    assert n.transitions_from("s", "b") == (t[0], t[3])
+    assert n.transitions_from("t") == (t[1],) == n.transitions_from("t", "a")
+    assert n.transitions_from("t", "b") == () == n.transitions_from("u")
+    p = make_pa(states=["x", "y"], actions=["a", "b"], ap=[], labeling={},
+                transitions=[("x", "b", {"y": 1}), ("y", "a", {"x": 1}), ("x", "a", {"x": 1}),
+                             ("x", "b", {"x": 1})], initial="x")
+    u = p.transitions
+    assert p.transitions_from("x") == (u[0], u[2], u[3])
+    assert p.transitions_from("x", "b") == (u[0], u[3]) and p.transitions_from("x", "a") == (u[2],)
+    assert p.transitions_from("y", "b") == () and p.transitions_from("z") == ()
 
 
 def test_validate_flags_structural_errors():

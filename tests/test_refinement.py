@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from fractions import Fraction as F
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -290,40 +291,45 @@ def _left_covers(n) -> list:
 
 def test_nondeterministic_refinement_computes_support_once_per_constraint(monkeypatch):
     """A left constraint's supportable states are the union of its nonempty
-    pieces' supports: one `piece_support` pass per nonempty piece in one
-    `_refines_nondet` call, and no `supportable_states` call."""
+    pieces' supports: one `prepare_piece` per piece of every left constraint
+    in one `_refines_nondet` call, and no `supportable_states` call."""
     u1, u2 = _deferral_chain()
     calls = []
-    supportable, support = C.supportable_states, C.piece_support
+    supportable, prepare = C.supportable_states, C.prepare_piece
     monkeypatch.setattr(C, "supportable_states",
                         lambda *args: calls.append("supportable") or supportable(*args))
-    monkeypatch.setattr(C, "piece_support",
-                        lambda piece, *args: calls.append(piece) or support(piece, *args))
+    monkeypatch.setattr(C, "prepare_piece",
+                        lambda piece, *args: calls.append(piece) or prepare(piece, *args))
     assert refinement._refines_nondet(u1, u2)
-    nonempty = [piece for cover in _left_covers(u1) for piece in cover
-                if C.piece_point(piece, u1.states) is not None]
-    assert nonempty and Counter(calls) == Counter(nonempty)
+    pieces = [piece for cover in _left_covers(u1) for piece in cover]
+    assert any(C.piece_point(piece, u1.states) is not None for piece in pieces)
+    assert Counter(calls) == Counter(pieces)
 
 
-def test_map_condition_finds_each_piece_domain_with_one_prepare(monkeypatch):
-    """One `_refines_nondet` call makes one probe point per piece of each left
-    constraint, and per nonempty piece one more `prepare`, for its support,
-    however many right constraints, relation slices and sweeps meet it.
-    (`feasible_point` prepares through `solve`, so its probes count too.)"""
+def test_map_search_makes_one_feasible_base_per_left_piece(monkeypatch):
+    """One `_refines_nondet` call makes one `feasible_base` per piece of each
+    left constraint, for its probe, its support and all its map tests,
+    however many right constraints, relation slices and sweeps meet it, and
+    no `feasible_point`, `prepare` or `solve` at all."""
     u1, u2 = _deferral_chain()
-    calls = {"feasible_point": [], "prepare": []}
-    for name, seen in calls.items():
-        def recording(rows, variables, original=getattr(refinement._lp, name), seen=seen):
-            result = original(rows, variables)
-            seen.append((_rows_key(rows), result))
-            return result
-        monkeypatch.setattr(refinement._lp, name, recording)
+    lp = refinement._lp
+    bases, others = [], []
+    feasible_base = lp.feasible_base
+
+    def recording(rows, variables):
+        base = feasible_base(rows, variables)
+        bases.append((_rows_key(rows), base))
+        return base
+    monkeypatch.setattr(lp, "feasible_base", recording)
+    for name in ("feasible_point", "prepare", "solve"):
+        def counted(*args, original=getattr(lp, name), name=name):
+            others.append(name)
+            return original(*args)
+        monkeypatch.setattr(lp, name, counted)
     assert refinement._refines_nondet(u1, u2)
-    points = calls["feasible_point"]
     pieces = sum(len(cover) for cover in _left_covers(u1))
-    nonempty = sum(point is not None for _, point in points)
-    assert len(points) == pieces and len({key for key, _ in points}) == pieces
-    assert nonempty > 0 and len(calls["prepare"]) == pieces + nonempty
+    assert len(bases) == pieces and len({key for key, _ in bases}) == pieces
+    assert any(base is not None for _, base in bases) and others == []
 
 
 def test_map_condition_prepares_each_piece_once_and_appends_the_pulled_back_rows(monkeypatch):
@@ -433,6 +439,77 @@ def test_map_budget_counts_every_complete_map(monkeypatch):
     C.dnf_cover.cache_clear()
     assert not refines(u1, over)
     assert not refines(over, u1)
+
+
+def _map_search(phi1, phi2, relation, monkeypatch, filter_verdict=None):
+    """`_map_condition` of phi1 over (a, b) against phi2 over (x, y): its
+    verdict, the complete maps it tested (one `_pull_back` each, since the
+    complement of phi2 has one piece) and the rejection filter's verdicts.
+    With `filter_verdict`, the filter answers that instead of its LP."""
+    maps, filtered = [], []
+    pull_back, coupling = refinement._pull_back, refinement._coupling_feasible
+
+    def recording_filter(*args):
+        filtered.append(coupling(*args) if filter_verdict is None else filter_verdict)
+        return filtered[-1]
+    monkeypatch.setattr(refinement, "_pull_back",
+                        lambda piece, image: maps.append(dict(image)) or pull_back(piece, image))
+    monkeypatch.setattr(refinement, "_coupling_feasible", recording_filter)
+    neg_pieces = C.dnf_cover(C.negate(phi2))
+    assert len(neg_pieces) == 1
+    verdict = refinement._map_condition("c1", refinement._left_pieces(phi1, ("a", "b")), phi2,
+                                        ("x", "y"), frozenset(relation), neg_pieces, {})
+    return verdict, maps, filtered
+
+
+def test_map_search_runs_no_rejection_filter_when_the_first_map_passes(monkeypatch):
+    """mu(a) <= 1/2 pushed by a -> x, b -> y lands in mu(x) <= 1/2: the first
+    complete map passes, and the filter's LP is never made."""
+    verdict, maps, filtered = _map_search(C.atom({"a": 1}, "<=", F(1, 2)),
+                                          C.atom({"x": 1}, "<=", F(1, 2)),
+                                          {("a", "x"), ("b", "y")}, monkeypatch)
+    assert verdict and maps == [{"a": "x", "b": "y"}] and filtered == []
+
+
+def test_map_search_stops_after_one_map_when_the_probe_has_no_image(monkeypatch):
+    """The only point (1/2, 1/2) sends at least 1/2 to x, above the right
+    cap 1/4, so it has no simulating image.  The first complete map fails,
+    the filter refutes the piece, and the second map is never tried; with a
+    filter that refutes nothing the search tries both and fails as well."""
+    phi1, phi2 = C.point_constraint({"a": F(1, 2), "b": F(1, 2)}), C.atom({"x": 1}, "<=", F(1, 4))
+    relation = {("a", "x"), ("b", "x"), ("b", "y")}
+    verdict, maps, filtered = _map_search(phi1, phi2, relation, monkeypatch)
+    assert not verdict and maps == [{"a": "x", "b": "x"}] and filtered == [False]
+    verdict, maps, filtered = _map_search(phi1, phi2, relation, monkeypatch, filter_verdict=True)
+    assert not verdict and len(maps) == 2 and filtered == [True]
+
+
+def _nondet_queries():
+    """The eight `refines` queries of each failing pair: the three failing
+    fixtures and the failing `random_pair` seeds 0-59."""
+    from apa_toolkit.difference import over_diff, under_diff
+    pairs = list(all_failing_pairs().items())
+    for seed in range(60):
+        n1, n2 = random_pair(random.Random(seed))
+        if not refines(n1, n2):
+            pairs.append((f"random{seed}", (n1, n2)))
+    for name, (n1, n2) in pairs:
+        u1, u2, over = under_diff(n1, n2, 1), under_diff(n1, n2, 2), over_diff(n1, n2)
+        for query, left, right in (("u1<=u2", u1, u2), ("u2<=u1", u2, u1), ("u1<=n1", u1, n1),
+                                   ("n1<=u1", n1, u1), ("u1<=over", u1, over),
+                                   ("over<=u1", over, u1), ("u1<=n2", u1, n2),
+                                   ("over<=n1", over, n1)):
+            yield f"{name} {query}", left, right
+
+
+def test_nondeterministic_refinement_keeps_the_recorded_verdicts():
+    """376 `refines` verdicts on differences, recorded before the map search
+    shared one tableau per left piece and moved its rejection filter: 304
+    True, 72 False."""
+    golden = (Path(__file__).resolve().parent / "golden" / "nondet_refines.txt").read_text()
+    got = [f"{label} {refines(left, right)}" for label, left, right in _nondet_queries()]
+    assert got == golden.splitlines()
+    assert len(got) == 376 and sum(line.endswith("True") for line in got) == 304
 
 
 def test_nondeterministic_refinement_on_the_largest_chain_instance():
