@@ -333,7 +333,7 @@ def test_map_search_makes_one_feasible_base_per_left_piece(monkeypatch):
 
 
 def test_map_condition_prepares_each_piece_once_and_appends_the_pulled_back_rows(monkeypatch):
-    """Each nonempty left piece is prepared once per `_refines_nondet` call
+    """Each left piece is prepared once per `_refines_nondet` call
     (`feasible_base`), and every map test appends its pulled-back rows to
     that base: outside the rejection filter's coupling LPs, no
     `_lp.feasible` call is made."""
@@ -362,11 +362,11 @@ def test_map_condition_prepares_each_piece_once_and_appends_the_pulled_back_rows
             in_filter.pop()
     monkeypatch.setattr(refinement, "_coupling_feasible", rejection_filter)
     assert refinement._refines_nondet(u1, u2)
-    nonempty = sum(C.piece_point(piece, u1.states) is not None
-                   for cover in _left_covers(u1) for piece in cover)
+    pieces = [piece for cover in _left_covers(u1) for piece in cover]
+    nonempty = sum(C.piece_point(piece, u1.states) is not None for piece in pieces)
     assert nonempty > 0
     assert counts["feasible", False] == 0
-    assert counts["feasible_base", False] == nonempty
+    assert counts["feasible_base", False] == len(pieces)
     assert counts["feasible_with", False] >= nonempty
 
 
@@ -503,9 +503,8 @@ def _nondet_queries():
 
 
 def test_nondeterministic_refinement_keeps_the_recorded_verdicts():
-    """376 `refines` verdicts on differences, recorded before the map search
-    shared one tableau per left piece and moved its rejection filter: 304
-    True, 72 False."""
+    """The 376 verdicts of `_nondet_queries`, pinned in
+    `tests/golden/nondet_refines.txt`: 304 True, 72 False."""
     golden = (Path(__file__).resolve().parent / "golden" / "nondet_refines.txt").read_text()
     got = [f"{label} {refines(left, right)}" for label, left, right in _nondet_queries()]
     assert got == golden.splitlines()
