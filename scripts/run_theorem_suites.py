@@ -7,7 +7,9 @@ random population, printing one verdict line per suite:
   * under-approximating differences refine upward in the level and stay
     inside the true difference;
   * generated counterexamples separate failing pairs under both the fast
-    checker and the brute-force oracle.
+    checker and the brute-force oracle;
+  * every witness distribution of a failed pair escapes the right side:
+    the brute-force coupling test finds no simulating distribution.
 
 Exits nonzero if any suite finds a violation.
 """
@@ -24,13 +26,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from apa_toolkit import constraints as C
 from apa_toolkit.counterexample import counterexample
 from apa_toolkit.difference import over_diff, prune_unreachable, under_diff
 from apa_toolkit.errors import GridTooCoarseError, PreconditionError, ResourceLimitError
 from apa_toolkit.generators import random_pair
-from apa_toolkit.oracle import (GridSpec, brute_satisfies,
+from apa_toolkit.oracle import (GridSpec, _coupling_ok, brute_satisfies,
                                 enumerate_implementations)
-from apa_toolkit.refinement import refines, satisfies
+from apa_toolkit.refinement import (CaseLabel, breaking, compute_refinement,
+                                    lemma_indplus_witness, refines, satisfies)
 from tests.fixtures import all_failing_pairs
 
 
@@ -98,6 +102,41 @@ def cex_suite(pairs) -> tuple[int, int]:
     return checked, violations
 
 
+def witness_suite(pairs) -> tuple[int, int]:
+    """Each lemma witness lies in Sat(phi1) and is not simulated under
+    R_ind, and each c/f provenance mu1 of the counterexample lies in
+    Sat(phi1) and is not simulated under R_K.  "Simulated" is the oracle's
+    coupling test over the approximant's pairs with equal valuations: R_0
+    holds every pair, and a refinement relation never relates states with
+    different valuations."""
+    checked = violations = 0
+    for n1, n2 in pairs:
+        analysis = compute_refinement(n1, n2)
+
+        def escapes(mu, s1, s2, e, relation) -> bool:
+            phi1, phi2 = analysis.constraints_on(s1, s2, e)
+            labeled = frozenset((s, t) for s, t in relation
+                                if n1.valuation_of(s) == n2.valuation_of(t))
+            return C.sat_member(phi1, mu) and not _coupling_ok(mu, phi2, n2, labeled)
+
+        for (s1, s2), case in analysis.cases.items():
+            if case is not CaseLabel.CASE3:
+                continue
+            brk = breaking(analysis, s1, s2)
+            for e in analysis.bsets_of(s1, s2).of("cf"):
+                if e in brk:
+                    mu = lemma_indplus_witness(analysis, s1, s2, e).mu
+                    checked += 1
+                    violations += not escapes(mu, s1, s2, e,
+                                              analysis.history[analysis.ind_of(s1, s2)])
+        for p in counterexample(n1, n2).provenance:
+            if p.row in ("c", "f"):
+                checked += 1
+                violations += not escapes(p.mu1, p.source.left, p.source.matched, p.action,
+                                          analysis.relation)
+    return checked, violations
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=40,
@@ -122,7 +161,8 @@ def main() -> int:
              fixture + failing),
             ("under-approximation", lambda ps: under_suite(
                 ps, grid, args.limit, args.max_level), fixture + failing),
-            ("counterexample", cex_suite, fixture + failing)):
+            ("counterexample", cex_suite, fixture + failing),
+            ("witness", witness_suite, fixture + failing)):
         t0 = time.time()
         checked, violations = fn(population)
         verdict = "pass" if violations == 0 else "FAIL"

@@ -19,7 +19,7 @@ from .constraints import ConstraintExpr, Distribution, State
 from .errors import InputError, PreconditionError
 from .model import APA, PA, Action, Modality, make_pa, validate_pa
 from .refinement import (CaseLabel, RefinementAnalysis, breaking, compute_refinement,
-                         forced_map, lemma_indplus_witness)
+                         forced_map, unmatched_witness)
 
 BOT = None   # right component: the tracked execution is already broken
 
@@ -79,17 +79,6 @@ def _default_member(phi: ConstraintExpr, states: tuple) -> Distribution:
     return mu
 
 
-def _unmatched_member(analysis: RefinementAnalysis, s1: State, s2: State,
-                      e: Action) -> Distribution:
-    """A left distribution no right distribution simulates w.r.t. the maximal
-    relation — exists whenever the action landed in bucket c/f."""
-    phi1, phi2 = analysis.constraints_on(s1, s2, e)
-    witness = analysis.sim_witness(phi1, forced_map(analysis, s2, e, analysis.relation), phi2)
-    assert witness is not None, \
-        f"bucket c/f action {e!r} at ({s1!r},{s2!r}) admits no unmatched distribution"
-    return witness.mu
-
-
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
@@ -132,10 +121,8 @@ def _state_rows(analysis: RefinementAnalysis,
         mu1 = _default_member(n1.constraint(t1.constraint_id), n1.states)
         yield e, ("a" if e in bs.of("a") else "b"), mu1, _to_bot(mu1)
     for e in bs.of("cf"):
-        if e in brk:
-            mu1 = lemma_indplus_witness(analysis, s1, s2, e).mu
-        else:
-            mu1 = _unmatched_member(analysis, s1, s2, e)
+        relation = analysis.history[analysis.ind_of(s1, s2)] if e in brk else analysis.relation
+        mu1 = unmatched_witness(analysis, s1, s2, e, relation).mu
         yield e, ("c" if e in bs.of("c") else "f"), mu1, _route(analysis, s2, e, mu1)
     # bucket d/e actions: deliberately no transition
 
@@ -145,7 +132,9 @@ def counterexample(n1: APA, n2: APA) -> CounterexamplePA:
 
     Requires deterministic single-valuation inputs with a failed refinement;
     the result is reproducible (all distribution choices are deterministic)
-    and has at most |S1| * (|S2| + 1) states.
+    and has at most |S1| * (|S2| + 1) states.  A bucket c/f transition takes
+    `unmatched_witness` under R_ind for a breaking action (the lemma's
+    witness) and under R_K for any other.
     """
     analysis = compute_refinement(n1, n2)
     if analysis.refines:

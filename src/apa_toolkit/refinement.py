@@ -39,14 +39,16 @@ kernels plus `constraints.piece_point`:
     distinct valuations, the coupling is forced and membership of its image
     decides it, with no LP; otherwise `_lp.feasible` decides it.
   * "Mass at s" is `piece_point` with the strict row mu(s) > 0.
-    `_sim_witness` and `lemma_indplus_witness` read its vertex.
+    `_sim_witness` and `unmatched_witness` read its vertex.
 
 The `RefinementAnalysis`, created before the fixpoint with one
 `model.successor_table` per side, is the one context of the deterministic
 path: every reader of transitions, supports and forced successors, here and
 in the difference and counterexample constructions, takes them from it.  It
-memoizes `_sim_witness` by (phi1, mapping, phi2) for as long as it lives, so
-the fixpoint, the blame sets and the witnesses share their LPs.
+memoizes `_sim_witness` by (phi1, forced map, phi2).  The forced map reads
+no relation: the failure test of buckets c and f reads one only through
+`_pairs_outside`, a set lookup, so the memo does not depend on the sweep and
+the fixpoint, the blame sets, `breaking` and every witness share its LPs.
 
 Every LP whose vertex is read keeps its rows, row order and variable order,
 and starts from the all-artificial basis of `_lp.solve`, so witnesses and
@@ -142,11 +144,13 @@ class RefinementAnalysis:
         return (self.n1.constraint(self.steps1[(s1, a)].transition.constraint_id),
                 self.n2.constraint(self.steps2[(s2, a)].transition.constraint_id))
 
-    def sim_witness(self, phi1, mapping: tuple, phi2) -> WitnessDistribution | None:
-        """`_sim_witness` between the two state sets, once per argument triple."""
-        key = (phi1, mapping, phi2)
+    def sim_witness(self, s1: State, s2: State, a: Action) -> WitnessDistribution | None:
+        """`_sim_witness` of the a-transitions of s1 and s2 through the forced
+        map of s2, which reads no relation; once per (phi1, map, phi2)."""
+        phi1, phi2 = self.constraints_on(s1, s2, a)
+        key = (phi1, forced_map(self, s2, a), phi2)
         if key not in self.witnesses:
-            self.witnesses[key] = _sim_witness(phi1, self.n1.states, mapping, phi2,
+            self.witnesses[key] = _sim_witness(phi1, self.n1.states, key[1], phi2,
                                                self.n2.states)
         return self.witnesses[key]
 
@@ -169,18 +173,12 @@ class RefinementAnalysis:
 # ---------------------------------------------------------------------------
 
 
-def forced_map(analysis: RefinementAnalysis, s2: State, a: Action,
-               relation: frozenset | None = None) -> tuple[tuple[State, State | None], ...]:
+def forced_map(analysis: RefinementAnalysis, s2: State, a: Action
+               ) -> tuple[tuple[State, State | None], ...]:
     """The successor map S1 -> S2 that the a-step of s2 forces (None: no
-    equally-labeled successor), optionally filtered by a relation."""
-    step = analysis.steps2.get((s2, a))
-    out = []
-    for s1p in analysis.n1.states:
-        t = None if step is None else step.successors.get(analysis.n1.valuation_of(s1p))
-        if t is not None and relation is not None and (s1p, t) not in relation:
-            t = None
-        out.append((s1p, t))
-    return tuple(out)
+    equally-labeled successor)."""
+    succ = {} if (s2, a) not in analysis.steps2 else analysis.steps2[(s2, a)].successors
+    return tuple((s, succ.get(analysis.n1.valuation_of(s))) for s in analysis.n1.states)
 
 
 def _pull_back(piece: C.Piece, image: Mapping[State, State]) -> list:
@@ -205,20 +203,25 @@ def _sim_witness(phi1, states1: tuple, mapping: tuple, phi2, states2: tuple):
     """A mu1 in Sat(phi1) that no mu2 in Sat(phi2) simulates under the forced
     map, or None if every mu1 is matched.
 
-    Violations decompose exactly into: mass on an unmapped left successor, or
-    a fully-mapped mu1 whose image falls outside Sat(phi2).
+    Violations decompose exactly into: (i) mass on an unmapped left
+    successor, or (ii) a fully-mapped mu1 whose image falls outside Sat(phi2).
+    (i) is searched on every piece of phi1 before (ii) on any, the order of
+    the paper's lemma; searching piece by piece could return a facet witness
+    of an earlier piece where a later piece has one of kind (i).
     """
     mdict = dict(mapping)
     unmapped = [s for s in states1 if mdict.get(s) is None]
     image = {s: mdict[s] for s in states1 if mdict.get(s) is not None}
     zero_rows = [({s: ONE}, "==", ZERO) for s in unmapped]
+    pieces = C.dnf_cover(phi1)
 
-    for piece in C.dnf_cover(phi1):
+    for piece in pieces:
         # (i) mass on an unmapped successor
         for s in unmapped:
             point = C.piece_point(piece, states1, [({s: ONE}, ">", ZERO)])
             if point is not None:
                 return WitnessDistribution(Distribution.of(point), SupportAtState(s))
+    for piece in pieces:
         # (ii) fully mapped, image outside Sat(phi2)
         for neg_piece in C.dnf_cover(C.negate(phi2)):
             point = C.piece_point(piece, states1, zero_rows + _pull_back(neg_piece, image))
@@ -231,6 +234,16 @@ def _sim_witness(phi1, states1: tuple, mapping: tuple, phi2, states2: tuple):
                     facet = LinearAtom(coeffs, {"<": ">=", "<=": ">", "==": "=="}[rel], rhs)
                 return WitnessDistribution(Distribution.of(point), FacetViolation(facet))
     return None
+
+
+def _pairs_outside(analysis: RefinementAnalysis, s1: State, s2: State, a: Action,
+                   relation: frozenset) -> list[Pair]:
+    """The pairs (s, t) outside `relation` of a supportable successor s of
+    the a-step of s1 and the successor t it is forced onto from s2: the one
+    place the deterministic failure test reads a relation."""
+    succ = analysis.steps2[(s2, a)].successors
+    pairs = [(s, succ.get(analysis.n1.valuation_of(s))) for s in analysis.steps1[(s1, a)].support]
+    return [(s, t) for s, t in pairs if t is not None and (s, t) not in relation]
 
 
 def _coupling_feasible(mu: Mapping[State, Fraction], phi, states2: tuple,
@@ -284,8 +297,9 @@ def _blame(analysis: RefinementAnalysis, s1: State, s2: State,
 
     The one place the case-3 buckets are decided.  It is lazy, so a caller
     that needs only a verdict stops at the first blamed action.  Buckets a,
-    b, d and e read the two transitions only; c and f also run the
-    unmatched-distribution test against `relation`.
+    b, d and e read the two transitions only; c and f hold when some left
+    distribution can put mass on a pair outside `relation` (`_pairs_outside`,
+    no LP) or has a forced image that fails with no relation (`sim_witness`).
 
     On deterministic inputs each action has at most one transition a side,
     so each of its `model.obligations` groups holds at most one pair: d and
@@ -303,9 +317,8 @@ def _blame(analysis: RefinementAnalysis, s1: State, s2: State,
             yield a, "a" if t1.modality is Modality.MUST else "b"
         elif t2.modality is Modality.MUST and t1.modality is Modality.MAY:
             yield a, "e"
-        elif analysis.sim_witness(analysis.n1.constraint(t1.constraint_id),
-                                  forced_map(analysis, s2, a, relation),
-                                  analysis.n2.constraint(t2.constraint_id)) is not None:
+        elif (_pairs_outside(analysis, s1, s2, a, relation)
+              or analysis.sim_witness(s1, s2, a) is not None):
             yield a, "c" if t2.modality is Modality.MAY else "f"
 
 
@@ -551,46 +564,43 @@ def breaking(analysis: RefinementAnalysis, s1: State, s2: State) -> tuple[Action
     return result
 
 
+def unmatched_witness(analysis: RefinementAnalysis, s1: State, s2: State, e: Action,
+                      relation: frozenset) -> WitnessDistribution | None:
+    """A left e-distribution of s1 that no e-distribution of s2 simulates
+    under `relation`, or None when `_blame` finds none.
+
+    The relation-free witness of `sim_witness` comes first; else, in the
+    first piece of phi1 that has one, a point with mass on the first pair
+    of `_pairs_outside`.
+    """
+    witness = analysis.sim_witness(s1, s2, e)
+    if witness is not None:
+        return witness
+    outside = _pairs_outside(analysis, s1, s2, e, relation)
+    states1 = analysis.n1.states
+    for piece in C.dnf_cover(analysis.constraints_on(s1, s2, e)[0]):
+        for s, t in outside:
+            point = C.piece_point(piece, states1, [({s: ONE}, ">", ZERO)])
+            if point is not None:
+                return WitnessDistribution(Distribution.of(point), ReachesPair(s, t))
+    return None
+
+
 def lemma_indplus_witness(analysis: RefinementAnalysis, s1: State, s2: State,
                           e: Action) -> WitnessDistribution:
-    """A left distribution certifying the recursive failure on action e.
-
-    Searched in a fixed order: (1) mass on a successor with no counterpart,
-    (2) fully-matched image violating the right constraint, (3) mass on a
-    successor pair rejected strictly earlier.
+    """A left distribution certifying the recursive failure on action e:
+    `unmatched_witness` under R_ind, the relation of the sweep that removed
+    the pair.  Its reason is, in this order of search: (1) mass on a
+    successor with no counterpart, (2) a fully-matched image violating the
+    right constraint, (3) mass on a successor pair removed strictly earlier.
     """
     if analysis.case_of(s1, s2) is not CaseLabel.CASE3:
         raise PreconditionError("witness extraction needs an equal-valuation rejected pair")
-    bs = analysis.bsets_of(s1, s2)
-    if e not in bs.of("cf") or e not in breaking(analysis, s1, s2):
+    if e not in analysis.bsets_of(s1, s2).of("cf") or e not in breaking(analysis, s1, s2):
         raise PreconditionError(f"action {e!r} is not a constraint-level breaking action here")
-    k = analysis.ind_of(s1, s2)
-    rel_k = analysis.history[k]
-    phi1, phi2 = analysis.constraints_on(s1, s2, e)
-    full = dict(forced_map(analysis, s2, e))  # no relation filter
-
-    states1 = analysis.n1.states
-    for piece in C.dnf_cover(phi1):
-        # (1) support state with no potential successor at all
-        for s in states1:
-            if full.get(s) is None:
-                point = C.piece_point(piece, states1, [({s: ONE}, ">", ZERO)])
-                if point is not None:
-                    return WitnessDistribution(Distribution.of(point), SupportAtState(s))
-    # (2) fully mapped image misses Sat(phi2)
-    witness = analysis.sim_witness(phi1, tuple(sorted(full.items(), key=lambda kv: str(kv[0]))),
-                                   phi2)
-    if witness is not None and isinstance(witness.reason, FacetViolation):
-        return witness
-    # (3) mass on a successor pair rejected strictly earlier
-    for piece in C.dnf_cover(phi1):
-        for s in states1:
-            t = full.get(s)
-            if t is not None and (s, t) not in rel_k:
-                point = C.piece_point(piece, states1, [({s: ONE}, ">", ZERO)])
-                if point is not None:
-                    return WitnessDistribution(Distribution.of(point), ReachesPair(s, t))
-    raise AssertionError("breaking action admits no witness; analysis is inconsistent")
+    witness = unmatched_witness(analysis, s1, s2, e, analysis.history[analysis.ind_of(s1, s2)])
+    assert witness is not None, "breaking action admits no witness; analysis is inconsistent"
+    return witness
 
 
 # ---------------------------------------------------------------------------

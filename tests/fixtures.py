@@ -5,12 +5,14 @@ Each helper returns freshly built automata so tests can't leak mutations
 """
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 from apa_toolkit import constraints as C
 from apa_toolkit.difference import under_diff
 from apa_toolkit.errors import InputError, PreconditionError
+from apa_toolkit.generators import _random_interval_family, random_pair
 from apa_toolkit.model import APA, Modality, make_apa, make_pa
 
 
@@ -102,6 +104,33 @@ def all_failing_pairs() -> dict[str, tuple[APA, APA]]:
         "deferral": deferral_pair(),
         "may_gap": may_gap_pair(),
     }
+
+
+def _with_second_pieces(n: APA, rng: random.Random, chance: float) -> APA:
+    """n with each constraint, with probability `chance`, ORed (on a random
+    side) with a second interval family over 1-3 random states, the other
+    states zeroed.  States keep distinct valuations, so n stays
+    deterministic."""
+    constraints = []
+    for cid, phi in n.constraints:
+        if rng.random() < chance:
+            support = rng.sample(n.states, rng.randint(1, min(3, len(n.states))))
+            extra = C.interval_constraint(_random_interval_family(rng, support, 10),
+                                          zero=[t for t in n.states if t not in support])
+            phi = C.or_(phi, extra) if rng.random() < 0.5 else C.or_(extra, phi)
+        constraints.append((cid, phi))
+    return replace(n, constraints=tuple(constraints))
+
+
+def multi_piece_pair(seed: int) -> tuple[APA, APA]:
+    """`random_pair(Random(seed))` with multi-piece constraints: each left
+    constraint gains a second interval family with probability 0.7, each
+    right one with probability 1/2, drawn from `Random(10_000 + seed)`.
+    Its left constraints have several DNF pieces, so a witness search's
+    order over pieces shows in the witnesses it returns."""
+    n1, n2 = random_pair(random.Random(seed))
+    rng = random.Random(10_000 + seed)
+    return _with_second_pieces(n1, rng, 0.7), _with_second_pieces(n2, rng, 0.5)
 
 
 def with_second_valuation(n: APA) -> APA:
