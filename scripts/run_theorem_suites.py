@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Exercise the three headline guarantees on the fixture pairs and a seeded
-random population, printing one verdict line per suite:
+random population, printing one verdict line per suite.  Each seed draws a
+`random_pair` and a `multi_piece_pair`, whose constraints have several DNF
+pieces:
 
   * every sampled implementation in a true difference satisfies the
     over-approximating difference;
@@ -35,7 +37,7 @@ from apa_toolkit.oracle import (GridSpec, _coupling_ok, brute_satisfies,
                                 enumerate_implementations)
 from apa_toolkit.refinement import (CaseLabel, breaking, compute_refinement,
                                     lemma_indplus_witness, refines, satisfies)
-from tests.fixtures import all_failing_pairs
+from tests.fixtures import all_failing_pairs, multi_piece_pair
 
 
 def impls(n, grid, cap):
@@ -140,7 +142,7 @@ def witness_suite(pairs) -> tuple[int, int]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=40,
-                    help="random pairs to draw (default 40)")
+                    help="seeds to draw random pairs from, two pairs each (default 40)")
     ap.add_argument("--grid", type=int, default=10, help="grid denominator")
     ap.add_argument("--limit", type=int, default=6,
                     help="implementations sampled per automaton")
@@ -151,6 +153,7 @@ def main() -> int:
     grid = GridSpec(denominator=args.grid)
     fixture = list(all_failing_pairs().values())
     randoms = [random_pair(random.Random(s)) for s in range(args.seeds)]
+    randoms += [multi_piece_pair(s) for s in range(args.seeds)]
     failing = [(n1, n2) for n1, n2 in randoms if not refines(n1, n2)]
     print(f"fixture pairs: {len(fixture)}; random pairs: {len(randoms)} "
           f"({len(failing)} failing)")

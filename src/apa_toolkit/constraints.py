@@ -578,18 +578,17 @@ def piece_feasible(piece: Piece, states: Sequence[State],
 
 
 def prepare_piece(piece: Piece, states: Sequence[State]
-                  ) -> tuple[dict[State, Fraction], tuple[State, ...], _lp.Tableau] | None:
-    """(point, support, base) of a piece from one tableau, or None if the
-    piece is empty.
+                  ) -> tuple[tuple[State, ...], _lp.Tableau] | None:
+    """(support, base) of a piece from one tableau, or None if the piece is
+    empty.
 
     `_lp.feasible_base` takes the rows once.  Re-priced for the strict slack
     (`_lp.slack_point`), the tableau gives a point or shows the piece empty.
     It projects onto the closure of the piece, in which a nonempty piece is
     dense (see `supportable_states`), so it also gives the support, in
-    `states` order: the sum of the masses not yet seen positive is maximized,
-    re-pricing from the last optimum, until it reaches 0.  The tableau stays
-    the base of `_lp.feasible_with` questions.  The point follows its pivot
-    path, not `piece_point`'s, so no witness is built from it.
+    `states` order: from the point's, the sum of the masses not yet seen
+    positive is maximized, re-pricing from the last optimum, until it
+    reaches 0.  The tableau stays the base of `_lp.feasible_with` questions.
     """
     base = _lp.feasible_base(piece.lp_rows() + [_simplex_row(states)], list(states))
     if base is None or (point := _lp.slack_point(base)) is None:
@@ -600,7 +599,7 @@ def prepare_piece(piece: Piece, states: Sequence[State]
         if best.value == 0:
             break
         support.update(s for s in unknown if best.point[s] > 0)
-    return point, tuple(s for s in states if s in support), base
+    return tuple(s for s in states if s in support), base
 
 
 def piece_max(piece: Piece, states: Sequence[State],

@@ -11,18 +11,17 @@ vertices of the constraint's polyhedral pieces, and every transport problem
 is solved by an exact rational LP.  Only the fixed-point iterate itself is
 a binary64 float, with the contraction giving a certified error bound.
 
-Every sweep poses the same transport polytopes with new costs: one per
-(left vertex, right piece) pair, and one per right piece for all point-mass
-vertices.  One `state_distances` call does once what does not change between
-sweeps.  It finds each left constraint's vertices (`constraints.vertices`,
-in closed form on interval pieces) and each right constraint's nonempty
-pieces, numbers each distinct vertex and piece, and keys the tableaux on
-those numbers.  Phase 1 runs once per polytope (`_lp.prepare`).  Each sweep
-converts the distances to `Fraction`s once, one per state pair, and
-re-prices the prepared tableaux from their last optimal basis
-(`_lp.reprice_value`).  Bland's rule terminates from any feasible basis,
-and the optimal value does not depend on the basis phase 2 starts from; the
-optimal coupling may, but the distance reads the value alone, and
+Every sweep poses the same transport polytopes with new costs, one per
+(left vertex, right piece) pair.  One `state_distances` call does once what
+does not change between sweeps.  It finds each left constraint's vertices
+(`constraints.vertices`, in closed form on interval pieces) and each right
+constraint's nonempty pieces, numbers each distinct vertex and piece, and
+keys the tableaux on those numbers.  Phase 1 runs once per polytope
+(`_lp.prepare`).  Each sweep converts the distances to `Fraction`s once, one
+per state pair, and re-prices the prepared tableaux from their last optimal
+basis (`_lp.reprice_value`).  Bland's rule terminates from any feasible
+basis, and the optimal value does not depend on the basis phase 2 starts
+from; the optimal coupling may, but the distance reads the value alone, and
 `reprice_value` builds no coupling.  The tableaux are dropped when the call
 returns.
 """
@@ -119,9 +118,9 @@ def _outer_points(phi: ConstraintExpr, states: tuple, dim_cap: int) -> tuple[Dis
 
 class _Vertex(NamedTuple):
     """A left vertex as `state_distances` numbers it: equal vertices share a
-    number, and every point mass has the number None."""
+    number."""
 
-    number: int | None
+    number: int
     mu: Distribution
     cells: tuple  # (transport variable, the (left, right) state pair pricing it)
 
@@ -142,24 +141,18 @@ def _transport_tableau(tableaux: dict, vertex: _Vertex, right: _RightPiece,
     there.
 
     The tableaux key on the two numbers, so equal vertices share one
-    tableau.  The polytope of a point mass is the piece itself, so all point
-    masses, numbered None, share one tableau per piece.
+    tableau.
     """
     key = (vertex.number, right.number)
     tableau = tableaux.get(key)
     if tableau is not None:
         return tableau
-    rows = right.piece.closure_rows()
     mu = vertex.mu
     supp = mu.support()
-    if vertex.number is None:
-        variables = list(states2)
-        rows.append(({t: ONE for t in states2}, "==", ONE))
-    else:
-        variables = [(s, t) for s in supp for t in states2]
-        rows = [({(s, t): ONE for t in states2}, "==", mu[s]) for s in supp] + \
-            [({(s, t): c for t, c in coeffs.items() for s in supp}, rel, rhs)
-             for coeffs, rel, rhs in rows]
+    variables = [(s, t) for s in supp for t in states2]
+    rows = [({(s, t): ONE for t in states2}, "==", mu[s]) for s in supp] + \
+        [({(s, t): c for t, c in coeffs.items() for s in supp}, rel, rhs)
+         for coeffs, rel, rhs in right.piece.closure_rows()]
     tableau = tableaux[key] = _lp.prepare(rows, variables)
     assert tableau is not None, "a nonempty piece admits a coupling with mu"
     return tableau
@@ -244,11 +237,8 @@ def state_distances(n1: APA, n2: APA, params: DistanceParams | None = None) -> D
     piece_ids: dict = {}
 
     def vertex(mu: Distribution) -> _Vertex:
-        supp = mu.support()
-        if len(supp) == 1:
-            return _Vertex(None, mu, tuple((t, (supp[0], t)) for t in states2))
         return _Vertex(vertex_ids.setdefault(mu, len(vertex_ids)), mu,
-                       tuple(((s, t), (s, t)) for s in supp for t in states2))
+                       tuple(((s, t), (s, t)) for s in mu.support() for t in states2))
 
     points1 = {l: tuple(vertex(mu) for mu in _outer_points(l, states1, params.vertex_dim_cap))
                for l in dict.fromkeys(l for l, _ in combos)}

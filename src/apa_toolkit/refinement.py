@@ -27,17 +27,16 @@ kernels plus `constraints.piece_point`:
     `counterexample`, a transition of the separating implementation;
     `push_ok` in `_map_condition` reads feasibility only.  Each left piece
     takes one tableau per `_refines_nondet` call (`constraints.prepare_piece`),
-    which gives its probe point, its support (the domain of the map search)
-    and the base to which every map test appends its pulled-back rows
-    (`_lp.feasible_with`), once per piece and set of rows.
+    which gives its support (the domain of the map search) and the base to
+    which every map test appends its pulled-back rows (`_lp.feasible_with`),
+    once per piece and set of rows.
   * `_coupling_feasible` asks whether some distribution of a constraint
     simulates one concrete distribution, over the joint coupling weights.
-    It is the one matching test of `satisfies`, for every target, and the
-    rejection filter of `_map_condition`, which runs on a piece's probe
-    once its first complete map fails.  When each support state has a
-    single related state, as on a deterministic target whose states carry
-    distinct valuations, the coupling is forced and membership of its image
-    decides it, with no LP; otherwise `_lp.feasible` decides it.
+    It is the matching test of `satisfies`, for every target.  When each
+    support state has a single related state, as on a deterministic target
+    whose states carry distinct valuations, the coupling is forced and
+    membership of its image decides it, with no LP; otherwise
+    `_lp.feasible` decides it.
   * "Mass at s" is `piece_point` with the strict row mu(s) > 0.
     `_sim_witness` and `unmatched_witness` read its vertex.
 
@@ -52,9 +51,7 @@ the fixpoint, the blame sets, `breaking` and every witness share its LPs.
 
 Every LP whose vertex is read keeps its rows, row order and variable order,
 and starts from the all-artificial basis of `_lp.solve`, so witnesses and
-counterexamples do not depend on which caller built them.  The map search's
-probe is exempt: it follows its piece's re-priced tableau, but only gates
-the search and never becomes a witness.
+counterexamples do not depend on which caller built them.
 """
 
 from __future__ import annotations
@@ -62,6 +59,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, product
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import _lp
@@ -430,37 +428,33 @@ _MAP_TEST_BUDGET = 256
 
 
 def _left_pieces(phi1, states1: tuple) -> tuple:
-    """(probe, support, base) of each nonempty piece of phi1, in cover order
+    """(support, base) of each nonempty piece of phi1, in cover order
     (`constraints.prepare_piece`); none of it reads a relation."""
     return tuple(prepared for piece in C.dnf_cover(phi1)
                  if (prepared := C.prepare_piece(piece, states1)) is not None)
 
 
-def _map_condition(cid1, pieces: tuple, phi2, states2: tuple, relation: frozenset,
+def _map_condition(cid1, pieces: tuple, states2: tuple, relation: frozenset,
                    neg_pieces: tuple, tested: dict) -> bool:
     """Sufficient check: every mu1 in the left `pieces` (`_left_pieces` of
     phi1) simulated w.r.t. `relation` by some mu2 in Sat(phi2).
 
     Witness shape: per piece of Sat(phi1), one deterministic successor map T
     (relation-compatible); the pushforward condition T#piece being inside
-    Sat(phi2) is then exact, decided against the complement cover.  Searching
-    only deterministic maps is the conservative part.  Only pairs whose left
-    state is in a piece's support are ever read.  `neg_pieces` is the DNF
-    cover of the complement of phi2.  A pulled-back row that names no left
-    state decides itself (`_named_rows`): if false, no mu1 is pushed into
-    that complement piece; if true, it is dropped, and with no row left
-    every mu1 is.  `tested` keeps each push LP's verdict by (cid1, the
-    constraint id of phi1; piece index; pulled-back rows).
-
-    The rejection filter runs after a piece's first failed complete map: if
-    its probe has no simulating image (`_coupling_feasible`), no map passes
-    and the search stops.  It only refutes, so verdicts are as if it ran first.
+    Sat(phi2) is then exact, decided against `neg_pieces`, the DNF cover of
+    the complement of phi2.  Searching only deterministic maps is the
+    conservative part.  The maps tried are the first `_MAP_TEST_BUDGET` of
+    the product of the candidates over `dom`, the piece's support, `dom[0]`
+    outermost; a map whose every push LP is a memo hit counts as well.  A
+    pulled-back row that names no left state decides itself (`_named_rows`):
+    if false, no mu1 is pushed into that complement piece; if true, it is
+    dropped, and with no row left every mu1 is.  `tested` keeps each push
+    LP's verdict by (cid1, the constraint id of phi1; piece index;
+    pulled-back rows).
     """
-    for index, (probe, support, base) in enumerate(pieces):
+    for index, (support, base) in enumerate(pieces):
         cands = {s: sorted((t for t in states2 if (s, t) in relation),
                            key=lambda t: (t != s, str(t))) for s in support}
-        if any(not cands[s] for s in support):
-            return False
         dom = sorted(support, key=lambda s: (len(cands[s]), str(s)))
 
         def push_ok(assign: dict) -> bool:
@@ -477,29 +471,8 @@ def _map_condition(cid1, pieces: tuple, phi2, states2: tuple, relation: frozense
                     return False  # some mu1 in the piece escapes Sat(phi2)
             return True
 
-        budget = first = _MAP_TEST_BUDGET
-
-        def dfs(i: int, assign: dict) -> bool:
-            nonlocal budget
-            if budget <= 0:
-                return False
-            if i == len(dom):
-                budget -= 1
-                if push_ok(assign):
-                    return True
-                if budget == first - 1 and not _coupling_feasible(probe, phi2, states2, relation):
-                    budget = 0  # the rejection filter refutes the piece
-                return False
-            for t in cands[dom[i]]:
-                assign[dom[i]] = t
-                if dfs(i + 1, assign):
-                    return True
-                if budget <= 0:
-                    break
-            assign.pop(dom[i], None)
-            return False
-
-        if not dfs(0, {}):
+        maps = product(*(cands[s] for s in dom))
+        if not any(push_ok(dict(zip(dom, image))) for image in islice(maps, _MAP_TEST_BUDGET)):
             return False
     return True
 
@@ -521,7 +494,7 @@ def _refines_nondet(n1: APA, n2: APA) -> bool:
         cid1, cid2 = t1.constraint_id, t2.constraint_id
         if cid1 not in left:
             pieces = _left_pieces(n1.constraint(cid1), states1)
-            left[cid1] = pieces, frozenset(s for _, support, _ in pieces for s in support)
+            left[cid1] = pieces, frozenset(s for support, _ in pieces for s in support)
         pieces, supportable = left[cid1]
         if (relation, cid1) not in slices:
             slices[relation, cid1] = frozenset(p for p in relation if p[0] in supportable)
@@ -530,8 +503,8 @@ def _refines_nondet(n1: APA, n2: APA) -> bool:
         if key not in decided:
             if cid2 not in complement:
                 complement[cid2] = C.dnf_cover(C.negate(n2.constraint(cid2)))
-            decided[key] = _map_condition(cid1, pieces, n2.constraint(cid2), states2,
-                                          relation_slice, complement[cid2], tested)
+            decided[key] = _map_condition(cid1, pieces, states2, relation_slice,
+                                          complement[cid2], tested)
         return decided[key]
 
     initial = [(s1, s2) for s1 in n1.states for s2 in n2.states

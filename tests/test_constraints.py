@@ -217,7 +217,7 @@ def _supportable_by_lp(phi, states):
 def _left_pieces_union(phi, states):
     """The union of the supports of the map search's left pieces of phi."""
     pieces = refinement._left_pieces(phi, states)
-    return tuple(s for s in states if any(s in support for _, support, _ in pieces))
+    return tuple(s for s in states if any(s in support for support, _ in pieces))
 
 
 @settings(max_examples=200, deadline=None)
@@ -280,9 +280,7 @@ def test_piece_support_agrees_with_the_per_state_probes(expr):
         assert (prepared is None) == (point is None)
         if point is None:
             continue
-        probe, support, _ = prepared
-        assert piece_accepts(piece, probe) and sum(probe.values()) == 1
-        assert support == _support_by_state(piece, STATES)
+        assert prepared[0] == _support_by_state(piece, STATES)
 
 
 @st.composite
@@ -315,12 +313,12 @@ def _rows_over(draw, states):
 def test_prepared_piece_base_agrees_with_piece_feasible(piece, data):
     """Prepared once (`prepare_piece`), a piece answers every question about
     rows over its support as `piece_feasible` does, the base left re-priced
-    for the probe and the support."""
+    for the support."""
     prepared = C.prepare_piece(piece, STATES)
     assert (prepared is None) == (C.piece_point(piece, STATES) is None)
     if prepared is None:
         return
-    _, dom, base = prepared
+    dom, base = prepared
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         nonstrict, strict = data.draw(_rows_over(dom))
         rows = nonstrict + [(coeffs, "<", rhs) for coeffs, rhs in strict]
@@ -460,9 +458,7 @@ def test_piece_support_of_derived_pieces():
             assert (prepared is None) == (point is None)
             if point is None:
                 continue
-            probe, support, _ = prepared
-            assert piece_accepts(piece, probe) and sum(probe.values()) == 1
-            assert support == _support_by_state(piece, states)
+            assert prepared[0] == _support_by_state(piece, states)
             checked += 1
         assert _left_pieces_union(expr, states) == C.supportable_states(expr, states)
     assert checked

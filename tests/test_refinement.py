@@ -23,7 +23,8 @@ from tests.fixtures import (all_failing_pairs, deferral_implementation_late,
                             deferral_implementation_split, deferral_pair,
                             interval_implementation_diff,
                             incomparable_pairs, interval_implementation_in,
-                            interval_pair, may_gap_pair, refining_pair)
+                            interval_pair, may_gap_pair, multi_piece_pair,
+                            refining_pair)
 from tests.test_constraints import STATES, _coeff, _convex_rows, _rhs
 
 
@@ -308,7 +309,7 @@ def test_nondeterministic_refinement_computes_support_once_per_constraint(monkey
 
 def test_map_search_makes_one_feasible_base_per_left_piece(monkeypatch):
     """One `_refines_nondet` call makes one `feasible_base` per piece of each
-    left constraint, for its probe, its support and all its map tests,
+    left constraint, for its support and all its map tests,
     however many right constraints, relation slices and sweeps meet it, and
     no `feasible_point`, `prepare` or `solve` at all."""
     u1, u2 = _deferral_chain()
@@ -335,39 +336,22 @@ def test_map_search_makes_one_feasible_base_per_left_piece(monkeypatch):
 def test_map_condition_prepares_each_piece_once_and_appends_the_pulled_back_rows(monkeypatch):
     """Each left piece is prepared once per `_refines_nondet` call
     (`feasible_base`), and every map test appends its pulled-back rows to
-    that base: outside the rejection filter's coupling LPs, no
-    `_lp.feasible` call is made."""
+    that base: no `_lp.feasible` call is made."""
     u1, u2 = _deferral_chain()
     lp = refinement._lp
     counts = Counter()
-    in_filter = []
-
-    def spy(name):
-        original = getattr(lp, name)
-
-        def counted(*args):
-            counts[name, bool(in_filter)] += 1
+    for name in ("feasible", "feasible_base", "feasible_with"):
+        def counted(*args, original=getattr(lp, name), name=name):
+            counts[name] += 1
             return original(*args)
         monkeypatch.setattr(lp, name, counted)
-
-    for name in ("feasible", "feasible_base", "feasible_with"):
-        spy(name)
-    coupling = refinement._coupling_feasible
-
-    def rejection_filter(*args):
-        in_filter.append(1)
-        try:
-            return coupling(*args)
-        finally:
-            in_filter.pop()
-    monkeypatch.setattr(refinement, "_coupling_feasible", rejection_filter)
     assert refinement._refines_nondet(u1, u2)
     pieces = [piece for cover in _left_covers(u1) for piece in cover]
     nonempty = sum(C.piece_point(piece, u1.states) is not None for piece in pieces)
     assert nonempty > 0
-    assert counts["feasible", False] == 0
-    assert counts["feasible_base", False] == len(pieces)
-    assert counts["feasible_with", False] >= nonempty
+    assert counts["feasible"] == 0
+    assert counts["feasible_base"] == len(pieces)
+    assert counts["feasible_with"] >= nonempty
 
 
 @pytest.mark.parametrize("pair", [interval_pair, deferral_pair])
@@ -441,58 +425,63 @@ def test_map_budget_counts_every_complete_map(monkeypatch):
     assert not refines(over, u1)
 
 
-def _map_search(phi1, phi2, relation, monkeypatch, filter_verdict=None):
+def _map_search(phi1, phi2, relation, monkeypatch):
     """`_map_condition` of phi1 over (a, b) against phi2 over (x, y): its
     verdict, the complete maps it tested (one `_pull_back` each, since the
-    complement of phi2 has one piece) and the rejection filter's verdicts.
-    With `filter_verdict`, the filter answers that instead of its LP."""
-    maps, filtered = [], []
-    pull_back, coupling = refinement._pull_back, refinement._coupling_feasible
-
-    def recording_filter(*args):
-        filtered.append(coupling(*args) if filter_verdict is None else filter_verdict)
-        return filtered[-1]
+    complement of phi2 has one piece) and the `_lp.feasible` and
+    `_coupling_feasible` calls it made."""
+    maps, others = [], []
+    pull_back = refinement._pull_back
     monkeypatch.setattr(refinement, "_pull_back",
                         lambda piece, image: maps.append(dict(image)) or pull_back(piece, image))
-    monkeypatch.setattr(refinement, "_coupling_feasible", recording_filter)
+    for owner, name in ((refinement._lp, "feasible"), (refinement, "_coupling_feasible")):
+        def recording(*args, original=getattr(owner, name), name=name):
+            others.append(name)
+            return original(*args)
+        monkeypatch.setattr(owner, name, recording)
     neg_pieces = C.dnf_cover(C.negate(phi2))
     assert len(neg_pieces) == 1
-    verdict = refinement._map_condition("c1", refinement._left_pieces(phi1, ("a", "b")), phi2,
+    verdict = refinement._map_condition("c1", refinement._left_pieces(phi1, ("a", "b")),
                                         ("x", "y"), frozenset(relation), neg_pieces, {})
-    return verdict, maps, filtered
+    return verdict, maps, others
 
 
-def test_map_search_runs_no_rejection_filter_when_the_first_map_passes(monkeypatch):
+def test_map_search_stops_at_the_first_map_that_passes(monkeypatch):
     """mu(a) <= 1/2 pushed by a -> x, b -> y lands in mu(x) <= 1/2: the first
-    complete map passes, and the filter's LP is never made."""
-    verdict, maps, filtered = _map_search(C.atom({"a": 1}, "<=", F(1, 2)),
-                                          C.atom({"x": 1}, "<=", F(1, 2)),
-                                          {("a", "x"), ("b", "y")}, monkeypatch)
-    assert verdict and maps == [{"a": "x", "b": "y"}] and filtered == []
+    complete map passes, and no other is tried."""
+    verdict, maps, others = _map_search(C.atom({"a": 1}, "<=", F(1, 2)),
+                                        C.atom({"x": 1}, "<=", F(1, 2)),
+                                        {("a", "x"), ("b", "y")}, monkeypatch)
+    assert verdict and maps == [{"a": "x", "b": "y"}] and others == []
 
 
-def test_map_search_stops_after_one_map_when_the_probe_has_no_image(monkeypatch):
+def test_map_search_tries_the_budgeted_maps_in_product_order(monkeypatch):
     """The only point (1/2, 1/2) sends at least 1/2 to x, above the right
-    cap 1/4, so it has no simulating image.  The first complete map fails,
-    the filter refutes the piece, and the second map is never tried; with a
-    filter that refutes nothing the search tries both and fails as well."""
+    cap 1/4, so no map passes.  The search tries the product of the
+    candidates, the state with fewer first: a -> x, then b -> x and b -> y.
+    It makes no coupling LP.  With `_MAP_TEST_BUDGET` 1 it tries the first
+    map only."""
     phi1, phi2 = C.point_constraint({"a": F(1, 2), "b": F(1, 2)}), C.atom({"x": 1}, "<=", F(1, 4))
     relation = {("a", "x"), ("b", "x"), ("b", "y")}
-    verdict, maps, filtered = _map_search(phi1, phi2, relation, monkeypatch)
-    assert not verdict and maps == [{"a": "x", "b": "x"}] and filtered == [False]
-    verdict, maps, filtered = _map_search(phi1, phi2, relation, monkeypatch, filter_verdict=True)
-    assert not verdict and len(maps) == 2 and filtered == [True]
+    verdict, maps, others = _map_search(phi1, phi2, relation, monkeypatch)
+    assert not verdict and maps == [{"a": "x", "b": "x"}, {"a": "x", "b": "y"}]
+    assert others == []
+    monkeypatch.setattr(refinement, "_MAP_TEST_BUDGET", 1)
+    verdict, maps, others = _map_search(phi1, phi2, relation, monkeypatch)
+    assert not verdict and maps == [{"a": "x", "b": "x"}] and others == []
 
 
-def _nondet_queries():
-    """The eight `refines` queries of each failing pair: the three failing
-    fixtures and the failing `random_pair` seeds 0-59."""
-    from apa_toolkit.difference import over_diff, under_diff
-    pairs = list(all_failing_pairs().items())
-    for seed in range(60):
-        n1, n2 = random_pair(random.Random(seed))
+def _failing(make_pair, seeds, prefix: str):
+    """(name, pair) of each seed whose `make_pair(seed)` does not refine."""
+    for seed in seeds:
+        n1, n2 = make_pair(seed)
         if not refines(n1, n2):
-            pairs.append((f"random{seed}", (n1, n2)))
+            yield f"{prefix}{seed}", (n1, n2)
+
+
+def _nondet_queries(pairs):
+    """The eight `refines` queries of each (name, (n1, n2)) of `pairs`."""
+    from apa_toolkit.difference import over_diff, under_diff
     for name, (n1, n2) in pairs:
         u1, u2, over = under_diff(n1, n2, 1), under_diff(n1, n2, 2), over_diff(n1, n2)
         for query, left, right in (("u1<=u2", u1, u2), ("u2<=u1", u2, u1), ("u1<=n1", u1, n1),
@@ -502,13 +491,32 @@ def _nondet_queries():
             yield f"{name} {query}", left, right
 
 
+def _recorded_verdicts(pairs, golden: str) -> list[str]:
+    """The `_nondet_queries` verdicts of `pairs`, checked against
+    `tests/golden/<golden>`."""
+    expected = (Path(__file__).resolve().parent / "golden" / golden).read_text().splitlines()
+    got = [f"{label} {refines(left, right)}" for label, left, right in _nondet_queries(pairs)]
+    assert got == expected
+    return got
+
+
 def test_nondeterministic_refinement_keeps_the_recorded_verdicts():
-    """The 376 verdicts of `_nondet_queries`, pinned in
-    `tests/golden/nondet_refines.txt`: 304 True, 72 False."""
-    golden = (Path(__file__).resolve().parent / "golden" / "nondet_refines.txt").read_text()
-    got = [f"{label} {refines(left, right)}" for label, left, right in _nondet_queries()]
-    assert got == golden.splitlines()
+    """The 376 verdicts of the three failing fixtures and the failing
+    `random_pair` seeds 0-59, pinned in `tests/golden/nondet_refines.txt`:
+    304 True, 72 False."""
+    pairs = [*all_failing_pairs().items(),
+             *_failing(lambda seed: random_pair(random.Random(seed)), range(60), "random")]
+    got = _recorded_verdicts(pairs, "nondet_refines.txt")
     assert len(got) == 376 and sum(line.endswith("True") for line in got) == 304
+
+
+def test_nondeterministic_refinement_keeps_the_recorded_multi_piece_verdicts():
+    """The 160 verdicts of the failing `multi_piece_pair` seeds 0-24, pinned
+    in `tests/golden/nondet_refines_multi.txt`: 122 True, 38 False.  Their
+    right covers have several pieces, so map order and budget matter."""
+    got = _recorded_verdicts(_failing(multi_piece_pair, range(25), "multi"),
+                             "nondet_refines_multi.txt")
+    assert len(got) == 160 and sum(line.endswith("True") for line in got) == 122
 
 
 def test_nondeterministic_refinement_on_the_largest_chain_instance():
