@@ -11,9 +11,11 @@ rows, columns) for each pivot, runs the workload's `build(SEED, ...)` and
 then one round of its queries, emptying the toolkit's caches before each
 query, as `perfbench/run.py` does.  It prints one JSON line per workload:
 the pivots of set-up and of the round, the calls of each `_lp` entry point
-in the round, the queries that raised, and the sha256 of the sorted set-up
-records, of the sorted round records and of the `repr` of the round's
-answers.  Two checkouts make the same LPs on a workload when their lines
+in the round and the round's pivots per entry point, each pivot counted
+under the outermost entry point running (so `solve` counts the pivots of
+the `prepare` and `reprice` it calls), the queries that raised, and the
+sha256 of the sorted set-up records, of the sorted round records and of
+the `repr` of the round's answers.  Two checkouts make the same LPs on a workload when their lines
 agree; the order of the pivots is left out, so a change may reorder the LPs
 it makes.  The script exits non-zero when a query of some workload raised.
 """
@@ -48,9 +50,12 @@ def child(root: Path, workload: str) -> dict:
 
     records: list = []
     pivot = _lp._pivot
+    running: list = []  # the entry points now running, outermost first
+    by_entry: Counter = Counter()
 
     def recording(rows, cost, basis, p, q, det):
         records.append((p, q, det, rows[p][q], len(rows), len(rows[0])))
+        by_entry[running[0] if running else "(none)"] += 1
         return pivot(rows, cost, basis, p, q, det)
 
     calls: Counter = Counter()
@@ -60,7 +65,11 @@ def child(root: Path, workload: str) -> dict:
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return original(*args, **kwargs)
+            running.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                running.pop()
         return wrapper
 
     _lp._pivot = recording
@@ -69,6 +78,7 @@ def child(root: Path, workload: str) -> dict:
         tasks = workloads.WORKLOADS[workload]().build(SEED, Path(tmp))
         setup = sorted(records)
         records.clear()
+        by_entry.clear()
         for name in ENTRY_POINTS:
             if hasattr(_lp, name):  # an older checkout may lack some
                 setattr(_lp, name, counted(name))
@@ -76,6 +86,7 @@ def child(root: Path, workload: str) -> dict:
     return {"workload": workload, "seed": SEED,
             "setup_pivots": len(setup), "round_pivots": len(records),
             "calls": dict(sorted(calls.items())),
+            "round_pivots_by_entry": dict(sorted(by_entry.items())),
             "raised": [label for label, answer in answers if isinstance(answer, run.QueryError)],
             "setup_sha256": digest(setup), "round_sha256": digest(sorted(records)),
             "answers_sha256": digest(answers)}

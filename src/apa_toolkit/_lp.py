@@ -1,7 +1,8 @@
 """Exact linear programming over rationals, sized for desk-scale decision procedures.
 
-Two-phase dense simplex with Bland's rule, pivoted fraction-free in Python
-integers (Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp. 1968).  Every
+Two-phase dense simplex with Bland's rule, and a dual simplex for rows
+appended to an optimal tableau, pivoted fraction-free in Python integers
+(Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp. 1968).  Every
 refinement / difference / distance decision in this package reduces to small
 LPs (tens of variables), where exactness matters far more than speed: the
 logical layer must not depend on floating-point tolerances.
@@ -36,18 +37,32 @@ is the old one bordered by the row m restricted to the basic columns and a 1
 for s, so it is block triangular with the same determinant; the entered row
 is again D times a row of B^-1 M, and D, the exactness of every later
 division and the meaning of the reduced costs all carry over.  A row whose
-right-hand side comes out negative is negated, which makes its slack entry
--D; such a row and every "==" row get an artificial, basic at entry D, and
-phase 1 minimizes the sum of the artificials from there (Bland's rule
-terminates from any basis).  Entered into the tableau of no rows (D = 1, an
-empty basis), the rule gives the start tableau M itself, at an identity
-basis.  It has two uses:
+right-hand side comes out negative cannot keep s basic in a feasible
+basis.  Entered into the tableau of no rows (D = 1, an empty basis), the
+rule gives the start tableau M itself, at an identity basis.  There are
+three starts:
 
-- the slack start, as above: a "<=" row with a nonnegative right-hand side
-  starts with its slack basic, and phase 1 is skipped when no row needs an
-  artificial;
+- the slack start: a row whose right-hand side comes out negative is
+  negated, which makes its slack entry -D; such a row and every "==" row
+  get an artificial, basic at entry D, and phase 1 minimizes the sum of the
+  artificials from there (Bland's rule terminates from any basis).  A "<="
+  row with a nonnegative right-hand side starts with its slack basic, and
+  phase 1 is skipped when no row needs an artificial;
 - the all-artificial start: every row gets an artificial, whatever the sign
-  of its right-hand side.
+  of its right-hand side;
+- the dual start, for rows appended to a tableau at an optimum: every row
+  keeps its slack basic, whatever the sign of its right-hand side, and an
+  "==" row enters as its "<=" and ">=" rows.  No artificial enters.  The
+  new basis is primal infeasible where a right-hand side is negative, but
+  it keeps the optimum's reduced costs: a new slack is basic with cost 0,
+  and c_B B^-1 of the bordered basis is c_B B^-1 of the old one followed by
+  zeros, so every old column keeps its reduced cost, which is >= 0 at the
+  optimum of a minimization.  The basis is dual feasible, and the dual
+  simplex re-optimizes from it (Lemke 1954).  With Bland's dual rule, the
+  least basic column among the rows with a negative right-hand side leaves
+  and the least column among the ties of the ratio test enters, so it is
+  Bland's rule on the dual and terminates (Bland 1977).  Its pivot entry is
+  negative; the leaving row is negated first, which keeps D > 0.
 
 All variables are implicitly >= 0, which covers every use here (probability
 masses, coupling masses, slack variables).  Callers fix the variable order;
@@ -78,11 +93,19 @@ every vertex a caller reads.
 
 `feasible_with` asks `feasible` of many systems that share most of their
 rows.  `feasible_base` takes the shared rows, with t, through the slack
-start and phase 1 once, and drops the artificials.  Each question enters its
-own rows into that tableau by the same rule, which leaves the base
-unchanged, runs phase 1 from the basis it gets, and maximizes t.  Any
-feasible basis of the base serves, so it may be re-priced in between, for t
-(`slack_point`) or for any objective over its closure (`reprice`).
+start and phase 1 once, drops the artificials, maximizes t and keeps t's
+reduced-cost row.  Each question enters its own rows into a copy of that
+tableau by the dual start, so the base is unchanged, and runs the dual
+simplex for t from the base's reduced costs (`_dual_phase`).  A question
+whose rows hold at the base's vertex makes no pivot.  Every dual pivot keeps
+the reduced costs >= 0, so the objective value of each basis bounds t's
+maximum from above, and the bound never rises.  The question is answered
+False as soon as the next pivot would bring the bound to 0, or a violated
+row has no negative entry (it holds at no point); it is answered True once
+every row holds, at a positive optimum.  The base may be re-priced in
+between, for t (`slack_point`) or for any objective over its closure
+(`reprice`), but it must be back at t's optimum, as `slack_point` leaves it,
+before the next question.
 """
 
 from __future__ import annotations
@@ -171,7 +194,9 @@ class Tableau:
     plus the right-hand side, with `det` = D > 0 and `basis[r]` the column
     basic in row r; redundant rows are gone.  `reprice` moves it from basis
     to basis.  Fresh from `_append`, a tableau is at its start basis
-    instead, with the artificials in the columns past `columns`.
+    instead, with the artificials in the columns past `columns`.  `cost` is
+    the reduced-cost row of the strict slack t while the basis is t's
+    optimum (`feasible_base`, `slack_point`), and None otherwise.
     """
 
     var_index: dict[Var, int]
@@ -179,6 +204,7 @@ class Tableau:
     rows: list[list[int]]
     basis: list[int]
     det: int
+    cost: list[int] | None = None
 
 
 def _parse(constraints: Sequence[Constraint], var_index: Mapping[Var, int]
@@ -209,21 +235,27 @@ def _empty(variables: Sequence[Var]) -> Tableau:
     return Tableau(var_index, len(variables), [], [], 1)
 
 
-def _append(base: Tableau, constraints: Sequence[Constraint],
-            artificial_each: bool) -> Tableau:
+def _append(base: Tableau, constraints: Sequence[Constraint], start: str) -> Tableau:
     """A new tableau: the base's rows, then `constraints` entered in the
     base's current basis by the rule of the module docstring; the base is
     not changed.
 
     Columns: the base's, one new slack per inequality, the artificials, rhs;
-    `columns` stops before the artificials.  ">=" rows are negated to "<=",
-    then rows whose rhs comes out negative; each row's sign enters the
-    phase-1 cost, so this order is part of the pivot path.  With
-    `artificial_each`, every row gets an artificial.  Each row is built
-    once, at its final width.
+    `columns` stops before the artificials.  ">=" rows are negated to "<=".
+    `start` is one of the module docstring's three starts.  "artificial"
+    and "slack" negate the rows whose rhs comes out negative; each row's
+    sign enters the phase-1 cost, so this order is part of the pivot path.
+    "artificial" gives every row an artificial, "slack" only those rows and
+    the "==" rows.  "dual" enters each "==" row as its "<=" and ">=" rows,
+    and gives every row its slack, basic whatever the sign of its rhs, and
+    no artificial.  Each row is built once, at its final width.
     """
     var_index, total, det = base.var_index, base.columns, base.det
     row_of = {col: r for r, col in enumerate(base.basis)}
+    each, dual = start == "artificial", start == "dual"
+    if dual:
+        constraints = [(coeffs, half, rhs) for coeffs, rel, rhs in constraints
+                       for half in (("<=", ">=") if rel == "==" else (rel,))]
     parsed, scale = _parse(constraints, var_index)
     entering = []  # (terms, rel, rhs, unit, [(base row index, m)], sign, artificial?)
     columns, arts = total, 0
@@ -234,8 +266,8 @@ def _append(base: Tableau, constraints: Sequence[Constraint],
                   for j, c in terms if j in row_of] if row_of else []
         if pulled:
             b -= sum(m * base.rows[r][-1] for r, m in pulled)
-        sign = -1 if b < 0 else 1
-        art = artificial_each or rel == "==" or sign < 0
+        sign = 1 if dual or b >= 0 else -1
+        art = each or (not dual and (rel == "==" or sign < 0))
         columns += rel != "=="
         arts += art
         entering.append((terms, rel, rhs, unit, pulled, sign, art))
@@ -314,7 +346,7 @@ def prepare(constraints: Sequence[Constraint], variables: Sequence[Var]) -> Tabl
     """Phase 1 from the all-artificial basis: the tableau of `constraints` at
     a feasible basis, all variables >= 0, or None if the system is
     infeasible."""
-    return _feasible_basis(_append(_empty(variables), constraints, artificial_each=True))
+    return _feasible_basis(_append(_empty(variables), constraints, "artificial"))
 
 
 def _price(tableau: Tableau, int_cost: list[int]) -> list[int] | None:
@@ -346,6 +378,7 @@ def _reprice(tableau: Tableau, objective: Mapping[Var, Fraction],
     int_cost = [0] * tableau.columns
     for j, c in terms:
         int_cost[j] = sign * c.numerator * (cost_scale // c.denominator)
+    tableau.cost = None  # the basis moves off t's optimum
     cost = _price(tableau, int_cost)
     if cost is None:
         return None
@@ -370,13 +403,18 @@ def reprice(tableau: Tableau, objective: Mapping[Var, Fraction],
     value = _reprice(tableau, objective, maximize)
     if value is None:
         return LpResult("unbounded", None, None)
+    return LpResult("optimal", value, _vertex(tableau))
+
+
+def _vertex(tableau: Tableau) -> dict[Var, Fraction]:
+    """The point of the tableau's current basis."""
     var_index, rows, det = tableau.var_index, tableau.rows, tableau.det
     n = len(var_index)
     x = [ZERO] * n
     for r, col in enumerate(tableau.basis):
         if col < n:
             x[col] = Fraction(rows[r][-1], det)
-    return LpResult("optimal", value, {v: x[i] for v, i in var_index.items()})
+    return {v: x[i] for v, i in var_index.items()}
 
 
 def solve(
@@ -437,19 +475,51 @@ def _slack_basis(constraints: Sequence[Constraint], variables: Sequence[Var]) ->
     """The rows of `_slack_rows`, then t <= 1, with t the last variable,
     from the slack start through phase 1, artificials dropped (None if
     infeasible)."""
-    start = _append(_empty([*variables, _SLACK]), _slack_rows(constraints) + [_CAP],
-                    artificial_each=False)
+    start = _append(_empty([*variables, _SLACK]), _slack_rows(constraints) + [_CAP], "slack")
     return _feasible_basis(start)
 
 
-def _strict_slack_positive(tableau: Tableau | None) -> bool:
-    """Over a system with the strict slack t, at a feasible basis (None if
-    the system is infeasible): is the maximum of t positive?"""
-    if tableau is None:
-        return False
+def _price_slack(tableau: Tableau) -> int:
+    """Phase 2 of max t from the tableau's feasible basis, which it leaves
+    at t's optimum with t's reduced-cost row kept in `cost`: D times the
+    maximum of t."""
     t_cost = [0] * tableau.columns
     t_cost[tableau.var_index[_SLACK]] = -1  # maximize t
-    return _price(tableau, t_cost)[-1] > 0  # -det times the minimum of -t
+    tableau.cost = _price(tableau, t_cost)
+    return tableau.cost[-1]  # -D times the minimum of -t
+
+
+def _dual_phase(rows: list[list[int]], cost: list[int], basis: list[int], det: int) -> bool:
+    """Dual simplex for max t, from a basis whose reduced-cost row `cost`
+    (of -t, minimized) is dual feasible, with Bland's dual rule: the row
+    that leaves is the one with the least basic column among those with a
+    negative rhs, and the column that enters is the least among the ties of
+    the dual ratio test.  Is t's maximum positive?  False as soon as the
+    dual bound on it, `cost[-1]` / D, would reach 0."""
+    if cost[-1] <= 0:
+        return False
+    while True:
+        leaving = min((r for r, row in enumerate(rows) if row[-1] < 0),
+                      key=basis.__getitem__, default=-1)
+        if leaving < 0:
+            return True  # primal feasible too: the bound is t's maximum
+        # Ratio test cost/-a over a < 0, by cross-multiplication; the first
+        # column wins a tie.
+        prow = rows[leaving]
+        entering = -1
+        best_cost = best_a = 0
+        for j, a in enumerate(prow[:-1]):
+            if a < 0 and (entering < 0 or cost[j] * best_a < best_cost * -a):
+                entering, best_cost, best_a = j, cost[j], -a
+        if entering < 0:
+            return False  # the row cannot hold: its slack is negative at every point
+        # The pivot would leave the bound at (best_a * cost[-1] - best_cost *
+        # -prow[-1]) / (D * best_a), so it is read first.
+        if best_a * cost[-1] <= best_cost * -prow[-1]:
+            return False
+        # Negating the row first makes the pivot entry, the next D, positive.
+        rows[leaving] = [-x for x in prow]
+        det = _pivot(rows, cost, basis, leaving, entering, det)
 
 
 def feasible(constraints: Sequence[Constraint], variables: Sequence[Var]) -> bool:
@@ -457,27 +527,41 @@ def feasible(constraints: Sequence[Constraint], variables: Sequence[Var]) -> boo
     only if some row needs an artificial, and phase 2 only if a row is
     strict.  No vertex is read, so the pivot path is free."""
     if _has_strict(constraints):
-        return _strict_slack_positive(_slack_basis(constraints, variables))
-    return _phase_one(_append(_empty(variables), constraints, artificial_each=False))
+        base = _slack_basis(constraints, variables)
+        return base is not None and _price_slack(base) > 0
+    return _phase_one(_append(_empty(variables), constraints, "slack"))
 
 
 def feasible_base(constraints: Sequence[Constraint], variables: Sequence[Var]) -> Tableau | None:
     """The rows that many `feasible_with` questions share, with t even if no
-    row is strict, at a feasible basis; None if the closure of the system
-    (t = 0) is empty, so that no appended row can make it feasible."""
-    return _slack_basis(constraints, variables)
+    row is strict, at t's optimum with t's reduced-cost row kept; None if
+    the closure of the system (t = 0) is empty, so that no appended row can
+    make it feasible."""
+    base = _slack_basis(constraints, variables)
+    if base is not None:
+        _price_slack(base)
+    return base
 
 
 def slack_point(base: Tableau) -> dict[Var, Fraction] | None:
-    """Re-price a `feasible_base` tableau for t: the vertex of t's maximum
-    without t, or None if no point has the strict rows strict."""
-    point = reprice(base, {_SLACK: ONE}).point
+    """Re-price a `feasible_base` tableau for t, with no pivot if it is
+    still at t's optimum: the vertex of t's maximum without t, or None if
+    no point has the strict rows strict.  The tableau is left at t's
+    optimum, the base of `feasible_with`."""
+    _price_slack(base)
+    point = _vertex(base)
     return point if point.pop(_SLACK) > 0 else None
 
 
 def feasible_with(base: Tableau, constraints: Sequence[Constraint]) -> bool:
-    """`feasible` of the base's rows plus `constraints`, entered in the
-    base's basis (the base is never changed).  With no strict row anywhere,
-    t is free up to 1, so its optimum is positive iff the rows are feasible."""
-    start = _append(base, _slack_rows(constraints), artificial_each=False)
-    return _strict_slack_positive(_feasible_basis(start))
+    """`feasible` of the base's rows plus `constraints`, from the base at
+    t's optimum (the base is never changed).  The rows enter by the dual
+    start, and the dual simplex (`_dual_phase`) runs from the base's
+    reduced costs.  With no strict row anywhere, t is free up to 1, so its
+    optimum is positive iff the rows are feasible."""
+    if base.cost is None:
+        raise ValueError("feasible_with needs a base at t's optimum "
+                         "(feasible_base or slack_point)")
+    tableau = _append(base, _slack_rows(constraints), "dual")
+    cost = base.cost[:-1] + [0] * (tableau.columns - base.columns) + base.cost[-1:]
+    return _dual_phase(tableau.rows, cost, tableau.basis, tableau.det)

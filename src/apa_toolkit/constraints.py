@@ -582,13 +582,16 @@ def prepare_piece(piece: Piece, states: Sequence[State]
     """(support, base) of a piece from one tableau, or None if the piece is
     empty.
 
-    `_lp.feasible_base` takes the rows once.  Re-priced for the strict slack
-    (`_lp.slack_point`), the tableau gives a point or shows the piece empty.
-    It projects onto the closure of the piece, in which a nonempty piece is
-    dense (see `supportable_states`), so it also gives the support, in
-    `states` order: from the point's, the sum of the masses not yet seen
-    positive is maximized, re-pricing from the last optimum, until it
-    reaches 0.  The tableau stays the base of `_lp.feasible_with` questions.
+    `_lp.feasible_base` takes the rows once and leaves the tableau at the
+    optimum of the strict slack t, where `_lp.slack_point` reads a point, or
+    shows the piece empty, with no pivot.  The tableau projects onto the
+    closure of the piece, in which a nonempty piece is dense (see
+    `supportable_states`), so it also gives the support, in `states` order:
+    from the point's, the sum of the masses not yet seen positive is
+    maximized, re-pricing from the last optimum, until it reaches 0.  Then t
+    is re-priced last, so the tableau returns to t's optimum with t's
+    reduced costs, the base from which `_lp.feasible_with` runs its dual
+    simplex.
     """
     base = _lp.feasible_base(piece.lp_rows() + [_simplex_row(states)], list(states))
     if base is None or (point := _lp.slack_point(base)) is None:
@@ -599,6 +602,7 @@ def prepare_piece(piece: Piece, states: Sequence[State]
         if best.value == 0:
             break
         support.update(s for s in unknown if best.point[s] > 0)
+    _lp.slack_point(base)  # back at t's optimum, the base of `feasible_with`
     return tuple(s for s in states if s in support), base
 
 

@@ -378,23 +378,81 @@ def test_a_greater_than_row_is_the_negated_less_than_row(system):
 @st.composite
 def _appended_systems(draw):
     """A base system and 2-4 systems of rows to append to it, each drawn as
-    `_feasibility_systems` over the base's variables."""
+    `_feasibility_systems` over the base's variables: "<=", ">=" and "=="
+    rows, negative right-hand sides among them, and strict rows, each
+    written as "<" or as the same row negated, ">"."""
     base = draw(_feasibility_systems())
-    queries = draw(st.lists(_feasibility_systems(base[1]), min_size=2, max_size=4))
-    return base, [(rows, strict) for rows, _, strict in queries]
+    queries = []
+    for rows, _, strict in draw(st.lists(_feasibility_systems(base[1]), min_size=2, max_size=4)):
+        for coeffs, rhs in strict:
+            rows.append(({v: -c for v, c in coeffs.items()}, ">", -rhs) if draw(st.booleans())
+                        else (coeffs, "<", rhs))
+        queries.append(rows)
+    return base, queries
 
 
 @settings(max_examples=300, deadline=None)
 @given(_appended_systems())
 def test_feasible_with_agrees_with_strict_feasible_point(systems):
+    """`feasible_with` answers as `feasible` and `feasible_point` do on the
+    union of the rows, and leaves the base as it was: rows, basis, D and
+    the kept reduced-cost row of t."""
     (rows, variables, strict), queries = systems
     base = _lp.feasible_base(rows + _lt(strict), variables)
+    assert base is None or base.cost is not None
     before = copy.deepcopy(base)
-    for extra, extra_strict in queries:
-        expected = _lp.feasible_point(rows + extra + _lt(strict + extra_strict),
-                                      variables) is not None
-        assert (base is not None and _lp.feasible_with(base, extra + _lt(extra_strict))) == expected
-        assert base == before  # every query starts from the same base
+    for extra in queries:
+        union = rows + _lt(strict) + extra
+        expected = _lp.feasible(union, variables)
+        assert expected == (_lp.feasible_point(union, variables) is not None)
+        assert (base is not None and _lp.feasible_with(base, extra)) == expected
+        if base is not None:  # every query starts from the same base
+            assert ((base.rows, base.basis, base.det, base.cost)
+                    == (before.rows, before.basis, before.det, before.cost))
+
+
+def test_feasible_with_breaks_dual_ratio_ties_by_the_least_column(monkeypatch):
+    # x + y == 1 and x < 1/2, which enters as x + t + s = 1/2: t's maximum
+    # is 1/2 at x = 0, y = 1, where -t = -1/2 + x + s, so the nonbasic x
+    # (column 0) and s (column 3) both have reduced cost 1.
+    rows = [({"x": F(1), "y": F(1)}, "==", F(1)), ({"x": F(1)}, "<", F(1, 2))]
+    base = _lp.feasible_base(rows, ["x", "y"])
+    assert _lp.slack_point(base) == {"x": 0, "y": 1}
+    entered = []
+    pivot = _lp._pivot
+
+    def spy(rows, cost, basis, p, q, det):
+        entered.append(q)
+        return pivot(rows, cost, basis, p, q, det)
+
+    monkeypatch.setattr(_lp, "_pivot", spy)
+    # x + y < 5/4 enters as x + y + t + s' = 5/4, which reads
+    # s' - x - s = -1/4 in the base's basis: x and s tie at ratio 1, and x,
+    # the least column, enters.  The bound on t falls from 1/2 to 1/4, and
+    # every row holds.
+    below = [({"x": F(1), "y": F(1)}, "<", F(5, 4))]
+    assert _lp.feasible_with(base, below) and entered == [0]
+    assert _lp.feasible(rows + below, ["x", "y"])
+    # x + y < 3/4: the same tie, but the pivot would bring the bound to
+    # 1/2 - 3/4 < 0, so the answer is False before it.
+    entered.clear()
+    above = [({"x": F(1), "y": F(1)}, "<", F(3, 4))]
+    assert not _lp.feasible_with(base, above) and entered == []
+    assert not _lp.feasible(rows + above, ["x", "y"])
+    # No strict row: x + y <= 1 at t = 1, where x, y and the slack all have
+    # reduced cost 0.  x + y >= 1/2 ties x and y at ratio 0 (a degenerate
+    # pivot), and x enters.
+    closed = _lp.feasible_base([({"x": F(1), "y": F(1)}, "<=", F(1))], ["x", "y"])
+    entered.clear()
+    half = [({"x": F(1), "y": F(1)}, ">=", F(1, 2))]
+    assert _lp.feasible_with(closed, half) and entered == [0]
+    # An "==" row enters as its "<=" and ">=" rows.  At x = y = 0 only the
+    # ">=" row of x + y == 1/2 is violated, and x enters as above; x + y == 2
+    # also meets x + y <= 1, and no point is left.
+    entered.clear()
+    assert _lp.feasible_with(closed, [({"x": F(1), "y": F(1)}, "==", F(1, 2))])
+    assert entered == [0]
+    assert not _lp.feasible_with(closed, [({"x": F(1), "y": F(1)}, "==", F(2))])
 
 
 def test_feasible_with_on_hand_systems():
@@ -417,6 +475,13 @@ def test_feasible_with_on_hand_systems():
     assert not _lp.feasible_with(closed, [({"x": F(1)}, ">=", F(1)), ({"y": F(1)}, "==", F(1))])
     # an empty closure has no base
     assert _lp.feasible_base([({"x": F(1)}, ">=", F(2)), ({"x": F(1)}, "<=", F(1))], ["x"]) is None
+    # a base re-priced for another objective is re-priced for t before the
+    # next question
+    _lp.reprice(closed, {"y": F(1)})
+    with pytest.raises(ValueError):
+        _lp.feasible_with(closed, [({"x": F(1)}, ">=", F(1))])
+    assert _lp.slack_point(closed) is not None
+    assert _lp.feasible_with(closed, [({"x": F(1)}, ">=", F(1))])
     with pytest.raises(InputError):
         _lp.feasible_with(closed, [({"z": F(1)}, "<=", F(1))])
 
@@ -477,12 +542,12 @@ def test_start_tableau_layout_and_the_prepared_tableaux():
     rows = [({"x": F(1), "y": F(-1, 2)}, ">=", F(-1, 3)),
             ({"x": F(1), "y": F(-1)}, "<=", F(-1, 2)),
             ({"x": F(1, 3), "y": F(1)}, "==", F(2))]
-    start = _lp._append(_lp._empty(["x", "y"]), rows, artificial_each=True)
+    start = _lp._append(_lp._empty(["x", "y"]), rows, "artificial")
     assert (start.columns, start.basis, start.det) == (4, [4, 5, 6], 1)
     assert start.rows == [[-6, 3, 1, 0, 1, 0, 0, 2],
                           [-6, 6, 0, -1, 0, 1, 0, 3],
                           [2, 6, 0, 0, 0, 0, 1, 12]]
-    start = _lp._append(_lp._empty(["x", "y"]), rows, artificial_each=False)
+    start = _lp._append(_lp._empty(["x", "y"]), rows, "slack")
     assert (start.columns, start.basis, start.det) == (4, [2, 4, 5], 1)
     assert start.rows == [[-6, 3, 1, 0, 0, 0, 2],
                           [-6, 6, 0, -1, 1, 0, 3],
@@ -497,11 +562,18 @@ def test_start_tableau_layout_and_the_prepared_tableaux():
                             [0, 48, 0, -2, 78],
                             [48, 0, 0, 6, 54]]
     # The same basis plus the slack of t <= 1 (6t + s_t = 6 at scale 6),
-    # with t the last variable, so the slacks move up one column.
+    # with t the last variable, so the slacks move up one column, is
+    # [[0, 0, 0, 48, 42, 0, 186], [0, 48, 0, 0, -2, 0, 78],
+    #  [48, 0, 0, 0, 6, 0, 54], [0, 0, 288, 0, 0, 48, 288]] at D = 48.
+    # Maximizing t then pivots t in for s_t: the pivot entry 288 is the next
+    # D, so the other rows are multiplied by 288 / 48 = 6.  The kept cost
+    # row of -t is D times its reduced costs, 1/6 at s_t, and D times the
+    # maximum of t, 1.
     base = _lp.feasible_base(rows, ["x", "y"])
     assert list(base.var_index) == ["x", "y", _lp._SLACK]
-    assert (base.columns, base.basis, base.det) == (6, [3, 1, 0, 5], 48)
-    assert base.rows == [[0, 0, 0, 48, 42, 0, 186],
-                         [0, 48, 0, 0, -2, 0, 78],
-                         [48, 0, 0, 0, 6, 0, 54],
+    assert (base.columns, base.basis, base.det) == (6, [3, 1, 0, 2], 288)
+    assert base.rows == [[0, 0, 0, 288, 252, 0, 1116],
+                         [0, 288, 0, 0, -12, 0, 468],
+                         [288, 0, 0, 0, 36, 0, 324],
                          [0, 0, 288, 0, 0, 48, 288]]
+    assert base.cost == [0, 0, 0, 0, 0, 48, 288]

@@ -377,6 +377,65 @@ def test_map_search_tests_each_base_and_pulled_back_rows_once(monkeypatch, pair)
         assert len(seen) == len(set(seen))
 
 
+def _tableau_vertex(tableau) -> dict:
+    """The point of a tableau's basis, the strict slack included."""
+    point = dict.fromkeys(tableau.var_index, F(0))
+    names = {i: v for v, i in tableau.var_index.items()}
+    for row, col in zip(tableau.rows, tableau.basis):
+        if col in names:
+            point[names[col]] = F(row[-1], tableau.det)
+    return point
+
+
+def _rows_hold(rows, point) -> bool:
+    """Do `rows`, strict ones on the shared slack as `_lp` enters them,
+    hold at `point`?"""
+    def holds(coeffs, rel, rhs):
+        lhs = sum(c * point[v] for v, c in coeffs.items())
+        return {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[rel]
+    return all(holds(*row) for row in refinement._lp._slack_rows(rows))
+
+
+def test_map_search_push_tests_reoptimize_the_prepared_piece_without_phase_one(monkeypatch):
+    """The push tests of `refines(under(1), under(2))` on the interval
+    fixture start from the piece's tableau at the optimum of the strict
+    slack t: none runs phase 1, a test whose pulled-back rows hold at that
+    vertex makes no pivot, and some test whose rows do not hold is answered
+    False by the dual bound before any pivot."""
+    from apa_toolkit.difference import under_diff
+    lp = refinement._lp
+    inside = {"on": False, "phase_one": 0, "pivots": 0}
+    tests = []  # (rows hold at the base's vertex, pivots, verdict)
+    phase_one, pivot, feasible_with = lp._phase_one, lp._pivot, lp.feasible_with
+
+    def counted_phase_one(*args):
+        inside["phase_one"] += inside["on"]
+        return phase_one(*args)
+
+    def counted_pivot(*args):
+        inside["pivots"] += inside["on"]
+        return pivot(*args)
+
+    def recording(base, rows):
+        hold = _rows_hold(rows, _tableau_vertex(base))
+        inside.update(on=True, pivots=0)
+        try:
+            verdict = feasible_with(base, rows)
+        finally:
+            inside["on"] = False
+        tests.append((hold, inside["pivots"], verdict))
+        return verdict
+    monkeypatch.setattr(lp, "_phase_one", counted_phase_one)
+    monkeypatch.setattr(lp, "_pivot", counted_pivot)
+    monkeypatch.setattr(lp, "feasible_with", recording)
+    n1, n2 = interval_pair()
+    assert refines(under_diff(n1, n2, 1), under_diff(n1, n2, 2))
+    assert tests and inside["phase_one"] == 0
+    held = [(pivots, verdict) for hold, pivots, verdict in tests if hold]
+    assert held and all(pivots == 0 and verdict for pivots, verdict in held)
+    assert any(not hold and pivots == 0 and not verdict for hold, pivots, verdict in tests)
+
+
 @pytest.mark.parametrize("pair, verdicts", [
     (interval_pair, (True, True, True, True)),
     (deferral_pair, (True, True, True, False)),
