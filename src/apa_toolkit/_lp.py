@@ -104,8 +104,8 @@ False as soon as the next pivot would bring the bound to 0, or a violated
 row has no negative entry (it holds at no point); it is answered True once
 every row holds, at a positive optimum.  The base may be re-priced in
 between, for t (`slack_point`) or for any objective over its closure
-(`reprice`), but it must be back at t's optimum, as `slack_point` leaves it,
-before the next question.
+(`reprice`, which clears the kept row); the next question then re-prices it
+for t in place first, so a base that is asked nothing pays no pivot for t.
 """
 
 from __future__ import annotations
@@ -196,7 +196,8 @@ class Tableau:
     to basis.  Fresh from `_append`, a tableau is at its start basis
     instead, with the artificials in the columns past `columns`.  `cost` is
     the reduced-cost row of the strict slack t while the basis is t's
-    optimum (`feasible_base`, `slack_point`), and None otherwise.
+    optimum (`feasible_base`, `slack_point`, `feasible_with`), and None
+    otherwise.
     """
 
     var_index: dict[Var, int]
@@ -555,13 +556,13 @@ def slack_point(base: Tableau) -> dict[Var, Fraction] | None:
 
 def feasible_with(base: Tableau, constraints: Sequence[Constraint]) -> bool:
     """`feasible` of the base's rows plus `constraints`, from the base at
-    t's optimum (the base is never changed).  The rows enter by the dual
-    start, and the dual simplex (`_dual_phase`) runs from the base's
+    t's optimum: a base re-priced for another objective is first re-priced
+    for t in place, and is not changed otherwise.  The rows enter by the
+    dual start, and the dual simplex (`_dual_phase`) runs from the base's
     reduced costs.  With no strict row anywhere, t is free up to 1, so its
     optimum is positive iff the rows are feasible."""
     if base.cost is None:
-        raise ValueError("feasible_with needs a base at t's optimum "
-                         "(feasible_base or slack_point)")
+        _price_slack(base)
     tableau = _append(base, _slack_rows(constraints), "dual")
     cost = base.cost[:-1] + [0] * (tableau.columns - base.columns) + base.cost[-1:]
     return _dual_phase(tableau.rows, cost, tableau.basis, tableau.det)

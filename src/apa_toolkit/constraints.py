@@ -588,10 +588,10 @@ def prepare_piece(piece: Piece, states: Sequence[State]
     closure of the piece, in which a nonempty piece is dense (see
     `supportable_states`), so it also gives the support, in `states` order:
     from the point's, the sum of the masses not yet seen positive is
-    maximized, re-pricing from the last optimum, until it reaches 0.  Then t
-    is re-priced last, so the tableau returns to t's optimum with t's
-    reduced costs, the base from which `_lp.feasible_with` runs its dual
-    simplex.
+    maximized, re-pricing from the last optimum, until it reaches 0.  The
+    first `_lp.feasible_with` question on the base re-prices it for t, the
+    optimum from which the dual simplex runs, so a piece that is asked
+    nothing pays no pivot for it.
     """
     base = _lp.feasible_base(piece.lp_rows() + [_simplex_row(states)], list(states))
     if base is None or (point := _lp.slack_point(base)) is None:
@@ -602,7 +602,6 @@ def prepare_piece(piece: Piece, states: Sequence[State]
         if best.value == 0:
             break
         support.update(s for s in unknown if best.point[s] > 0)
-    _lp.slack_point(base)  # back at t's optimum, the base of `feasible_with`
     return tuple(s for s in states if s in support), base
 
 

@@ -29,9 +29,9 @@ kernels plus `constraints.piece_point`:
     takes one tableau per `_refines_nondet` call (`constraints.prepare_piece`),
     which gives its support (the domain of the map search) and the base to
     which every map test appends its pulled-back rows (`_lp.feasible_with`),
-    once per piece and set of rows.  The base is kept at the optimum of the
-    strict slack, so a map test re-optimizes it by dual simplex, with no
-    phase 1, and rows that hold at the piece's vertex cost no pivot.
+    once per piece and set of rows.  Each map test starts from the base at
+    the optimum of the strict slack and re-optimizes it by dual simplex,
+    with no phase 1, and rows that hold at the piece's vertex cost no pivot.
   * `_coupling_feasible` asks whether some distribution of a constraint
     simulates one concrete distribution, over the joint coupling weights.
     It is the matching test of `satisfies`, for every target.  When each

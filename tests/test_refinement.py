@@ -377,16 +377,6 @@ def test_map_search_tests_each_base_and_pulled_back_rows_once(monkeypatch, pair)
         assert len(seen) == len(set(seen))
 
 
-def _tableau_vertex(tableau) -> dict:
-    """The point of a tableau's basis, the strict slack included."""
-    point = dict.fromkeys(tableau.var_index, F(0))
-    names = {i: v for v, i in tableau.var_index.items()}
-    for row, col in zip(tableau.rows, tableau.basis):
-        if col in names:
-            point[names[col]] = F(row[-1], tableau.det)
-    return point
-
-
 def _rows_hold(rows, point) -> bool:
     """Do `rows`, strict ones on the shared slack as `_lp` enters them,
     hold at `point`?"""
@@ -417,7 +407,9 @@ def test_map_search_push_tests_reoptimize_the_prepared_piece_without_phase_one(m
         return pivot(*args)
 
     def recording(base, rows):
-        hold = _rows_hold(rows, _tableau_vertex(base))
+        if base.cost is None:  # the first question on a piece re-prices it for t
+            lp._price_slack(base)
+        hold = _rows_hold(rows, lp._vertex(base))
         inside.update(on=True, pivots=0)
         try:
             verdict = feasible_with(base, rows)
