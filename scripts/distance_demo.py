@@ -53,7 +53,7 @@ def main() -> int:
             print(f"{name:>10} {lam:7.2f} {fwd:10.6f} {bwd:10.6f} {lb:13.6f}")
 
     print("\nconvergence of the difference approximations (lambda = 0.5):")
-    params = DistanceParams(lam=0.5, vertex_dim_cap=24)
+    params = DistanceParams(lam=0.5)
     for name, (n1, n2) in all_failing_pairs().items():
         over = over_diff(n1, n2)
         for k in (1, 2, 3, 4):

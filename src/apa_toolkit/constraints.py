@@ -11,6 +11,10 @@ derived combinators lift constraints onto difference product spaces:
   * phi-B-k      - phi-B with a level k, whose deferral clause only
                    accepts strictly smaller levels, and never at level 1.
 
+Each derived node pulls its input constraints back along the marginal maps
+cell -> s1 and cell -> s2 (`pull_back`, the one kernel that moves a row
+through a state map, for every caller).
+
 Everything is decided exactly over rationals: membership by clause
 evaluation, emptiness/support/optimization by LP over the disjunctive normal
 form of the constraint.  Strict inequalities (which arise from logical
@@ -388,6 +392,48 @@ def _member(phi: ConstraintExpr, mass: Mapping[State, Fraction]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Pull-backs along state maps: a map T sends each source to at most one
+# target, and `groups[t]` is the preimage of t.  T#mu puts on t the mass of
+# mu on groups[t], so c . nu REL rhs holds at nu = T#mu iff its pull-back,
+# in which each source in groups[t] takes c[t], holds at mu.  Callers: the
+# marginal maps of the derived nodes, refinement's successor maps, and the
+# coupling map (s, t) -> t of `satisfies` and the distance.
+# ---------------------------------------------------------------------------
+
+
+def pull_back(rows: Iterable[_lp.Constraint], groups: Mapping[State, Sequence]
+              ) -> list[_lp.Constraint]:
+    """The rows over target states, in order, as rows over the sources of
+    `groups`.  A target with no source drops out, so a row can come out
+    naming nothing; `named_rows` decides such rows."""
+    return [({s: c for t, c in coeffs.items() for s in groups.get(t, ())}, rel, rhs)
+            for coeffs, rel, rhs in rows]
+
+
+def preimages(image: Mapping) -> dict[State, list]:
+    """The groups of `pull_back` for the map `image`, source -> target."""
+    groups: dict = {}
+    for s, t in image.items():
+        groups.setdefault(t, []).append(s)
+    return groups
+
+
+def zero_row_holds(rel: str, rhs: Fraction) -> bool:
+    """Does a row that names no state, 0 REL rhs, hold?"""
+    return {"<=": 0 <= rhs, "<": 0 < rhs, "==": 0 == rhs}[rel]
+
+
+def named_rows(rows: list[_lp.Constraint]) -> list[_lp.Constraint] | None:
+    """The rows that name some state, or None if a row that names none is
+    false: such a row compares 0 with its right-hand side, which decides it
+    with no LP.  For callers that read feasibility only: dropping a true
+    row can move the pivot path, and with it a vertex."""
+    if all(coeffs or zero_row_holds(rel, rhs) for coeffs, rel, rhs in rows):
+        return [row for row in rows if row[0]]
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Normal forms: negation push-down, derived-node expansion, DNF cover
 # ---------------------------------------------------------------------------
 
@@ -415,31 +461,25 @@ def negate(phi: ConstraintExpr) -> ConstraintExpr:
     raise InputError(f"unknown constraint node {type(phi).__name__}")
 
 
-def _marginal_atom(a: LinearAtom, groups: Mapping[State, Sequence]) -> ConstraintExpr:
-    """Rewrite an atom over source states as one over cells via the marginal map."""
-    coeffs: dict = {}
-    for s, c in a.coeffs:
-        for cell in groups.get(s, ()):
-            coeffs[cell] = coeffs.get(cell, ZERO) + c
-    return Atom(LinearAtom.make(coeffs, a.rel, a.rhs)) if coeffs else _const_atom(a)
-
-
-def _const_atom(a: LinearAtom) -> ConstraintExpr:
-    # All coefficients vanished: the atom compares 0 against rhs.
-    return TRUE if a.evaluate({}) else FALSE
-
-
-def _substitute(phi: ConstraintExpr, groups: Mapping[State, Sequence]) -> ConstraintExpr:
+def substitute(phi: ConstraintExpr, groups: Mapping[State, Sequence]) -> ConstraintExpr:
+    """A plain constraint over target states as one over source variables:
+    each atom pulled back (`pull_back`) along the map whose preimages are
+    `groups`.  An atom that comes out naming nothing compares 0 with its
+    right-hand side and becomes TRUE or FALSE."""
     if isinstance(phi, (TrueExpr, FalseExpr)):
         return phi
     if isinstance(phi, Atom):
-        return _marginal_atom(phi.atom, groups)
+        a = phi.atom
+        [(coeffs, rel, rhs)] = pull_back([(dict(a.coeffs), a.rel, a.rhs)], groups)
+        if not coeffs:
+            return TRUE if a.evaluate({}) else FALSE
+        return Atom(LinearAtom.make(coeffs, rel, rhs))
     if isinstance(phi, And):
-        return and_(*(_substitute(i, groups) for i in phi.items))
+        return and_(*(substitute(i, groups) for i in phi.items))
     if isinstance(phi, Or):
-        return or_(*(_substitute(i, groups) for i in phi.items))
+        return or_(*(substitute(i, groups) for i in phi.items))
     if isinstance(phi, Not):
-        return not_(_substitute(phi.item, groups))
+        return not_(substitute(phi.item, groups))
     raise InputError("derived constraints cannot nest inside derived constraints")
 
 
@@ -459,26 +499,22 @@ def expand(phi: ConstraintExpr) -> ConstraintExpr:
         # Pinning the slice total to 1 also zeroes any ambient state outside
         # this constraint's cells once the caller adds the simplex row.
         pin = atom({c: 1 for c in slice_cells}, "==", 1)
-        return and_(*zeros, pin, _substitute(phi.phi, groups))
+        return and_(*zeros, pin, substitute(phi.phi, groups))
     if isinstance(phi, PhiB):
         allowed = phi.allowed_cells()
         if not allowed:
             return FALSE
         allowed_set = set(allowed)
         zeros = [atom({cell: 1}, "==", 0) for cell in phi.cells if cell not in allowed_set]
-        groups1: dict[State, list] = {s: [] for s in phi.source_states}
-        groups2: dict[State, list] = {s: [] for s in phi.target_states}
-        for cell in allowed:
-            groups1[cell.s1].append(cell)
-            if cell.s2 is not None:
-                groups2[cell.s2].append(cell)
+        groups1 = preimages({cell: cell.s1 for cell in allowed})
+        groups2 = preimages({cell: cell.s2 for cell in allowed if cell.s2 is not None})
         three_a = or_(*(atom({cell: 1}, ">", 0) for cell in allowed if cell.s2 is None))
         # 3(a) already covers the "marginal is not even a distribution" case,
         # so 3(b) reduces to the atom-level complement of phi2 on the marginal.
-        three_b = _substitute(negate(phi.phi2), groups2)
+        three_b = substitute(negate(phi.phi2), groups2)
         three_c = or_(*(atom({cell: 1}, ">", 0) for cell in allowed if phi.deferral_ok(cell)))
         pin = atom({c: 1 for c in allowed}, "==", 1)
-        return and_(*zeros, pin, _substitute(phi.phi1, groups1), or_(three_a, three_b, three_c))
+        return and_(*zeros, pin, substitute(phi.phi1, groups1), or_(three_a, three_b, three_c))
     return phi
 
 
@@ -498,11 +534,6 @@ class Piece:
 
     def has_strict(self) -> bool:
         return any(rel == "<" for _, rel, _ in self.rows)
-
-
-def zero_row_holds(rel: str, rhs: Fraction) -> bool:
-    """Does a piece row that names no state, 0 REL rhs, hold?"""
-    return {"<=": 0 <= rhs, "<": 0 < rhs, "==": 0 == rhs}[rel]
 
 
 def _atom_rows(a: LinearAtom) -> list[tuple[tuple[tuple[State, Fraction], ...], str, Fraction]]:
@@ -727,9 +758,12 @@ class Polytope:
     rows: tuple[tuple[tuple[tuple[State, Fraction], ...], str, Fraction], ...]
 
     def __post_init__(self):
-        for _, rel, _ in self.rows:
+        states = set(self.states)
+        for coeffs, rel, _ in self.rows:
             if rel not in ("<=", "=="):
                 raise InputError(f"polytope rows must use <= or ==, got {rel!r}")
+            if outside := [s for s, _ in coeffs if s not in states]:
+                raise InputError(f"a polytope row names {outside[0]!r}, not one of its states")
 
     @staticmethod
     def make(states: Sequence[State], rows: Iterable[tuple[Mapping[State, Fraction], str, Fraction]]) -> "Polytope":

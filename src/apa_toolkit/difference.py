@@ -224,33 +224,20 @@ def under_diff(n1: APA, n2: APA, K: int) -> APA:
     return _difference(n1, n2, K)
 
 
-def _restrict_expr(expr: ConstraintExpr, kept: frozenset) -> ConstraintExpr:
-    if isinstance(expr, C.Atom):
-        coeffs = {s: c for s, c in expr.atom.coeffs if s in kept}
-        if len(coeffs) == len(expr.atom.coeffs):
-            return expr
-        if not coeffs:
-            return C.TRUE if expr.atom.evaluate({}) else C.FALSE
-        return C.Atom(C.LinearAtom.make(coeffs, expr.atom.rel, expr.atom.rhs))
-    if isinstance(expr, C.And):
-        return C.and_(*(_restrict_expr(i, kept) for i in expr.items))
-    if isinstance(expr, C.Or):
-        return C.or_(*(_restrict_expr(i, kept) for i in expr.items))
-    if isinstance(expr, C.Not):
-        return C.not_(_restrict_expr(expr.item, kept))
-    return expr  # derived nodes only ever carry supportable (hence kept) cells
-
-
 def prune_unreachable(apa: APA) -> APA:
     """Drop states that carry no mass under any satisfying distribution of a
-    transition reachable from the initial states."""
+    transition reachable from the initial states.  Plain constraints are
+    pulled back along the identity on the kept states (`constraints.substitute`);
+    derived nodes pass through unchanged, since their cells are kept."""
     kept = frozenset(reachable_states(apa))
     if kept == set(apa.states):
         return apa
     states = tuple(s for s in apa.states if s in kept)
     transitions = tuple(t for t in apa.transitions if t.source in kept)
     used = {t.constraint_id for t in transitions}
-    constraints = tuple((cid, _restrict_expr(expr, kept))
+    groups = {s: (s,) for s in kept}
+    constraints = tuple((cid, expr if isinstance(expr, (C.BotLift, C.PhiB))
+                         else C.substitute(expr, groups))
                         for cid, expr in apa.constraints if cid in used)
     cls = type(apa)
     extra = {}

@@ -151,8 +151,7 @@ def _transport_tableau(tableaux: dict, vertex: _Vertex, right: _RightPiece,
     supp = mu.support()
     variables = [(s, t) for s in supp for t in states2]
     rows = [({(s, t): ONE for t in states2}, "==", mu[s]) for s in supp] + \
-        [({(s, t): c for t, c in coeffs.items() for s in supp}, rel, rhs)
-         for coeffs, rel, rhs in right.piece.closure_rows()]
+        C.pull_back(right.piece.closure_rows(), C.preimages({var: var[1] for var in variables}))
     tableau = tableaux[key] = _lp.prepare(rows, variables)
     assert tableau is not None, "a nonempty piece admits a coupling with mu"
     return tableau

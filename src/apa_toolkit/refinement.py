@@ -18,29 +18,30 @@ For deterministic targets in single-valuation normal form the correspondence
 function inside each pair check is forced: a left successor can only be
 matched with the unique equally-labeled potential successor on the right.
 Every quantifier over distributions then reduces to exact LPs over the
-disjunctive-normal-form pieces of the constraints involved, built by two
-kernels plus `constraints.piece_point`:
+disjunctive-normal-form pieces of the constraints involved.  Each LP pulls
+the rows of a right-hand piece back through a state map with the one kernel
+`constraints.pull_back` and adds them to a left system:
 
-  * `_pull_back` turns a right-hand piece into rows over the left states
-    through a successor map.  `_sim_witness` adds them to a left piece and
-    reads the LP's vertex, which becomes a witness distribution and, through
-    `counterexample`, a transition of the separating implementation;
-    `push_ok` in `_map_condition` reads feasibility only.  Each left piece
-    takes one tableau per `_refines_nondet` call (`constraints.prepare_piece`),
-    which gives its support (the domain of the map search) and the base to
-    which every map test appends its pulled-back rows (`_lp.feasible_with`),
-    once per piece and set of rows.  Each map test starts from the base at
-    the optimum of the strict slack and re-optimizes it by dual simplex,
-    with no phase 1, and rows that hold at the piece's vertex cost no pivot.
-  * `_coupling_feasible` asks whether some distribution of a constraint
-    simulates one concrete distribution, over the joint coupling weights.
+  * through a successor map, in `_sim_witness` and `push_ok`.
+    `_sim_witness` adds the rows as they are to a left piece and reads the
+    vertex (`constraints.piece_point`), which becomes a witness and, through
+    `counterexample`, a transition of the separating implementation.
+    `push_ok` in `_map_condition` reads feasibility only, so rows that name
+    no left state are decided with no LP (`constraints.named_rows`).  Each
+    left piece takes one tableau per `_refines_nondet` call
+    (`constraints.prepare_piece`): its support is the domain of the map
+    search, and every map test appends its rows to it (`_lp.feasible_with`),
+    once per piece and set of rows, and re-optimizes it by dual simplex
+    from the optimum of the strict slack, with no phase 1.
+  * through the coupling map (s, t) -> t, in `_coupling_feasible`: does
+    some distribution of a constraint simulate one concrete distribution?
     It is the matching test of `satisfies`, for every target.  When each
-    support state has a single related state, as on a deterministic target
-    whose states carry distinct valuations, the coupling is forced and
-    membership of its image decides it, with no LP; otherwise
-    `_lp.feasible` decides it.
-  * "Mass at s" is `piece_point` with the strict row mu(s) > 0.
-    `_sim_witness` and `unmatched_witness` read its vertex.
+    support state has a single related state, the coupling is forced and
+    membership of its image decides it, with no LP; otherwise `named_rows`
+    and `_lp.feasible` do.
+
+"Mass at s" is `piece_point` with the strict row mu(s) > 0; `_sim_witness`
+and `unmatched_witness` read its vertex.
 
 The `RefinementAnalysis`, created before the fixpoint with one
 `model.successor_table` per side, is the one context of the deterministic
@@ -181,24 +182,6 @@ def forced_map(analysis: RefinementAnalysis, s2: State, a: Action
     return tuple((s, succ.get(analysis.n1.valuation_of(s))) for s in analysis.n1.states)
 
 
-def _pull_back(piece: C.Piece, image: Mapping[State, State]) -> list:
-    """The rows of a right-hand piece as rows over left states: a row
-    c . nu REL rhs becomes c . T#mu REL rhs for the successor map
-    T = `image`.  Left states outside `image` get no coefficient, so the
-    caller pins their mass separately."""
-    return [({s: cm[t] for s, t in image.items() if t in cm}, rel, rhs)
-            for cm, rel, rhs in piece.lp_rows()]
-
-
-def _named_rows(rows: list) -> list | None:
-    """The rows that name some state, or None if a row that names none is
-    false: such a row compares 0 with its right-hand side, which decides it
-    with no LP."""
-    if all(coeffs or C.zero_row_holds(rel, rhs) for coeffs, rel, rhs in rows):
-        return [row for row in rows if row[0]]
-    return None
-
-
 def _sim_witness(phi1, states1: tuple, mapping: tuple, phi2, states2: tuple):
     """A mu1 in Sat(phi1) that no mu2 in Sat(phi2) simulates under the forced
     map, or None if every mu1 is matched.
@@ -209,9 +192,9 @@ def _sim_witness(phi1, states1: tuple, mapping: tuple, phi2, states2: tuple):
     the paper's lemma; searching piece by piece could return a facet witness
     of an earlier piece where a later piece has one of kind (i).
     """
-    mdict = dict(mapping)
-    unmapped = [s for s in states1 if mdict.get(s) is None]
-    image = {s: mdict[s] for s in states1 if mdict.get(s) is not None}
+    image = {s: t for s, t in mapping if t is not None}
+    unmapped = [s for s in states1 if s not in image]
+    groups = C.preimages(image)
     zero_rows = [({s: ONE}, "==", ZERO) for s in unmapped]
     pieces = C.dnf_cover(phi1)
 
@@ -224,7 +207,8 @@ def _sim_witness(phi1, states1: tuple, mapping: tuple, phi2, states2: tuple):
     for piece in pieces:
         # (ii) fully mapped, image outside Sat(phi2)
         for neg_piece in C.dnf_cover(C.negate(phi2)):
-            point = C.piece_point(piece, states1, zero_rows + _pull_back(neg_piece, image))
+            point = C.piece_point(piece, states1,
+                                  zero_rows + C.pull_back(neg_piece.lp_rows(), groups))
             if point is not None:
                 # the first row certifies the violation; name the right-hand
                 # condition it refutes
@@ -256,7 +240,7 @@ def _coupling_feasible(mu: Mapping[State, Fraction], phi, states2: tuple,
     state has a single related target the weights are forced, w(s, t) = mu(s),
     and the answer is membership of that one image, with no LP.  A row that
     names no related target compares 0 with its right-hand side and is
-    decided without the LP.
+    decided without the LP (`constraints.named_rows`).
     """
     supp = [s for s, m in mu.items() if m > 0]
     cands = {s: [t for t in states2 if (s, t) in relation] for s in supp}
@@ -268,20 +252,14 @@ def _coupling_feasible(mu: Mapping[State, Fraction], phi, states2: tuple,
             image[cands[s][0]] = image.get(cands[s][0], ZERO) + mu[s]
         return C.sat_member(phi, image)
     variables = [(s, t) for s in supp for t in cands[s]]
+    groups = C.preimages({var: var[1] for var in variables})
+    # Sat(phi) lives on the target simplex: these rows already make the
+    # column sums total 1, since mu sums to 1.
     base = [({(s, t): ONE for t in cands[s]}, "==", mu[s]) for s in supp]
     for piece in C.dnf_cover(phi):
-        rows = list(base)
-        for coeffs, rel, rhs in piece.rows:
-            row = {(s, t): c for t, c in coeffs for s in supp if (s, t) in relation}
-            if row:
-                rows.append((row, rel, rhs))
-            elif not C.zero_row_holds(rel, rhs):
-                break  # the piece is empty
-        else:
-            # Sat(phi) lives on the target simplex: the base rows already make
-            # the column sums total 1, since mu sums to 1.
-            if _lp.feasible(rows, variables):
-                return True
+        rows = C.named_rows(C.pull_back(piece.lp_rows(), groups))
+        if rows is not None and _lp.feasible(base + rows, variables):
+            return True
     return False
 
 
@@ -386,7 +364,7 @@ def _refinement_fixpoint(analysis: RefinementAnalysis) -> RefinementAnalysis:
     history = analysis.history = _greatest_fixpoint(
         pairs, lambda s1, s2, relation: _pair_ok(analysis, s1, s2, relation))
     for p in pairs:
-        analysis.ind[p] = max(k for k, r in enumerate(history) if p in r) if p in history[0] else 0
+        analysis.ind[p] = max(k for k, r in enumerate(history) if p in r)
     for p in pairs:
         s1, s2 = p
         if p in analysis.relation:
@@ -448,7 +426,7 @@ def _map_condition(cid1, pieces: tuple, states2: tuple, relation: frozenset,
     conservative part.  The maps tried are the first `_MAP_TEST_BUDGET` of
     the product of the candidates over `dom`, the piece's support, `dom[0]`
     outermost; a map whose every push LP is a memo hit counts as well.  A
-    pulled-back row that names no left state decides itself (`_named_rows`):
+    pulled-back row that names no left state decides itself (`named_rows`):
     if false, no mu1 is pushed into that complement piece; if true, it is
     dropped, and with no row left every mu1 is.  `tested` keeps each push
     LP's verdict by (cid1, the constraint id of phi1; piece index;
@@ -460,8 +438,9 @@ def _map_condition(cid1, pieces: tuple, states2: tuple, relation: frozenset,
         dom = sorted(support, key=lambda s: (len(cands[s]), str(s)))
 
         def push_ok(assign: dict) -> bool:
+            groups = C.preimages(assign)
             for neg in neg_pieces:
-                rows = _named_rows(_pull_back(neg, assign))
+                rows = C.named_rows(C.pull_back(neg.lp_rows(), groups))
                 if rows is None:
                     continue  # a false row: no mu1 is pushed into this complement piece
                 if not rows:

@@ -129,6 +129,56 @@ def test_dnf_cover_branch_cap():
 
 
 # ---------------------------------------------------------------------------
+# Pull-backs along state maps
+# ---------------------------------------------------------------------------
+
+SOURCES = ("a", "b", "c", "d")
+_rows = st.lists(st.tuples(st.dictionaries(st.sampled_from(STATES), _coeff),
+                           st.sampled_from(["<=", "<", "=="]), _rhs), max_size=4)
+_maps = st.dictionaries(st.sampled_from(SOURCES), st.sampled_from(STATES))
+
+
+def _pushforward(image: dict, mu: dict) -> dict:
+    """The mass mu puts on each target of the partial map `image`."""
+    out: dict = {}
+    for s, m in mu.items():
+        if s in image:
+            out[image[s]] = out.get(image[s], F(0)) + m
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows, _maps, st.integers(min_value=0, max_value=100))
+def test_pulled_back_rows_hold_at_mu_iff_the_rows_hold_at_its_pushforward(rows, image, pick):
+    grid = list(grid_masses(SOURCES, 4))
+    mu = grid[pick % len(grid)]
+    nu = _pushforward(image, mu)
+    pulled = C.pull_back(rows, C.preimages(image))
+    assert len(pulled) == len(rows)
+    for (coeffs, rel, rhs), (back, back_rel, back_rhs) in zip(rows, pulled):
+        assert (back_rel, back_rhs) == (rel, rhs) and set(back) <= set(image)
+        row = C.LinearAtom(tuple(coeffs.items()), rel, rhs)
+        assert C.LinearAtom(tuple(back.items()), rel, rhs).evaluate(mu) == row.evaluate(nu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expr_trees(), _maps, st.integers(min_value=0, max_value=100))
+def test_substituted_constraint_holds_at_mu_iff_it_holds_at_the_pushforward(expr, image, pick):
+    grid = list(grid_masses(SOURCES, 4))
+    mu = grid[pick % len(grid)]
+    assert (C.sat_member(C.substitute(expr, C.preimages(image)), mu)
+            == C.sat_member(expr, _pushforward(image, mu)))
+
+
+def test_named_rows_decide_rows_that_name_no_state():
+    row = ({"s": F(1)}, "<=", F(1, 2))
+    assert C.named_rows([({}, "<", F(1)), row, ({}, "==", F(0))]) == [row]
+    assert C.named_rows([row, ({}, "<", F(0))]) is None
+    assert C.named_rows([({}, "<=", F(-1)), row]) is None
+    assert C.named_rows([({}, "<=", F(0))]) == []
+
+
+# ---------------------------------------------------------------------------
 # Satisfiability, support, pieces
 # ---------------------------------------------------------------------------
 
@@ -482,6 +532,7 @@ def test_state_outside_the_given_states_is_an_input_error():
                  lambda: C.piece_point(piece, states),
                  lambda: C.piece_feasible(piece, states),
                  lambda: C.prepare_piece(piece, states),
-                 lambda: C.piece_max(piece, states, {"s0": F(1)})):
+                 lambda: C.piece_max(piece, states, {"s0": F(1)}),
+                 lambda: C.vertices(C.Polytope.make(states, [({"zz": 1}, "<=", F(1, 2))]))):
         with pytest.raises(InputError, match="'zz'"):
             call()

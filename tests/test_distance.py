@@ -255,8 +255,8 @@ def test_phase_one_runs_once_per_transport_polytope(monkeypatch):
 def test_distance_demo_output_matches_the_golden_file():
     """`scripts/distance_demo.py` prints the fixture tables at three
     discounts, the sampled bound and the convergence of the difference
-    approximations (the one run at `vertex_dim_cap=24`), all exact up to
-    the printed digits; its stdout must match the recording byte for byte."""
+    approximations, all at the default vertex cap and exact up to the
+    printed digits; its stdout must match the recording byte for byte."""
     root = Path(__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, str(root / "scripts" / "distance_demo.py")],
                          check=True, stdout=subprocess.PIPE).stdout

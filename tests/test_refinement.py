@@ -454,14 +454,6 @@ def test_map_search_decides_rows_that_name_no_state_without_an_lp(monkeypatch, p
     assert rows_seen and all(coeffs for coeffs, _, _ in rows_seen)
 
 
-def test_named_rows_decide_rows_that_name_no_state():
-    row = ({"s": F(1)}, "<=", F(1, 2))
-    assert refinement._named_rows([({}, "<", F(1)), row, ({}, "==", F(0))]) == [row]
-    assert refinement._named_rows([row, ({}, "<", F(0))]) is None
-    assert refinement._named_rows([({}, "<=", F(-1)), row]) is None
-    assert refinement._named_rows([({}, "<=", F(0))]) == []
-
-
 def test_map_budget_counts_every_complete_map(monkeypatch):
     """`_MAP_TEST_BUDGET` bounds the complete maps tried per left piece and
     `_map_condition` call, memoized push verdicts included.  On the interval
@@ -478,13 +470,16 @@ def test_map_budget_counts_every_complete_map(monkeypatch):
 
 def _map_search(phi1, phi2, relation, monkeypatch):
     """`_map_condition` of phi1 over (a, b) against phi2 over (x, y): its
-    verdict, the complete maps it tested (one `_pull_back` each, since the
-    complement of phi2 has one piece) and the `_lp.feasible` and
+    verdict, the complete maps it tested (one `constraints.pull_back` each,
+    since the complement of phi2 has one piece) and the `_lp.feasible` and
     `_coupling_feasible` calls it made."""
     maps, others = [], []
-    pull_back = refinement._pull_back
-    monkeypatch.setattr(refinement, "_pull_back",
-                        lambda piece, image: maps.append(dict(image)) or pull_back(piece, image))
+    pull_back = C.pull_back
+
+    def recording_pull_back(rows, groups):
+        maps.append({s: t for t, sources in groups.items() for s in sources})
+        return pull_back(rows, groups)
+    monkeypatch.setattr(C, "pull_back", recording_pull_back)
     for owner, name in ((refinement._lp, "feasible"), (refinement, "_coupling_feasible")):
         def recording(*args, original=getattr(owner, name), name=name):
             others.append(name)
