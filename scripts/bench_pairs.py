@@ -5,8 +5,9 @@ alternating pairs of `perfbench/run.py` runs.
     python3 scripts/bench_pairs.py PARENT_REF [--pairs 10] [--seconds 20]
         [--out RESULTS.json]
 
-The parent is checked out into a temporary `git worktree`, which is removed
-at the end.  Every workload of `BENCHMARK.json` runs, since no workload may
+The parent's committed files are exported (`git archive PARENT_REF`) into a
+temporary directory, which is removed at the end; nothing is written into
+`.git`.  Every workload of `BENCHMARK.json` runs, since no workload may
 get worse.  Pair i runs both sides with seed 901 + i, the parent first on
 even pairs and the change first on odd ones, so a drift of the machine
 falls on both sides alike.  Prints one markdown table row per workload and
@@ -80,24 +81,20 @@ def main() -> int:
     workloads = [w["name"] for w in benchmark["workloads"]]
 
     runs = []
-    with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(parent), args.parent],
-                       cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-        try:
-            for workload in workloads:
-                for pair in range(args.pairs):
-                    seed = FIRST_SEED + pair
-                    order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                    for side in order:
-                        result = run(parent if side == "parent" else ROOT, workload, seed,
-                                     args.seconds)
-                        runs.append({"workload": workload, "pair": pair, "side": side,
-                                     "seed": seed, "result": result})
-                        print(json.dumps(runs[-1]), file=sys.stderr)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(parent)],
-                           cwd=ROOT, check=True)
+    with tempfile.TemporaryDirectory() as parent:
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
+                                 stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x"], cwd=parent, input=archive, check=True)
+        for workload in workloads:
+            for pair in range(args.pairs):
+                seed = FIRST_SEED + pair
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    result = run(Path(parent) if side == "parent" else ROOT, workload, seed,
+                                 args.seconds)
+                    runs.append({"workload": workload, "pair": pair, "side": side,
+                                 "seed": seed, "result": result})
+                    print(json.dumps(runs[-1]), file=sys.stderr)
 
     if args.out:
         Path(args.out).write_text(json.dumps({

@@ -7,15 +7,20 @@ refinement / difference / distance decision in this package reduces to small
 LPs (tens of variables), where exactness matters far more than speed: the
 logical layer must not depend on floating-point tolerances.
 
+A row is ad hoc, (coeffs, rel, rhs) with rationals, or compiled, (coeffs,
+rel, rhs, den) with integers over den > 0, the row's least common
+denominator (`compile_row`).  Rows entered many times, such as the pieces
+of a DNF cover, are compiled once; an ad hoc row is compiled as it enters.
 The rows `A x = b` (slack columns included, ">=" rows negated to "<=") are
 multiplied by one common positive integer L, the least common multiple of
-every denominator among the rows entered together.  Multiplying all rows by
-L and keeping unit slack and artificial columns is the same as rescaling
-each slack and artificial variable by the positive factor L.  A positive
-rescaling keeps the sign of every reduced cost and the order of every
-ratio-test quotient, so Bland's rule picks the same entering and leaving
-columns as on the unscaled rationals, and the phase-1 cost (the sum of the
-artificials) keeps its meaning up to the factor L.
+the row denominators, so of every denominator, among the rows entered
+together.  Multiplying all rows by L and keeping unit slack and artificial
+columns is the same as rescaling each slack and artificial variable by the
+positive factor L.  A positive rescaling keeps the sign of every reduced
+cost and the order of every ratio-test quotient, so Bland's rule picks the
+same entering and leaving columns as on the unscaled rationals, and the
+phase-1 cost (the sum of the artificials) keeps its meaning up to the
+factor L.
 
 With integer start tableau M and current basis B, the tableau holds
 
@@ -30,7 +35,7 @@ cross-multiplication, so `Fraction`s are made only for the returned value
 and point.  A pivot that drives a zero-level artificial out of the basis may
 be negative; the tableau and D are then negated, which keeps D > 0.
 
-Every row enters a tableau by one rule (`_append`), in the tableau's
+Every row enters a tableau by one rule (`_enter`), in the tableau's
 current basis.  A row m·x + s = b with its own slack s enters as
 D·m - sum_r m[basis[r]]·T[r], with s basic at entry D.  The new basis matrix
 is the old one bordered by the row m restricted to the basic columns and a 1
@@ -94,10 +99,11 @@ every vertex a caller reads.
 `feasible_with` asks `feasible` of many systems that share most of their
 rows.  `feasible_base` takes the shared rows, with t, through the slack
 start and phase 1 once, drops the artificials, maximizes t and keeps t's
-reduced-cost row.  Each question enters its own rows into a copy of that
-tableau by the dual start, so the base is unchanged, and runs the dual
-simplex for t from the base's reduced costs (`_dual_phase`).  A question
-whose rows hold at the base's vertex makes no pivot.  Every dual pivot keeps
+reduced-cost row.  Each question enters its own rows in that tableau's
+basis by the dual start and runs the dual simplex for t from the base's
+reduced costs (`_dual_phase`).  The base is unchanged, and a question
+copies its rows only at its first pivot; one whose rows hold at the base's
+vertex makes no pivot.  Every dual pivot keeps
 the reduced costs >= 0, so the objective value of each basis bounds t's
 maximum from above, and the bound never rises.  The question is answered
 False as soon as the next pivot would bring the bound to 0, or a violated
@@ -112,7 +118,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Hashable, Mapping, Sequence
 
 from .errors import InputError
@@ -121,9 +127,9 @@ Var = Hashable
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# A constraint is (coeffs, rel, rhs), rel one of "<=", ">=", "==" or, for the
-# entry points from `feasible_point` on, the strict "<" and ">".
-Constraint = tuple[Mapping[Var, Fraction], str, Fraction]
+# An ad hoc or compiled row; rel "<=", ">=", "==", or from `feasible_point` on "<", ">".
+Row = tuple[Mapping[Var, int], str, int, int]
+Constraint = tuple[Mapping[Var, Fraction], str, Fraction] | Row
 
 
 @dataclass(frozen=True)
@@ -208,24 +214,30 @@ class Tableau:
     cost: list[int] | None = None
 
 
-def _parse(constraints: Sequence[Constraint], var_index: Mapping[Var, int]
-           ) -> tuple[list[tuple], int]:
-    """Each row as (terms, rel, rhs), with the common denominator of all of
-    them."""
-    parsed = []
-    scale = 1
+def compile_row(coeffs: Mapping[Var, Fraction], rel: str, rhs: Fraction) -> Row:
+    """An ad hoc row over its least common denominator."""
+    values = [(v, _rational(c)) for v, c in coeffs.items()]
+    rhs = _rational(rhs)
+    den = lcm(rhs.denominator, *[c.denominator for _, c in values])
+    return ({v: c.numerator * (den // c.denominator) for v, c in values}, rel,
+            rhs.numerator * (den // rhs.denominator), den)
+
+
+def lowest_terms(row: Constraint) -> Constraint:
+    """A compiled row, after a map dropped terms, over its least denominator."""
+    if len(row) == 3 or (g := gcd(row[3], row[2], *row[0].values())) == 1:
+        return row
+    return {v: c // g for v, c in row[0].items()}, row[1], row[2] // g, row[3] // g
+
+
+def _columns(coeffs: Mapping[Var, int], var_index: Mapping[Var, int], what: str
+             ) -> list[tuple[int, int]]:
+    """(column, coefficient) of each term; an unknown variable is an InputError."""
     try:
-        for coeffs, rel, rhs in constraints:
-            terms = [(var_index[v], _rational(c)) for v, c in coeffs.items()]
-            rhs = _rational(rhs)
-            if rel not in ("<=", ">=", "=="):
-                raise ValueError(f"unknown relation {rel!r}")
-            scale = lcm(scale, rhs.denominator, *[c.denominator for _, c in terms])
-            parsed.append((terms, rel, rhs))
+        return [(var_index[v], c) for v, c in coeffs.items()]
     except KeyError as err:
-        raise InputError(f"a constraint names {err.args[0]!r}, which is not among "
+        raise InputError(f"{what} names {err.args[0]!r}, which is not among "
                          f"the variables") from None
-    return parsed, scale
 
 
 def _empty(variables: Sequence[Var]) -> Tableau:
@@ -236,10 +248,10 @@ def _empty(variables: Sequence[Var]) -> Tableau:
     return Tableau(var_index, len(variables), [], [], 1)
 
 
-def _append(base: Tableau, constraints: Sequence[Constraint], start: str) -> Tableau:
-    """A new tableau: the base's rows, then `constraints` entered in the
-    base's current basis by the rule of the module docstring; the base is
-    not changed.
+def _enter(base: Tableau, constraints: Sequence[Constraint], start: str
+           ) -> tuple[int, list[list[int]], list[int]]:
+    """`constraints` entered in the base's basis by the module docstring's
+    rule, each at its final width: (columns, rows, their basic columns).
 
     Columns: the base's, one new slack per inequality, the artificials, rhs;
     `columns` stops before the artificials.  ">=" rows are negated to "<=".
@@ -249,42 +261,44 @@ def _append(base: Tableau, constraints: Sequence[Constraint], start: str) -> Tab
     "artificial" gives every row an artificial, "slack" only those rows and
     the "==" rows.  "dual" enters each "==" row as its "<=" and ">=" rows,
     and gives every row its slack, basic whatever the sign of its rhs, and
-    no artificial.  Each row is built once, at its final width.
+    no artificial.
     """
-    var_index, total, det = base.var_index, base.columns, base.det
+    var_index, total, det, base_rows = base.var_index, base.columns, base.det, base.rows
     row_of = {col: r for r, col in enumerate(base.basis)}
     each, dual = start == "artificial", start == "dual"
     if dual:
-        constraints = [(coeffs, half, rhs) for coeffs, rel, rhs in constraints
-                       for half in (("<=", ">=") if rel == "==" else (rel,))]
-    parsed, scale = _parse(constraints, var_index)
-    entering = []  # (terms, rel, rhs, unit, [(base row index, m)], sign, artificial?)
+        constraints = [(row[0], half, *row[2:]) for row in constraints
+                       for half in (("<=", ">=") if row[1] == "==" else (row[1],))]
+    compiled = [row if len(row) == 4 else compile_row(*row) for row in constraints]
+    scale = lcm(*[row[3] for row in compiled])
+    entering = []  # (terms, rel, multiplier, [(base row index, m)], sign, artificial?, b)
     columns, arts = total, 0
-    for terms, rel, rhs in parsed:
-        unit = -scale if rel == ">=" else scale  # a ">=" row is negated to "<="
-        b = det * rhs.numerator * (unit // rhs.denominator)
-        pulled = [(row_of[j], c.numerator * (unit // c.denominator))
-                  for j, c in terms if j in row_of] if row_of else []
+    for coeffs, rel, rhs, den in compiled:
+        if rel not in ("<=", ">=", "=="):
+            raise ValueError(f"unknown relation {rel!r}")
+        terms = _columns(coeffs, var_index, "a constraint")
+        unit = (-scale if rel == ">=" else scale) // den  # a ">=" row is negated to "<="
+        b = det * rhs * unit
+        pulled = [(row_of[j], c * unit) for j, c in terms if j in row_of] if row_of else []
         if pulled:
-            b -= sum(m * base.rows[r][-1] for r, m in pulled)
+            b -= sum(m * base_rows[r][-1] for r, m in pulled)
         sign = 1 if dual or b >= 0 else -1
         art = each or (not dual and (rel == "==" or sign < 0))
         columns += rel != "=="
         arts += art
-        entering.append((terms, rel, rhs, unit, pulled, sign, art))
-    width = columns + arts + 1
-    pad = [0] * (width - total - 1)
-    rows = [row[:total] + pad + row[-1:] for row in base.rows]
-    basis = list(base.basis)
+        entering.append((terms, rel, unit, pulled, sign, art, b))
+    pad = [0] * (columns + arts - total)
+    rows, basis = [], []
     slack_at, art_at = total, columns
-    for terms, rel, rhs, unit, pulled, sign, art in entering:
+    for terms, rel, unit, pulled, sign, art, b in entering:
         k = sign * det
-        row = [0] * width
+        head = [0] * total
         for j, c in terms:
-            row[j] = k * c.numerator * (unit // c.denominator)
-        row[-1] = k * rhs.numerator * (unit // rhs.denominator)
+            head[j] = k * c * unit
         for r, m in pulled:
-            row = [x - sign * m * y for x, y in zip(row, rows[r])]
+            f = sign * m
+            head = [x - f * y for x, y in zip(head, base_rows[r])]
+        row = head + pad + [sign * b]
         if rel != "==":
             row[slack_at] = k
             if not art:
@@ -295,7 +309,21 @@ def _append(base: Tableau, constraints: Sequence[Constraint], start: str) -> Tab
             basis.append(art_at)
             art_at += 1
         rows.append(row)
-    return Tableau(var_index, columns, rows, basis, det)
+    return columns, rows, basis
+
+
+def _padded(base: Tableau, width: int) -> list[list[int]]:
+    """A copy of the base's rows at `width`, 0 in the columns past its own."""
+    pad = [0] * (width - base.columns - 1)
+    return [row[:base.columns] + pad + row[-1:] for row in base.rows]
+
+
+def _append(base: Tableau, constraints: Sequence[Constraint], start: str) -> Tableau:
+    """A new tableau: the base's rows (`_padded`), then `_enter`'s rows."""
+    columns, rows, basis = _enter(base, constraints, start)
+    width = len(rows[0]) if rows else base.columns + 1
+    return Tableau(base.var_index, columns, _padded(base, width) + rows,
+                   base.basis + basis, base.det)
 
 
 def _phase_one(tableau: Tableau) -> bool:
@@ -368,17 +396,11 @@ def _reprice(tableau: Tableau, objective: Mapping[Var, Fraction],
              maximize: bool) -> Fraction | None:
     """Phase 2 of `objective` from the tableau's current basis, by `_price`:
     the optimal value, or None if unbounded."""
-    var_index = tableau.var_index
-    try:
-        terms = [(var_index[v], _rational(c)) for v, c in objective.items()]
-    except KeyError as err:
-        raise InputError(f"the objective names {err.args[0]!r}, which is not among "
-                         f"the variables") from None
-    cost_scale = lcm(*[c.denominator for _, c in terms])
+    coeffs, _, _, cost_scale = compile_row(objective, "<=", 0)
     sign = -1 if maximize else 1
     int_cost = [0] * tableau.columns
-    for j, c in terms:
-        int_cost[j] = sign * c.numerator * (cost_scale // c.denominator)
+    for j, c in _columns(coeffs, tableau.var_index, "the objective"):
+        int_cost[j] = sign * c
     tableau.cost = None  # the basis moves off t's optimum
     cost = _price(tableau, int_cost)
     if cost is None:
@@ -435,8 +457,8 @@ def solve(
 
 
 _SLACK = ("__strict_slack__",)
-_CAP = ({_SLACK: ONE}, "<=", ONE)  # t <= 1
-_STRICT = {"<": ("<=", ONE), ">": (">=", -ONE)}  # the relation and t's coefficient
+_CAP = ({_SLACK: 1}, "<=", 1, 1)  # t <= 1, compiled
+_STRICT = {"<": ("<=", 1), ">": (">=", -1)}  # the relation and t's coefficient
 
 
 def feasible_point(constraints: Sequence[Constraint],
@@ -455,20 +477,22 @@ def feasible_point(constraints: Sequence[Constraint],
 
 
 def _has_strict(constraints: Sequence[Constraint]) -> bool:
-    return any(rel in _STRICT for _, rel, _ in constraints)
+    return any(row[1] in _STRICT for row in constraints)
 
 
 def _slack_rows(constraints: Sequence[Constraint]) -> list[Constraint]:
     """The nonstrict rows in their order, then each strict row on the
     shared slack t: c·x < rhs as c·x + t <= rhs, and c·x > rhs as
-    c·x - t >= rhs, which `_append` negates to -c·x + t <= -rhs."""
+    c·x - t >= rhs, which `_enter` negates to -c·x + t <= -rhs.  In a
+    compiled row t's coefficient is over the row's denominator, ±den."""
     nonstrict, strict = [], []
-    for coeffs, rel, rhs in constraints:
-        if rel in _STRICT:
-            rel, t = _STRICT[rel]
-            strict.append(({**coeffs, _SLACK: t}, rel, rhs))
+    for row in constraints:
+        if row[1] in _STRICT:
+            rel, t = _STRICT[row[1]]
+            t *= row[3] if len(row) == 4 else 1
+            strict.append(({**row[0], _SLACK: t}, rel, *row[2:]))
         else:
-            nonstrict.append((coeffs, rel, rhs))
+            nonstrict.append(row)
     return nonstrict + strict
 
 
@@ -490,15 +514,18 @@ def _price_slack(tableau: Tableau) -> int:
     return tableau.cost[-1]  # -D times the minimum of -t
 
 
-def _dual_phase(rows: list[list[int]], cost: list[int], basis: list[int], det: int) -> bool:
-    """Dual simplex for max t, from a basis whose reduced-cost row `cost`
-    (of -t, minimized) is dual feasible, with Bland's dual rule: the row
-    that leaves is the one with the least basic column among those with a
-    negative rhs, and the column that enters is the least among the ties of
-    the dual ratio test.  Is t's maximum positive?  False as soon as the
-    dual bound on it, `cost[-1]` / D, would reach 0."""
+def _dual_phase(base: Tableau, columns: int, rows: list[list[int]], basis: list[int]) -> bool:
+    """Dual simplex for max t from the base at t's optimum (its kept cost
+    row, of -t minimized, is dual feasible) plus `_enter`'s dual `rows`, by
+    Bland's dual rule: the least basic column among the rows with a
+    negative rhs leaves, and the least column among the ties of the dual
+    ratio test enters.  Is t's maximum positive?  False as soon as the dual
+    bound on it, `cost[-1]` / D, would reach 0.  The base's rows have no
+    negative rhs, so a padded copy of them joins at the first pivot."""
+    cost = base.cost[:-1] + [0] * (columns - base.columns) + base.cost[-1:]
     if cost[-1] <= 0:
         return False
+    det, joined = base.det, False
     while True:
         leaving = min((r for r, row in enumerate(rows) if row[-1] < 0),
                       key=basis.__getitem__, default=-1)
@@ -518,6 +545,9 @@ def _dual_phase(rows: list[list[int]], cost: list[int], basis: list[int], det: i
         # -prow[-1]) / (D * best_a), so it is read first.
         if best_a * cost[-1] <= best_cost * -prow[-1]:
             return False
+        if not joined:
+            leaving += len(base.rows)
+            rows, basis, joined = _padded(base, len(prow)) + rows, base.basis + basis, True
         # Negating the row first makes the pivot entry, the next D, positive.
         rows[leaving] = [-x for x in prow]
         det = _pivot(rows, cost, basis, leaving, entering, det)
@@ -563,6 +593,4 @@ def feasible_with(base: Tableau, constraints: Sequence[Constraint]) -> bool:
     optimum is positive iff the rows are feasible."""
     if base.cost is None:
         _price_slack(base)
-    tableau = _append(base, _slack_rows(constraints), "dual")
-    cost = base.cost[:-1] + [0] * (tableau.columns - base.columns) + base.cost[-1:]
-    return _dual_phase(tableau.rows, cost, tableau.basis, tableau.det)
+    return _dual_phase(base, *_enter(base, _slack_rows(constraints), "dual"))

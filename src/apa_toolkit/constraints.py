@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import _lp
@@ -237,12 +237,6 @@ class BotLift(ConstraintExpr):
 
     tag = "bot-lift"
 
-    def slice_cell(self, s1: State):
-        for cell in self.cells:
-            if cell.s1 == s1 and _is_bot_slice_cell(cell):
-                return cell
-        return None
-
 
 @dataclass(frozen=True)
 class PhiB(ConstraintExpr):
@@ -403,11 +397,12 @@ def _member(phi: ConstraintExpr, mass: Mapping[State, Fraction]) -> bool:
 
 def pull_back(rows: Iterable[_lp.Constraint], groups: Mapping[State, Sequence]
               ) -> list[_lp.Constraint]:
-    """The rows over target states, in order, as rows over the sources of
-    `groups`.  A target with no source drops out, so a row can come out
-    naming nothing; `named_rows` decides such rows."""
-    return [({s: c for t, c in coeffs.items() for s in groups.get(t, ())}, rel, rhs)
-            for coeffs, rel, rhs in rows]
+    """The rows over target states, ad hoc or compiled, in order, as rows
+    over the sources of `groups`.  A target with no source drops out, so a
+    row can come out naming nothing (`named_rows` decides such rows), and a
+    compiled row is brought back to its least denominator."""
+    return [_lp.lowest_terms(({s: c for t, c in row[0].items() for s in groups.get(t, ())},
+                              *row[1:])) for row in rows]
 
 
 def preimages(image: Mapping) -> dict[State, list]:
@@ -418,8 +413,8 @@ def preimages(image: Mapping) -> dict[State, list]:
     return groups
 
 
-def zero_row_holds(rel: str, rhs: Fraction) -> bool:
-    """Does a row that names no state, 0 REL rhs, hold?"""
+def zero_row_holds(rel: str, rhs: Fraction | int) -> bool:
+    """Does a row that names no state, 0 REL rhs (of either row form), hold?"""
     return {"<=": 0 <= rhs, "<": 0 < rhs, "==": 0 == rhs}[rel]
 
 
@@ -428,7 +423,7 @@ def named_rows(rows: list[_lp.Constraint]) -> list[_lp.Constraint] | None:
     false: such a row compares 0 with its right-hand side, which decides it
     with no LP.  For callers that read feasibility only: dropping a true
     row can move the pivot path, and with it a vertex."""
-    if all(coeffs or zero_row_holds(rel, rhs) for coeffs, rel, rhs in rows):
+    if all(row[0] or zero_row_holds(row[1], row[2]) for row in rows):
         return [row for row in rows if row[0]]
     return None
 
@@ -491,10 +486,10 @@ def expand(phi: ConstraintExpr) -> ConstraintExpr:
     property-tested to agree.
     """
     if isinstance(phi, BotLift):
-        groups = {s1: [c] for s1 in phi.source_states if (c := phi.slice_cell(s1)) is not None}
-        slice_cells = [c for cs in groups.values() for c in cs]
+        slice_cells = [cell for cell in phi.cells if _is_bot_slice_cell(cell)]
         if not slice_cells:
             return FALSE
+        groups = preimages({cell: cell.s1 for cell in slice_cells})  # all of them, as `_member`
         zeros = [atom({cell: 1}, "==", 0) for cell in phi.cells if not _is_bot_slice_cell(cell)]
         # Pinning the slice total to 1 also zeroes any ambient state outside
         # this constraint's cells once the caller adds the simplex row.
@@ -522,15 +517,21 @@ def expand(phi: ConstraintExpr) -> ConstraintExpr:
 class Piece:
     """One conjunct of a DNF cover: a half-open polyhedron inside the simplex,
     as rows (coeffs, rel in {"<=", "<", "=="}, rhs).  `lp_rows` hands them
-    to `_lp` as they are, strict rows included; `closure_rows` closes them."""
+    to `_lp` compiled (`_lp.compile_row`) once per piece, strict rows
+    included, and `closure_rows` closes them; no caller changes them."""
 
     rows: tuple[tuple[tuple[tuple[State, Fraction], ...], str, Fraction], ...]
 
-    def lp_rows(self) -> list[_lp.Constraint]:
-        return [(dict(coeffs), rel, rhs) for coeffs, rel, rhs in self.rows]
+    @cached_property
+    def _compiled(self) -> tuple[_lp.Row, ...]:
+        return tuple(_lp.compile_row(dict(coeffs), rel, rhs) for coeffs, rel, rhs in self.rows)
 
-    def closure_rows(self) -> list[_lp.Constraint]:
-        return [(dict(coeffs), "<=" if rel == "<" else rel, rhs) for coeffs, rel, rhs in self.rows]
+    def lp_rows(self) -> list[_lp.Row]:
+        return list(self._compiled)
+
+    def closure_rows(self) -> list[_lp.Row]:
+        return [(coeffs, "<=" if rel == "<" else rel, rhs, den)
+                for coeffs, rel, rhs, den in self._compiled]
 
     def has_strict(self) -> bool:
         return any(rel == "<" for _, rel, _ in self.rows)
@@ -590,8 +591,8 @@ def dnf_cover(phi: ConstraintExpr) -> tuple[Piece, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _simplex_row(states: Sequence[State]) -> _lp.Constraint:
-    return ({s: ONE for s in states}, "==", ONE)
+def _simplex_row(states: Sequence[State]) -> _lp.Row:
+    return ({s: 1 for s in states}, "==", 1, 1)
 
 
 def piece_point(piece: Piece, states: Sequence[State],

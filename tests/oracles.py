@@ -15,6 +15,15 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def rational_row(row) -> tuple:
+    """An LP row, ad hoc (coeffs, rel, rhs) or compiled (integer coeffs and
+    rhs over one denominator), as (coeffs, rel, rhs) of Fractions."""
+    if len(row) == 3:
+        return row
+    coeffs, rel, rhs, den = row
+    return {v: Fraction(c, den) for v, c in coeffs.items()}, rel, Fraction(rhs, den)
+
+
 def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Gaussian elimination; None when the system is singular."""
     n = len(rows)

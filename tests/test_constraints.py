@@ -170,6 +170,24 @@ def test_substituted_constraint_holds_at_mu_iff_it_holds_at_the_pushforward(expr
             == C.sat_member(expr, _pushforward(image, mu)))
 
 
+_mixed_rows = st.lists(st.tuples(
+    st.dictionaries(st.sampled_from(STATES),
+                    st.builds(F, st.integers(min_value=-4, max_value=4), st.sampled_from([1, 2, 3, 6]))),
+    st.sampled_from(["<=", "<", "=="]), _rhs), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_rows, _maps)
+def test_compiled_rows_pull_back_to_the_compiled_pulled_back_rows(rows, image):
+    """Pulled back, a compiled row is the pulled-back row compiled: over its
+    least denominator again when the map drops a coefficient, so equal rows
+    stay equal and enter the LP at the same scale."""
+    compiled = [_lp.compile_row(*row) for row in rows]
+    groups = C.preimages(image)
+    assert C.pull_back(compiled, groups) == \
+        [_lp.compile_row(*row) for row in C.pull_back(rows, groups)]
+
+
 def test_named_rows_decide_rows_that_name_no_state():
     row = ({"s": F(1)}, "<=", F(1, 2))
     assert C.named_rows([({}, "<", F(1)), row, ({}, "==", F(0))]) == [row]
@@ -512,6 +530,23 @@ def test_piece_support_of_derived_pieces():
             checked += 1
         assert _left_pieces_union(expr, states) == C.supportable_states(expr, states)
     assert checked
+
+
+def test_bot_lift_adds_up_every_bot_slice_cell_of_a_left_state():
+    """Two bot-slice cells of s0, at level None and at level 1, both count
+    for the marginal of s0: membership, the cover and the support agree."""
+    from apa_toolkit.difference import ProductState
+    cells = (ProductState("s0", None, None), ProductState("s0", None, None, 1),
+             ProductState("s0", "t0", None))
+    lift = C.make_bot_lift(C.atom({"s0": 1}, "==", 1), ("s0", "s1"), cells)
+    point = {cells[0]: F(1, 2), cells[1]: F(1, 2)}
+    assert C.sat_member(lift, point)
+    assert any(piece_accepts(piece, point) for piece in C.dnf_cover(lift))
+    assert C.supportable_states(lift, cells) == cells[:2]
+    assert not C.sat_member(lift, {cells[1]: F(1, 2), cells[2]: F(1, 2)})
+    for mass in grid_masses(cells, 4):
+        assert C.sat_member(lift, mass) == any(piece_accepts(piece, mass)
+                                               for piece in C.dnf_cover(lift))
 
 
 def test_membership_rejects_mass_outside_the_cells():

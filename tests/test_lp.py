@@ -391,15 +391,20 @@ def _appended_systems(draw):
     return base, queries
 
 
+def _compiled(rows):
+    return [_lp.compile_row(*row) for row in rows]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_appended_systems())
 def test_feasible_with_agrees_with_strict_feasible_point(systems):
     """`feasible_with` answers as `feasible` and `feasible_point` do on the
-    union of the rows, and leaves the base as it was: rows, basis, D and
-    the kept reduced-cost row of t."""
+    union of the rows, ad hoc or compiled, and leaves the base as it was:
+    rows, basis, D and the kept reduced-cost row of t."""
     (rows, variables, strict), queries = systems
     base = _lp.feasible_base(rows + _lt(strict), variables)
     assert base is None or base.cost is not None
+    assert _lp.feasible_base(_compiled(rows + _lt(strict)), variables) == base
     before = copy.deepcopy(base)
     for extra in queries:
         union = rows + _lt(strict) + extra
@@ -407,6 +412,44 @@ def test_feasible_with_agrees_with_strict_feasible_point(systems):
         assert expected == (_lp.feasible_point(union, variables) is not None)
         assert (base is not None and _lp.feasible_with(base, extra)) == expected
         assert base == before  # every query starts from the same base
+        assert (base is not None and _lp.feasible_with(base, _compiled(extra))) == expected
+        assert base == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(_appended_systems(), st.data())
+def test_compiled_rows_give_the_tableaux_of_their_fractions(systems, data):
+    """A row compiled to integers over its least denominator enters every
+    start as its `Fraction`s do, so L and every tableau are the same: a mix
+    of compiled and ad hoc rows gives the start tableau (rows, basis, D) of
+    the same rows as `Fraction`s from the tableau of no rows (the slack and
+    all-artificial starts) and from a `feasible_base` (the dual start), and
+    `feasible_base` keeps the same tableau and reduced-cost row of t."""
+    (rows, variables, strict), queries = systems
+    union = rows + _lt(strict) + queries[0]
+    assert _compiled(_lp._slack_rows(union)) == _lp._slack_rows(_compiled(union))
+    union = _lp._slack_rows(union)
+    mixed = [_lp.compile_row(*row) if data.draw(st.booleans()) else row for row in union]
+    empty = _lp._empty([*variables, _lp._SLACK])
+    for start in ("artificial", "slack", "dual"):
+        assert _lp._append(empty, mixed, start) == _lp._append(empty, union, start)
+    base = _lp.feasible_base(rows + _lt(strict), variables)
+    if base is not None:
+        extra = _lp._slack_rows(queries[1])
+        compiled_extra = _lp._slack_rows(_compiled(queries[1]))
+        assert _lp._append(base, compiled_extra, "dual") == _lp._append(base, extra, "dual")
+    compiled_base = _lp.feasible_base(_compiled(rows + _lt(strict)), variables)
+    assert compiled_base == base
+    assert base is None or compiled_base.cost == base.cost
+
+
+def test_compiled_rows_are_in_lowest_terms():
+    assert _lp.compile_row({"x": F(1, 2), "y": F(-2, 3)}, "<", F(1, 4)) == \
+        ({"x": 6, "y": -8}, "<", 3, 12)
+    assert _lp.compile_row({"x": 2}, "==", "1/3") == ({"x": 6}, "==", 1, 3)
+    assert _lp.lowest_terms(({"x": 6}, "<=", 3, 12)) == ({"x": 2}, "<=", 1, 4)
+    for row in (({"x": 1, "y": -4}, ">=", 3, 6), ({"x": F(2, 4)}, "<=", F(3, 6))):
+        assert _lp.lowest_terms(row) is row
 
 
 def test_feasible_with_breaks_dual_ratio_ties_by_the_least_column(monkeypatch):

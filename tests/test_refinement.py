@@ -26,6 +26,7 @@ from tests.fixtures import (all_failing_pairs, deferral_implementation_late,
                             interval_pair, may_gap_pair, multi_piece_pair,
                             refining_pair)
 from tests.test_constraints import STATES, _coeff, _convex_rows, _rhs
+from tests.oracles import rational_row
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,8 @@ def _deferral_chain():
 
 def _rows_key(rows) -> tuple:
     """LP rows as a hashable value, each row's coefficients in a fixed order."""
-    return tuple((tuple(sorted(coeffs.items(), key=str)), rel, rhs) for coeffs, rel, rhs in rows)
+    return tuple((tuple(sorted(coeffs.items(), key=str)), rel, rhs)
+                 for coeffs, rel, rhs in map(rational_row, rows))
 
 
 def _left_covers(n) -> list:
@@ -383,7 +385,7 @@ def _rows_hold(rows, point) -> bool:
     def holds(coeffs, rel, rhs):
         lhs = sum(c * point[v] for v, c in coeffs.items())
         return {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[rel]
-    return all(holds(*row) for row in refinement._lp._slack_rows(rows))
+    return all(holds(*rational_row(row)) for row in refinement._lp._slack_rows(rows))
 
 
 def test_map_search_push_tests_reoptimize_the_prepared_piece_without_phase_one(monkeypatch):
@@ -428,6 +430,43 @@ def test_map_search_push_tests_reoptimize_the_prepared_piece_without_phase_one(m
     assert any(not hold and pivots == 0 and not verdict for hold, pivots, verdict in tests)
 
 
+def test_map_search_push_tests_with_no_pivot_copy_no_base_row(monkeypatch):
+    """The push tests of `refines(under(1), under(2))` on the interval
+    fixture read the base's rows without copying them: a test that makes no
+    pivot pads no copy of the base (`_lp._padded`), and one that pivots pads
+    one copy."""
+    from apa_toolkit.difference import under_diff
+    lp = refinement._lp
+    inside = {"on": False, "copies": 0, "pivots": 0}
+    tests = []  # (pivots, copies)
+    padded, pivot, feasible_with = lp._padded, lp._pivot, lp.feasible_with
+
+    def counted_padded(*args):
+        inside["copies"] += inside["on"]
+        return padded(*args)
+
+    def counted_pivot(*args):
+        inside["pivots"] += inside["on"]
+        return pivot(*args)
+
+    def recording(base, rows):
+        if base.cost is None:  # the first question on a piece re-prices it for t
+            lp._price_slack(base)
+        inside.update(on=True, copies=0, pivots=0)
+        try:
+            return feasible_with(base, rows)
+        finally:
+            inside["on"] = False
+            tests.append((inside["pivots"], inside["copies"]))
+    monkeypatch.setattr(lp, "_padded", counted_padded)
+    monkeypatch.setattr(lp, "_pivot", counted_pivot)
+    monkeypatch.setattr(lp, "feasible_with", recording)
+    n1, n2 = interval_pair()
+    assert refines(under_diff(n1, n2, 1), under_diff(n1, n2, 2))
+    assert any(pivots == 0 for pivots, _ in tests)
+    assert all(copies == (pivots > 0) for pivots, copies in tests)
+
+
 @pytest.mark.parametrize("pair, verdicts", [
     (interval_pair, (True, True, True, True)),
     (deferral_pair, (True, True, True, False)),
@@ -444,7 +483,7 @@ def test_map_search_decides_rows_that_name_no_state_without_an_lp(monkeypatch, p
     feasible_with = refinement._lp.feasible_with
 
     def recording(base, rows):
-        rows_seen.extend(rows)
+        rows_seen.extend(map(rational_row, rows))
         return feasible_with(base, rows)
     monkeypatch.setattr(refinement._lp, "feasible_with", recording)
     u1, u2, over = under_diff(n1, n2, 1), under_diff(n1, n2, 2), over_diff(n1, n2)
