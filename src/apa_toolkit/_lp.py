@@ -7,20 +7,20 @@ refinement / difference / distance decision in this package reduces to small
 LPs (tens of variables), where exactness matters far more than speed: the
 logical layer must not depend on floating-point tolerances.
 
-A row is ad hoc, (coeffs, rel, rhs) with rationals, or compiled, (coeffs,
-rel, rhs, den) with integers over den > 0, the row's least common
-denominator (`compile_row`).  Rows entered many times, such as the pieces
-of a DNF cover, are compiled once; an ad hoc row is compiled as it enters.
-The rows `A x = b` (slack columns included, ">=" rows negated to "<=") are
-multiplied by one common positive integer L, the least common multiple of
-the row denominators, so of every denominator, among the rows entered
-together.  Multiplying all rows by L and keeping unit slack and artificial
-columns is the same as rescaling each slack and artificial variable by the
-positive factor L.  A positive rescaling keeps the sign of every reduced
-cost and the order of every ratio-test quotient, so Bland's rule picks the
-same entering and leaving columns as on the unscaled rationals, and the
-phase-1 cost (the sum of the artificials) keeps its meaning up to the
-factor L.
+A row (coeffs, rel, rhs) is ad hoc, with rationals, or compiled, with
+integer coefficients over den > 0, the row's least common denominator, and
+rhs the pair (integer numerator, den) (`compile_row`).  Rows entered many
+times, such as the pieces of a DNF cover, are compiled once; an ad hoc row
+is compiled as it enters.  The rows `A x = b` (slack columns included, ">="
+rows negated to "<=") are multiplied by one common positive integer L, the
+least common multiple of the row denominators, so of every denominator,
+among the rows entered together.  Multiplying all rows by L and keeping
+unit slack and artificial columns is the same as rescaling each slack and
+artificial variable by the positive factor L.  A positive rescaling keeps
+the sign of every reduced cost and the order of every ratio-test quotient,
+so Bland's rule picks the same entering and leaving columns as on the
+unscaled rationals, and the phase-1 cost (the sum of the artificials) keeps
+its meaning up to the factor L.
 
 With integer start tableau M and current basis B, the tableau holds
 
@@ -101,17 +101,17 @@ rows.  `feasible_base` takes the shared rows, with t, through the slack
 start and phase 1 once, drops the artificials, maximizes t and keeps t's
 reduced-cost row.  Each question enters its own rows in that tableau's
 basis by the dual start and runs the dual simplex for t from the base's
-reduced costs (`_dual_phase`).  The base is unchanged, and a question
-copies its rows only at its first pivot; one whose rows hold at the base's
-vertex makes no pivot.  Every dual pivot keeps
-the reduced costs >= 0, so the objective value of each basis bounds t's
-maximum from above, and the bound never rises.  The question is answered
-False as soon as the next pivot would bring the bound to 0, or a violated
-row has no negative entry (it holds at no point); it is answered True once
-every row holds, at a positive optimum.  The base may be re-priced in
-between, for t (`slack_point`) or for any objective over its closure
-(`reprice`, which clears the kept row); the next question then re-prices it
-for t in place first, so a base that is asked nothing pays no pivot for t.
+reduced costs (`_dual_phase`).  The base is unchanged: a question copies the
+base's rows only at its first pivot, and one whose rows hold at the base's
+vertex makes no pivot.  Every dual pivot keeps the reduced costs >= 0, so
+the objective value of each basis bounds t's maximum from above, and the
+bound never rises.  The question is answered False as soon as the next
+pivot would bring the bound to 0, or a violated row has no negative entry
+(it holds at no point); it is answered True once every row holds, at a
+positive optimum.  The base may be re-priced in between, for t
+(`slack_point`) or for any objective over its closure (`reprice`, which
+clears the kept row); the next question then re-prices it for t in place
+first, so a base that is asked nothing pays no pivot for t.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # An ad hoc or compiled row; rel "<=", ">=", "==", or from `feasible_point` on "<", ">".
-Row = tuple[Mapping[Var, int], str, int, int]
+Row = tuple[Mapping[Var, int], str, tuple[int, int]]
 Constraint = tuple[Mapping[Var, Fraction], str, Fraction] | Row
 
 
@@ -220,14 +220,15 @@ def compile_row(coeffs: Mapping[Var, Fraction], rel: str, rhs: Fraction) -> Row:
     rhs = _rational(rhs)
     den = lcm(rhs.denominator, *[c.denominator for _, c in values])
     return ({v: c.numerator * (den // c.denominator) for v, c in values}, rel,
-            rhs.numerator * (den // rhs.denominator), den)
+            (rhs.numerator * (den // rhs.denominator), den))
 
 
 def lowest_terms(row: Constraint) -> Constraint:
     """A compiled row, after a map dropped terms, over its least denominator."""
-    if len(row) == 3 or (g := gcd(row[3], row[2], *row[0].values())) == 1:
+    coeffs, rel, rhs = row
+    if not isinstance(rhs, tuple) or (g := gcd(rhs[1], rhs[0], *coeffs.values())) == 1:
         return row
-    return {v: c // g for v, c in row[0].items()}, row[1], row[2] // g, row[3] // g
+    return {v: c // g for v, c in coeffs.items()}, rel, (rhs[0] // g, rhs[1] // g)
 
 
 def _columns(coeffs: Mapping[Var, int], var_index: Mapping[Var, int], what: str
@@ -267,13 +268,13 @@ def _enter(base: Tableau, constraints: Sequence[Constraint], start: str
     row_of = {col: r for r, col in enumerate(base.basis)}
     each, dual = start == "artificial", start == "dual"
     if dual:
-        constraints = [(row[0], half, *row[2:]) for row in constraints
-                       for half in (("<=", ">=") if row[1] == "==" else (row[1],))]
-    compiled = [row if len(row) == 4 else compile_row(*row) for row in constraints]
-    scale = lcm(*[row[3] for row in compiled])
+        constraints = [(coeffs, half, rhs) for coeffs, rel, rhs in constraints
+                       for half in (("<=", ">=") if rel == "==" else (rel,))]
+    compiled = [row if isinstance(row[2], tuple) else compile_row(*row) for row in constraints]
+    scale = lcm(*[rhs[1] for _, _, rhs in compiled])
     entering = []  # (terms, rel, multiplier, [(base row index, m)], sign, artificial?, b)
     columns, arts = total, 0
-    for coeffs, rel, rhs, den in compiled:
+    for coeffs, rel, (rhs, den) in compiled:
         if rel not in ("<=", ">=", "=="):
             raise ValueError(f"unknown relation {rel!r}")
         terms = _columns(coeffs, var_index, "a constraint")
@@ -396,7 +397,7 @@ def _reprice(tableau: Tableau, objective: Mapping[Var, Fraction],
              maximize: bool) -> Fraction | None:
     """Phase 2 of `objective` from the tableau's current basis, by `_price`:
     the optimal value, or None if unbounded."""
-    coeffs, _, _, cost_scale = compile_row(objective, "<=", 0)
+    coeffs, _, (_, cost_scale) = compile_row(objective, "<=", 0)
     sign = -1 if maximize else 1
     int_cost = [0] * tableau.columns
     for j, c in _columns(coeffs, tableau.var_index, "the objective"):
@@ -457,7 +458,7 @@ def solve(
 
 
 _SLACK = ("__strict_slack__",)
-_CAP = ({_SLACK: 1}, "<=", 1, 1)  # t <= 1, compiled
+_CAP = ({_SLACK: 1}, "<=", (1, 1))  # t <= 1, compiled
 _STRICT = {"<": ("<=", 1), ">": (">=", -1)}  # the relation and t's coefficient
 
 
@@ -477,7 +478,7 @@ def feasible_point(constraints: Sequence[Constraint],
 
 
 def _has_strict(constraints: Sequence[Constraint]) -> bool:
-    return any(row[1] in _STRICT for row in constraints)
+    return any(rel in _STRICT for _, rel, _ in constraints)
 
 
 def _slack_rows(constraints: Sequence[Constraint]) -> list[Constraint]:
@@ -486,13 +487,13 @@ def _slack_rows(constraints: Sequence[Constraint]) -> list[Constraint]:
     c·x - t >= rhs, which `_enter` negates to -c·x + t <= -rhs.  In a
     compiled row t's coefficient is over the row's denominator, ±den."""
     nonstrict, strict = [], []
-    for row in constraints:
-        if row[1] in _STRICT:
-            rel, t = _STRICT[row[1]]
-            t *= row[3] if len(row) == 4 else 1
-            strict.append(({**row[0], _SLACK: t}, rel, *row[2:]))
+    for coeffs, rel, rhs in constraints:
+        if rel in _STRICT:
+            rel, t = _STRICT[rel]
+            strict.append(({**coeffs, _SLACK: t * rhs[1] if isinstance(rhs, tuple) else t},
+                           rel, rhs))
         else:
-            nonstrict.append(row)
+            nonstrict.append((coeffs, rel, rhs))
     return nonstrict + strict
 
 

@@ -401,8 +401,8 @@ def pull_back(rows: Iterable[_lp.Constraint], groups: Mapping[State, Sequence]
     over the sources of `groups`.  A target with no source drops out, so a
     row can come out naming nothing (`named_rows` decides such rows), and a
     compiled row is brought back to its least denominator."""
-    return [_lp.lowest_terms(({s: c for t, c in row[0].items() for s in groups.get(t, ())},
-                              *row[1:])) for row in rows]
+    return [_lp.lowest_terms(({s: c for t, c in coeffs.items() for s in groups.get(t, ())},
+                              rel, rhs)) for coeffs, rel, rhs in rows]
 
 
 def preimages(image: Mapping) -> dict[State, list]:
@@ -413,8 +413,9 @@ def preimages(image: Mapping) -> dict[State, list]:
     return groups
 
 
-def zero_row_holds(rel: str, rhs: Fraction | int) -> bool:
-    """Does a row that names no state, 0 REL rhs (of either row form), hold?"""
+def zero_row_holds(rel: str, rhs) -> bool:
+    """Does a row that names no state, 0 REL rhs, hold (a compiled rhs by its numerator)?"""
+    rhs = rhs[0] if isinstance(rhs, tuple) else rhs
     return {"<=": 0 <= rhs, "<": 0 < rhs, "==": 0 == rhs}[rel]
 
 
@@ -423,7 +424,7 @@ def named_rows(rows: list[_lp.Constraint]) -> list[_lp.Constraint] | None:
     false: such a row compares 0 with its right-hand side, which decides it
     with no LP.  For callers that read feasibility only: dropping a true
     row can move the pivot path, and with it a vertex."""
-    if all(row[0] or zero_row_holds(row[1], row[2]) for row in rows):
+    if all(coeffs or zero_row_holds(rel, rhs) for coeffs, rel, rhs in rows):
         return [row for row in rows if row[0]]
     return None
 
@@ -530,8 +531,7 @@ class Piece:
         return list(self._compiled)
 
     def closure_rows(self) -> list[_lp.Row]:
-        return [(coeffs, "<=" if rel == "<" else rel, rhs, den)
-                for coeffs, rel, rhs, den in self._compiled]
+        return [(coeffs, "<=" if rel == "<" else rel, rhs) for coeffs, rel, rhs in self._compiled]
 
     def has_strict(self) -> bool:
         return any(rel == "<" for _, rel, _ in self.rows)
@@ -592,7 +592,7 @@ def dnf_cover(phi: ConstraintExpr) -> tuple[Piece, ...]:
 
 
 def _simplex_row(states: Sequence[State]) -> _lp.Row:
-    return ({s: 1 for s in states}, "==", 1, 1)
+    return ({s: 1 for s in states}, "==", (1, 1))
 
 
 def piece_point(piece: Piece, states: Sequence[State],

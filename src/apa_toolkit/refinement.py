@@ -445,8 +445,7 @@ def _map_condition(cid1, pieces: tuple, states2: tuple, relation: frozenset,
                     continue  # a false row: no mu1 is pushed into this complement piece
                 if not rows:
                     return False  # every mu1 in the piece is pushed into it
-                key = (cid1, index, tuple((frozenset(c.items()), rel, rhs, den)
-                                          for c, rel, rhs, den in rows))
+                key = (cid1, index, tuple((frozenset(c.items()), rel, rhs) for c, rel, rhs in rows))
                 if key not in tested:
                     tested[key] = _lp.feasible_with(base, rows)
                 if tested[key]:

@@ -16,12 +16,13 @@ ONE = Fraction(1)
 
 
 def rational_row(row) -> tuple:
-    """An LP row, ad hoc (coeffs, rel, rhs) or compiled (integer coeffs and
-    rhs over one denominator), as (coeffs, rel, rhs) of Fractions."""
-    if len(row) == 3:
+    """An LP row, ad hoc or compiled (integer coeffs over den, rhs the pair
+    (numerator, den)), as (coeffs, rel, rhs) of Fractions."""
+    coeffs, rel, rhs = row
+    if not isinstance(rhs, tuple):
         return row
-    coeffs, rel, rhs, den = row
-    return {v: Fraction(c, den) for v, c in coeffs.items()}, rel, Fraction(rhs, den)
+    num, den = rhs
+    return {v: Fraction(c, den) for v, c in coeffs.items()}, rel, Fraction(num, den)
 
 
 def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

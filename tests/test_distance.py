@@ -22,7 +22,6 @@ from apa_toolkit.oracle import GridSpec, enumerate_implementations
 from apa_toolkit.refinement import refines
 from tests.fixtures import (all_failing_pairs, deferral_pair, interval_pair,
                             may_gap_pair, refining_pair)
-from tests.oracles import rational_row
 
 EPS = 1e-9
 
@@ -211,7 +210,7 @@ def test_warm_started_tables_equal_cold_solves(monkeypatch):
 
 def _system_key(constraints, variables):
     return (tuple((tuple(sorted(coeffs.items(), key=str)), rel, rhs)
-                  for coeffs, rel, rhs in map(rational_row, constraints)), tuple(variables))
+                  for coeffs, rel, rhs in constraints), tuple(variables))
 
 
 class _CountingLp:

@@ -445,10 +445,10 @@ def test_compiled_rows_give_the_tableaux_of_their_fractions(systems, data):
 
 def test_compiled_rows_are_in_lowest_terms():
     assert _lp.compile_row({"x": F(1, 2), "y": F(-2, 3)}, "<", F(1, 4)) == \
-        ({"x": 6, "y": -8}, "<", 3, 12)
-    assert _lp.compile_row({"x": 2}, "==", "1/3") == ({"x": 6}, "==", 1, 3)
-    assert _lp.lowest_terms(({"x": 6}, "<=", 3, 12)) == ({"x": 2}, "<=", 1, 4)
-    for row in (({"x": 1, "y": -4}, ">=", 3, 6), ({"x": F(2, 4)}, "<=", F(3, 6))):
+        ({"x": 6, "y": -8}, "<", (3, 12))
+    assert _lp.compile_row({"x": 2}, "==", "1/3") == ({"x": 6}, "==", (1, 3))
+    assert _lp.lowest_terms(({"x": 6}, "<=", (3, 12))) == ({"x": 2}, "<=", (1, 4))
+    for row in (({"x": 1, "y": -4}, ">=", (3, 6)), ({"x": F(2, 4)}, "<=", F(3, 6))):
         assert _lp.lowest_terms(row) is row
 
 

@@ -282,8 +282,7 @@ def _deferral_chain():
 
 def _rows_key(rows) -> tuple:
     """LP rows as a hashable value, each row's coefficients in a fixed order."""
-    return tuple((tuple(sorted(coeffs.items(), key=str)), rel, rhs)
-                 for coeffs, rel, rhs in map(rational_row, rows))
+    return tuple((tuple(sorted(coeffs.items(), key=str)), rel, rhs) for coeffs, rel, rhs in rows)
 
 
 def _left_covers(n) -> list:
@@ -483,7 +482,7 @@ def test_map_search_decides_rows_that_name_no_state_without_an_lp(monkeypatch, p
     feasible_with = refinement._lp.feasible_with
 
     def recording(base, rows):
-        rows_seen.extend(map(rational_row, rows))
+        rows_seen.extend(rows)
         return feasible_with(base, rows)
     monkeypatch.setattr(refinement._lp, "feasible_with", recording)
     u1, u2, over = under_diff(n1, n2, 1), under_diff(n1, n2, 2), over_diff(n1, n2)
