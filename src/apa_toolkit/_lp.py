@@ -231,16 +231,6 @@ def lowest_terms(row: Constraint) -> Constraint:
     return {v: c // g for v, c in coeffs.items()}, rel, (rhs[0] // g, rhs[1] // g)
 
 
-def _columns(coeffs: Mapping[Var, int], var_index: Mapping[Var, int], what: str
-             ) -> list[tuple[int, int]]:
-    """(column, coefficient) of each term; an unknown variable is an InputError."""
-    try:
-        return [(var_index[v], c) for v, c in coeffs.items()]
-    except KeyError as err:
-        raise InputError(f"{what} names {err.args[0]!r}, which is not among "
-                         f"the variables") from None
-
-
 def _empty(variables: Sequence[Var]) -> Tableau:
     """The tableau of no rows over `variables`: D = 1 and an empty basis."""
     var_index = {v: i for i, v in enumerate(variables)}
@@ -277,7 +267,11 @@ def _enter(base: Tableau, constraints: Sequence[Constraint], start: str
     for coeffs, rel, (rhs, den) in compiled:
         if rel not in ("<=", ">=", "=="):
             raise ValueError(f"unknown relation {rel!r}")
-        terms = _columns(coeffs, var_index, "a constraint")
+        try:
+            terms = [(var_index[v], c) for v, c in coeffs.items()]
+        except KeyError as err:
+            raise InputError(f"a constraint names {err.args[0]!r}, which is not among "
+                             f"the variables") from None
         unit = (-scale if rel == ">=" else scale) // den  # a ">=" row is negated to "<="
         b = det * rhs * unit
         pulled = [(row_of[j], c * unit) for j, c in terms if j in row_of] if row_of else []
@@ -397,11 +391,17 @@ def _reprice(tableau: Tableau, objective: Mapping[Var, Fraction],
              maximize: bool) -> Fraction | None:
     """Phase 2 of `objective` from the tableau's current basis, by `_price`:
     the optimal value, or None if unbounded."""
-    coeffs, _, (_, cost_scale) = compile_row(objective, "<=", 0)
+    var_index = tableau.var_index
+    try:
+        terms = [(var_index[v], _rational(c)) for v, c in objective.items()]
+    except KeyError as err:
+        raise InputError(f"the objective names {err.args[0]!r}, which is not among "
+                         f"the variables") from None
+    cost_scale = lcm(*[c.denominator for _, c in terms])
     sign = -1 if maximize else 1
     int_cost = [0] * tableau.columns
-    for j, c in _columns(coeffs, tableau.var_index, "the objective"):
-        int_cost[j] = sign * c
+    for j, c in terms:
+        int_cost[j] = sign * c.numerator * (cost_scale // c.denominator)
     tableau.cost = None  # the basis moves off t's optimum
     cost = _price(tableau, int_cost)
     if cost is None:
