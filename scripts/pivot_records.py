@@ -15,9 +15,13 @@ in the round and the round's pivots per entry point, each pivot counted
 under the outermost entry point running (so `solve` counts the pivots of
 the `prepare` and `reprice` it calls), the queries that raised, and the
 sha256 of the sorted set-up records, of the sorted round records and of
-the `repr` of the round's answers.  Two checkouts make the same LPs on a workload when their lines
-agree; the order of the pivots is left out, so a change may reorder the LPs
-it makes.  The script exits non-zero when a query of some workload raised.
+the `repr` of the round's answers.  Two checkouts make the same LPs on a
+workload when the pivot, entry-point and digest fields of their lines agree;
+the order of the pivots is left out, so a change may reorder the LPs it
+makes.  The `work` field is not part of that comparison: it counts the
+round's `Fraction` constructions and `_lp.compile_row` calls, the work done
+around the LPs, which a change may cut without changing them.  The script
+exits non-zero when a query of some workload raised.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,6 +77,19 @@ def child(root: Path, workload: str) -> dict:
                 running.pop()
         return wrapper
 
+    work: Counter = Counter()
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        work["fraction_new"] += 1
+        return new(cls, *args, **kwargs)
+
+    compile_row = _lp.compile_row
+
+    def counting_compile_row(*args):
+        work["compile_row"] += 1
+        return compile_row(*args)
+
     _lp._pivot = recording
     with tempfile.TemporaryDirectory() as tmp:
         workloads.reset_caches()
@@ -82,14 +100,19 @@ def child(root: Path, workload: str) -> dict:
         for name in ENTRY_POINTS:
             if hasattr(_lp, name):  # an older checkout may lack some
                 setattr(_lp, name, counted(name))
-        answers, _ = run.run_round(tasks, workloads.reset_caches)
+        Fraction.__new__, _lp.compile_row = staticmethod(counting_new), counting_compile_row
+        try:
+            answers, _ = run.run_round(tasks, workloads.reset_caches)
+        finally:
+            Fraction.__new__, _lp.compile_row = staticmethod(new), compile_row
     return {"workload": workload, "seed": SEED,
             "setup_pivots": len(setup), "round_pivots": len(records),
             "calls": dict(sorted(calls.items())),
             "round_pivots_by_entry": dict(sorted(by_entry.items())),
             "raised": [label for label, answer in answers if isinstance(answer, run.QueryError)],
             "setup_sha256": digest(setup), "round_sha256": digest(sorted(records)),
-            "answers_sha256": digest(answers)}
+            "answers_sha256": digest(answers),
+            "work": {"fraction_new": work["fraction_new"], "compile_row": work["compile_row"]}}
 
 
 def main() -> int:

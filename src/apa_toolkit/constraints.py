@@ -17,8 +17,9 @@ through a state map, for every caller).
 
 Everything is decided exactly over rationals: membership by clause
 evaluation, emptiness/support/optimization by LP over the disjunctive normal
-form of the constraint.  Strict inequalities (which arise from logical
-complements) are decided via a slack-maximization LP, never by epsilon fudge.
+form of the constraint, whose pieces hold the integer rows the LPs read, a
+derived node's compiled straight from the node.  Strict inequalities (from
+logical complements) are decided via a slack-maximization LP, never by epsilon fudge.
 """
 
 from __future__ import annotations
@@ -435,7 +436,7 @@ def named_rows(rows: list[_lp.Constraint]) -> list[_lp.Constraint] | None:
 
 
 def negate(phi: ConstraintExpr) -> ConstraintExpr:
-    """Logical complement with Not pushed down to atoms."""
+    """Logical complement with Not pushed down to atoms (to Not(node) at a derived node)."""
     if isinstance(phi, TrueExpr):
         return FALSE
     if isinstance(phi, FalseExpr):
@@ -453,7 +454,7 @@ def negate(phi: ConstraintExpr) -> ConstraintExpr:
     if isinstance(phi, Not):
         return phi.item
     if isinstance(phi, (BotLift, PhiB)):
-        return negate(expand(phi))
+        return Not(phi)
     raise InputError(f"unknown constraint node {type(phi).__name__}")
 
 
@@ -479,73 +480,99 @@ def substitute(phi: ConstraintExpr, groups: Mapping[State, Sequence]) -> Constra
     raise InputError("derived constraints cannot nest inside derived constraints")
 
 
-def expand(phi: ConstraintExpr) -> ConstraintExpr:
-    """Rewrite a derived node as a plain boolean combination of cell atoms.
-
-    Used for LP-based reasoning (emptiness, support, vertices); membership
-    goes through the clause evaluator in _member, and the two are
-    property-tested to agree.
-    """
-    if isinstance(phi, BotLift):
-        slice_cells = [cell for cell in phi.cells if _is_bot_slice_cell(cell)]
-        if not slice_cells:
-            return FALSE
-        groups = preimages({cell: cell.s1 for cell in slice_cells})  # all of them, as `_member`
-        zeros = [atom({cell: 1}, "==", 0) for cell in phi.cells if not _is_bot_slice_cell(cell)]
-        # Pinning the slice total to 1 also zeroes any ambient state outside
-        # this constraint's cells once the caller adds the simplex row.
-        pin = atom({c: 1 for c in slice_cells}, "==", 1)
-        return and_(*zeros, pin, substitute(phi.phi, groups))
-    if isinstance(phi, PhiB):
-        allowed = phi.allowed_cells()
-        if not allowed:
-            return FALSE
-        allowed_set = set(allowed)
-        zeros = [atom({cell: 1}, "==", 0) for cell in phi.cells if cell not in allowed_set]
-        groups1 = preimages({cell: cell.s1 for cell in allowed})
-        groups2 = preimages({cell: cell.s2 for cell in allowed if cell.s2 is not None})
-        three_a = or_(*(atom({cell: 1}, ">", 0) for cell in allowed if cell.s2 is None))
-        # 3(a) already covers the "marginal is not even a distribution" case,
-        # so 3(b) reduces to the atom-level complement of phi2 on the marginal.
-        three_b = substitute(negate(phi.phi2), groups2)
-        three_c = or_(*(atom({cell: 1}, ">", 0) for cell in allowed if phi.deferral_ok(cell)))
-        pin = atom({c: 1 for c in allowed}, "==", 1)
-        return and_(*zeros, pin, substitute(phi.phi1, groups1), or_(three_a, three_b, three_c))
-    return phi
-
-
 @dataclass(frozen=True)
 class Piece:
     """One conjunct of a DNF cover: a half-open polyhedron inside the simplex,
-    as rows (coeffs, rel in {"<=", "<", "=="}, rhs).  `lp_rows` hands them
-    to `_lp` compiled (`_lp.compile_row`) once per piece, strict rows
-    included, and `closure_rows` closes them; no caller changes them."""
+    as compiled rows in lowest terms, the form the LPs read: ((state, int)
+    pairs, rel in {"<=", "<", "=="}, (numerator, den)).  `lp_rows` hands them
+    to `_lp` with dict coeffs, made once per piece, `closure_rows` closes
+    them, and `fraction_rows` makes `Fraction` rows for callers that read
+    rationals (vertices, witnesses, the oracle)."""
 
-    rows: tuple[tuple[tuple[tuple[State, Fraction], ...], str, Fraction], ...]
+    rows: tuple[tuple[tuple[tuple[State, int], ...], str, tuple[int, int]], ...]
 
     @cached_property
-    def _compiled(self) -> tuple[_lp.Row, ...]:
-        return tuple(_lp.compile_row(dict(coeffs), rel, rhs) for coeffs, rel, rhs in self.rows)
+    def _lp_rows(self) -> tuple[_lp.Row, ...]:
+        return tuple((dict(coeffs), rel, rhs) for coeffs, rel, rhs in self.rows)
 
     def lp_rows(self) -> list[_lp.Row]:
-        return list(self._compiled)
+        return list(self._lp_rows)
 
     def closure_rows(self) -> list[_lp.Row]:
-        return [(coeffs, "<=" if rel == "<" else rel, rhs) for coeffs, rel, rhs in self._compiled]
+        return [(coeffs, "<=" if rel == "<" else rel, rhs) for coeffs, rel, rhs in self._lp_rows]
 
     def has_strict(self) -> bool:
         return any(rel == "<" for _, rel, _ in self.rows)
 
+    def fraction_rows(self) -> tuple[tuple[tuple[tuple[State, Fraction], ...], str, Fraction], ...]:
+        """The rows over `Fraction`s, coefficients in `LinearAtom.make`'s order."""
+        return tuple((tuple(sorted(((s, Fraction(c, den)) for s, c in coeffs), key=lambda kv: str(kv[0]))),
+                      rel, Fraction(num, den)) for coeffs, rel, (num, den) in self.rows)
 
-def _atom_rows(a: LinearAtom) -> list[tuple[tuple[tuple[State, Fraction], ...], str, Fraction]]:
-    neg = tuple((s, -c) for s, c in a.coeffs)
-    return {
-        "<=": [(a.coeffs, "<=", a.rhs)],
-        "<": [(a.coeffs, "<", a.rhs)],
-        "==": [(a.coeffs, "==", a.rhs)],
-        ">=": [(neg, "<=", -a.rhs)],
-        ">": [(neg, "<", -a.rhs)],
-    }[a.rel]
+
+def _atom_row(a: LinearAtom) -> _lp.Row:
+    """The atom as one compiled row, rel "<=", "<" or "==" (">=", ">" negated)."""
+    coeffs, rel, (num, den) = _lp.compile_row(dict(a.coeffs), a.rel, a.rhs)
+    if rel in ("<=", "<", "=="):
+        return coeffs, rel, (num, den)
+    return {s: -c for s, c in coeffs.items()}, "<=" if rel == ">=" else "<", (-num, den)
+
+
+def _signed(row: _lp.Row, positive: bool):
+    """The DNF tree of a compiled row (rel "<=", "<", "==") or its complement:
+    a branch (a tuple of rows), an Or of two, or TRUE or FALSE if it names nothing."""
+    coeffs, rel, (num, den) = row
+    if not coeffs:
+        return TRUE if zero_row_holds(rel, row[2]) == positive else FALSE
+    if positive:
+        return (row,)
+    neg, neg_rhs = {s: -c for s, c in coeffs.items()}, (-num, den)
+    if rel == "==":
+        return Or((((coeffs, "<", (num, den)),), ((neg, "<", neg_rhs),)))
+    return ((neg, "<" if rel == "<=" else "<=", neg_rhs),)
+
+
+def _pulled(e: ConstraintExpr, groups: Mapping[State, Sequence], positive: bool):
+    """`substitute(e, groups)`, or its `negate`, as a `dnf_cover` tree: atoms
+    compiled, pulled back and signed, `and_`/`or_` rules at the same nodes, and
+    Not(x), unfolded as by `not_`, a one-item Or expanding as x's complement."""
+    if isinstance(e, (TrueExpr, FalseExpr)):
+        return e if positive else negate(e)
+    if isinstance(e, Atom):
+        [row] = pull_back([_atom_row(e.atom)], groups)
+        return _signed(row, positive)
+    if isinstance(e, (And, Or)):
+        join = and_ if isinstance(e, And) == positive else or_
+        return join(*(_pulled(i, groups, positive) for i in e.items))
+    if isinstance(e, Not):
+        inner = _pulled(e.item, groups, not positive)
+        return Or((inner,)) if positive else inner
+    raise InputError("derived constraints cannot nest inside derived constraints")
+
+
+def _derived(phi: BotLift | PhiB, positive: bool):
+    """A derived node's tree (positive) or its complement's, for `dnf_cover`:
+    cells that clause (1) bars (bot-lift: those off the bot slice) at 0, the
+    rest summing to 1 (with the simplex row, states outside the cells get 0),
+    phi (phi1) on the left marginal, and for phi-B 3(a) mass on a bot cell,
+    3(b) phi2 false on the right marginal, or 3(c) mass on a deferring cell."""
+    both, either = (and_, or_) if positive else (or_, and_)
+    bot_lift = isinstance(phi, BotLift)
+    cells = [c for c in phi.cells if _is_bot_slice_cell(c)] if bot_lift else phi.allowed_cells()
+    if not cells:
+        return FALSE if positive else TRUE
+    kept = set(cells)
+    parts = [_signed(({c: 1}, "==", (0, 1)), positive) for c in phi.cells if c not in kept]
+    parts += [_signed(({c: 1 for c in cells}, "==", (1, 1)), positive),
+              _pulled(phi.phi if bot_lift else phi.phi1, preimages({c: c.s1 for c in cells}), positive)]
+    if not bot_lift:
+        def some_mass(where):
+            return either(*(_signed(({c: -1}, "<", (0, 1)), positive) for c in cells if where(c)))
+        groups2 = preimages({c: c.s2 for c in cells if c.s2 is not None})
+        parts.append(either(some_mass(lambda c: c.s2 is None),
+                            _pulled(negate(phi.phi2), groups2, positive),
+                            some_mass(phi.deferral_ok)))
+    return both(*parts)
 
 
 @lru_cache(maxsize=None)
@@ -553,19 +580,26 @@ def dnf_cover(phi: ConstraintExpr) -> tuple[Piece, ...]:
     """Disjunctive normal form as a tuple of half-open polyhedral pieces.
 
     Pieces are purely syntactic here; emptiness is decided by the callers'
-    LPs.  Raises ResourceLimitError beyond `DNF_BRANCH_CAP` branches.
+    LPs.  Raises ResourceLimitError beyond `DNF_BRANCH_CAP` branches.  A
+    derived node or its complement becomes a tree of compiled rows
+    (`_derived`) with the pieces of the plain constraint over cells that it
+    stands for: a compiled row in lowest terms with den > 0 is unique, and
+    the constant rules apply at the same nodes, so `rec` expands the same
+    branches, with the same cap checks.
     """
-    expr = expand(phi)
-
-    def rec(e: ConstraintExpr) -> list[tuple]:
+    def rec(e) -> list[tuple]:
+        if isinstance(e, tuple):
+            return [e]
         if isinstance(e, TrueExpr):
             return [()]
         if isinstance(e, FalseExpr):
             return []
         if isinstance(e, Atom):
-            return [tuple(_atom_rows(e.atom))]
+            return [(_atom_row(e.atom),)]
+        if isinstance(e, (BotLift, PhiB)):
+            return rec(_derived(e, True))
         if isinstance(e, Not):
-            return rec(negate(e.item))
+            return rec(_derived(e.item, False) if isinstance(e.item, (BotLift, PhiB)) else negate(e.item))
         if isinstance(e, Or):
             out: list[tuple] = []
             for i in e.items:
@@ -583,7 +617,8 @@ def dnf_cover(phi: ConstraintExpr) -> tuple[Piece, ...]:
             return acc
         raise InputError(f"unknown constraint node {type(e).__name__}")
 
-    return tuple(Piece(rows) for rows in rec(expr))
+    return tuple(Piece(tuple((tuple(coeffs.items()), rel, rhs) for coeffs, rel, rhs in rows))
+                 for rows in rec(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -668,20 +703,20 @@ class _Box:
     nonempty: bool
 
     @staticmethod
-    def of(piece: Piece, states: Sequence[State]) -> "_Box | None":
-        """The piece's intervals over `states`, or None if a row names two
-        states or a state outside `states`."""
+    def of(rows: Iterable, states: Sequence[State]) -> "_Box | None":
+        """The intervals over `states` of (state, coefficient) pair rows, or
+        None if a row names two states or a state outside `states`."""
         lo: dict = {}
         hi: dict = {}
         consistent = True
-        for coeffs, rel, rhs in piece.rows:
+        for coeffs, rel, rhs in rows:
             if len(coeffs) > 1 or (coeffs and coeffs[0][0] not in states):
                 return None
             t, c = coeffs[0] if coeffs else (None, ZERO)
             if c == 0:
                 consistent = consistent and zero_row_holds(rel, rhs)
                 continue
-            end = (Fraction(rhs) / c, rel == "<")
+            end = (Fraction(rhs[0], c) if isinstance(rhs, tuple) else rhs / c, rel == "<")
             # of two ends at the same bound, the open one is tighter
             if c > 0 or rel == "==":
                 hi[t] = min(hi.get(t, (ONE, False)), end, key=lambda b: (b[0], not b[1]))
@@ -731,7 +766,7 @@ def supportable_states(phi: ConstraintExpr, states: Sequence[State]) -> tuple[St
     """
     def reachable(s: State) -> bool:
         for piece in dnf_cover(phi):
-            box = _Box.of(piece, states)
+            box = _Box.of(piece.rows, states)
             if box is not None:
                 if box.nonempty and box.max_mass(s) > 0:
                     return True
@@ -781,7 +816,7 @@ class Polytope:
 
     @staticmethod
     def from_piece(piece: Piece, states: Sequence[State]) -> "Polytope":
-        rows = tuple((coeffs, "<=" if rel == "<" else rel, rhs) for coeffs, rel, rhs in piece.rows)
+        rows = tuple((coeffs, "<=" if rel == "<" else rel, rhs) for coeffs, rel, rhs in piece.fraction_rows())
         return Polytope(tuple(states), rows)
 
     def halfspaces(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
@@ -857,7 +892,7 @@ def _box_vertices(poly: Polytope) -> list[tuple[Fraction, ...]] | None:
     running sum plus the least (greatest) completion lies above (below) 1;
     each vertex is reached once.
     """
-    box = _Box.of(Piece(poly.rows), poly.states)
+    box = _Box.of(poly.rows, poly.states)
     if box is None:
         return None
     if not box.nonempty:

@@ -171,7 +171,7 @@ def _coupling_ok(mu_p: Distribution, phi, n: APA, relation: frozenset) -> bool:
     base = [({(t, u): ONE for u in cands[t]}, "==", m) for t, m in mu_p.items]
     for piece in C.dnf_cover(phi):
         rows = list(base)
-        for coeffs, rel, rhs in piece.rows:
+        for coeffs, rel, rhs in piece.fraction_rows():
             row: dict = {}
             for u, c in coeffs:
                 for t in supp:

@@ -214,7 +214,7 @@ def _sim_witness(phi1, states1: tuple, mapping: tuple, phi2, states2: tuple):
                 # condition it refutes
                 facet = LinearAtom((), "==", ONE)
                 if neg_piece.rows:
-                    coeffs, rel, rhs = neg_piece.rows[0]
+                    coeffs, rel, rhs = neg_piece.fraction_rows()[0]
                     facet = LinearAtom(coeffs, {"<": ">=", "<=": ">", "==": "=="}[rel], rhs)
                 return WitnessDistribution(Distribution.of(point), FacetViolation(facet))
     return None
@@ -573,7 +573,8 @@ def satisfies(p: PA, n: APA, budget: int | None = None) -> tuple[bool, frozenset
     related state (the usual case on a deterministic target) the coupling is
     forced and membership of its image decides it, with no LP; a slice of
     two or more related states takes the coupling LP.  The test reads the
-    relation only on supp(mu) x states(n), so it is decided once per call
+    relation only on supp(mu) x states(n), a lookup per support state in an
+    index of each relation by left state, so it is decided once per call
     and relation slice, and a recheck whose slice is unchanged solves no LP.
     """
     if not is_svnf(n):
@@ -581,8 +582,9 @@ def satisfies(p: PA, n: APA, budget: int | None = None) -> tuple[bool, frozenset
                                 "single-valuation normal form")
     limit = budget if budget is not None else DEFAULT_NODE_BUDGET
     checks = 0
-    # This memo lives for this call only.
+    # These memos live for this call only.
     matched: dict = {}  # (mu, constraint id, relation on supp(mu) x S) -> verdict
+    by_left: dict = {}  # relation -> left state -> its pairs in the relation
 
     def pair_ok(ps: State, s2: State, relation: frozenset) -> bool:
         nonlocal checks
@@ -593,8 +595,11 @@ def satisfies(p: PA, n: APA, budget: int | None = None) -> tuple[bool, frozenset
 
     def matches(pt: PATransition, tr: Transition, relation: frozenset) -> bool:
         mu = pt.distribution
-        relation_slice = frozenset((s, t) for s in mu.support() for t in n.states
-                                   if (s, t) in relation)
+        if relation not in by_left:
+            by_left[relation] = {}
+            for pair in relation:
+                by_left[relation].setdefault(pair[0], []).append(pair)
+        relation_slice = frozenset(pair for s in mu.support() for pair in by_left[relation].get(s, ()))
         key = (mu, tr.constraint_id, relation_slice)
         if key not in matched:
             matched[key] = _coupling_feasible(mu.mass, n.constraint(tr.constraint_id),

@@ -141,11 +141,41 @@ def grid_masses(states, denominator: int):
 
 
 def piece_accepts(piece, mass: dict) -> bool:
-    """Direct evaluation of one DNF piece against a mass map."""
+    """Direct evaluation of one DNF piece, its compiled rows read as
+    rationals, against a mass map."""
     for coeffs, rel, rhs in piece.rows:
-        lhs = sum((c * Fraction(mass.get(s, 0)) for s, c in coeffs), ZERO)
+        coeffs, rel, rhs = rational_row((dict(coeffs), rel, rhs))
+        lhs = sum((c * Fraction(mass.get(s, 0)) for s, c in coeffs.items()), ZERO)
         ok = {"<=": lhs <= rhs, "<": lhs < rhs, "==": lhs == rhs,
               ">=": lhs >= rhs, ">": lhs > rhs, "!=": lhs != rhs}[rel]
         if not ok:
             return False
     return True
+
+
+def expand(phi):
+    """A derived node rewritten as the plain constraint over its cells that
+    it stands for, atoms of `Fraction`s pulled back by `constraints.substitute`:
+    the reference for the covers `constraints.dnf_cover` builds from the node."""
+    if isinstance(phi, C.BotLift):
+        slice_cells = [cell for cell in phi.cells if C._is_bot_slice_cell(cell)]
+        if not slice_cells:
+            return C.FALSE
+        groups = C.preimages({cell: cell.s1 for cell in slice_cells})
+        zeros = [C.atom({cell: 1}, "==", 0) for cell in phi.cells if not C._is_bot_slice_cell(cell)]
+        pin = C.atom({c: 1 for c in slice_cells}, "==", 1)
+        return C.and_(*zeros, pin, C.substitute(phi.phi, groups))
+    if isinstance(phi, C.PhiB):
+        allowed = phi.allowed_cells()
+        if not allowed:
+            return C.FALSE
+        allowed_set = set(allowed)
+        zeros = [C.atom({cell: 1}, "==", 0) for cell in phi.cells if cell not in allowed_set]
+        groups1 = C.preimages({cell: cell.s1 for cell in allowed})
+        groups2 = C.preimages({cell: cell.s2 for cell in allowed if cell.s2 is not None})
+        three_a = C.or_(*(C.atom({cell: 1}, ">", 0) for cell in allowed if cell.s2 is None))
+        three_b = C.substitute(C.negate(phi.phi2), groups2)
+        three_c = C.or_(*(C.atom({cell: 1}, ">", 0) for cell in allowed if phi.deferral_ok(cell)))
+        pin = C.atom({c: 1 for c in allowed}, "==", 1)
+        return C.and_(*zeros, pin, C.substitute(phi.phi1, groups1), C.or_(three_a, three_b, three_c))
+    return phi

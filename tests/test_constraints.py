@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from apa_toolkit import _lp, constraints as C, refinement
 from apa_toolkit.errors import InputError, ResourceLimitError
 from tests.fixtures import all_failing_pairs, deferral_pair, interval_pair
-from tests.oracles import basic_points, grid_masses, naive_member, piece_accepts
+from tests.oracles import basic_points, expand, grid_masses, naive_member, piece_accepts
 
 STATES = ("s0", "s1", "s2")
 
@@ -357,10 +358,13 @@ def _pinned_pieces(draw):
     to 0 and rows, nonstrict and strict, that name only the pinned states."""
     pieces = C.dnf_cover(draw(_support_trees()))
     rows = list(draw(st.sampled_from(pieces)).rows) if pieces else []
+    def compiled(s, rel, rhs):
+        coeffs, rel, rhs = _lp.compile_row({s: draw(_support_coeff)}, rel, rhs)
+        return tuple(coeffs.items()), rel, rhs
     for s in draw(st.lists(st.sampled_from(STATES), unique=True, max_size=2)):
-        rows.append((((s, draw(_support_coeff)),), "==", F(0)))
+        rows.append(compiled(s, "==", F(0)))
         for rel in draw(st.lists(st.sampled_from(["<=", "<", "=="]), max_size=2)):
-            rows.append((((s, draw(_support_coeff)),), rel, draw(_support_rhs)))
+            rows.append(compiled(s, rel, draw(_support_rhs)))
     return C.Piece(tuple(draw(st.permutations(rows))))
 
 
@@ -495,26 +499,106 @@ def _derived_nodes():
             if isinstance(expr, (C.BotLift, C.PhiB))]
 
 
+# The derived nodes of `_derived_nodes`, one parametrized slot each.
+DERIVED_NODES = 14
+
+
 def test_derived_nodes_present_in_difference_constraints():
-    assert len(_derived_nodes()) >= 4
+    assert len(_derived_nodes()) == DERIVED_NODES
 
 
-@pytest.mark.parametrize("idx", range(8))
+@pytest.mark.parametrize("idx", range(DERIVED_NODES))
 def test_expansion_agrees_with_direct_membership_on_cells(idx):
-    nodes = _derived_nodes()
-    if idx >= len(nodes):
-        pytest.skip("fewer derived nodes than parametrized slots")
-    expr, states = nodes[idx]
-    expanded = C.expand(expr)
-    cells = list(expr.cells)[:4]
-    agree = checked = 0
-    for mass in grid_masses(cells, 3):
+    """The clause evaluator and the cover that the LPs use agree on every
+    grid distribution over all the node's cells."""
+    expr, states = _derived_nodes()[idx]
+    pieces = C.dnf_cover(expr)
+    checked = 0
+    for mass in grid_masses(list(expr.cells), 4):
         direct = C.sat_member(expr, mass)
-        via_expansion = C.sat_member(expanded, mass)
-        assert direct == via_expansion, (mass, direct, via_expansion)
+        via_cover = any(piece_accepts(piece, mass) for piece in pieces)
+        assert direct == via_cover, (mass, direct, via_cover)
         checked += 1
-        agree += direct
     assert checked > 0
+
+
+LEFT = ("s0", "s1", "s2")    # no cell below has left state s2
+RIGHT = ("t0", "t1", "t2")   # ... or right state t2
+
+
+@st.composite
+def _plain_trees(draw, states, depth=3):
+    """And/Or/Not trees over `states` with atoms of all five relations, some
+    naming only states that no cell maps to, and connectives that fold
+    constants (`and_`, `or_`) or keep them (`And`, `Or`)."""
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            return draw(st.sampled_from([C.TRUE, C.FALSE]))
+        named = draw(st.sets(st.sampled_from(states), max_size=2))
+        return C.atom({s: draw(_coeff) for s in named},
+                      draw(st.sampled_from(C.RELATIONS)), draw(_rhs))
+    op = draw(st.sampled_from(["and", "or", "not", "And", "Or"]))
+    if op == "not":
+        return C.not_(draw(_plain_trees(states, depth=depth - 1)))
+    items = draw(st.lists(_plain_trees(states, depth=depth - 1), min_size=1, max_size=3))
+    return {"and": C.and_, "or": C.or_, "And": lambda *i: C.And(i),
+            "Or": lambda *i: C.Or(i)}[op](*items)
+
+
+@st.composite
+def _random_derived(draw):
+    """A bot-lift or phi-B node (of any level) with random plain trees, over
+    a few product cells."""
+    from apa_toolkit.difference import ProductState
+    cells = draw(st.lists(st.builds(ProductState, st.sampled_from(LEFT[:2]),
+                                    st.sampled_from((None, *RIGHT[:2])),
+                                    st.sampled_from((None, "a", "b")),
+                                    st.sampled_from((None, 1, 2))),
+                          unique=True, min_size=0, max_size=5))
+    phi1 = draw(_plain_trees(LEFT))
+    if draw(st.booleans()):
+        return C.make_bot_lift(phi1, LEFT, cells)
+    succ = {s: draw(st.sampled_from((None, *RIGHT[:2]))) for s in LEFT}
+    b_map = {(s, t): draw(st.sets(st.sampled_from(("a", "b"))))
+             for s in LEFT for t in RIGHT if draw(st.booleans())}
+    return C.make_phi_B(phi1, draw(_plain_trees(RIGHT)), LEFT, RIGHT, succ, b_map, cells,
+                        k=draw(st.sampled_from((None, 1, 2, 3))))
+
+
+def _cover_or_cap(expr, cap):
+    """The cover of `expr` as lists of LP rows, or "cap" if it exceeds `cap` branches."""
+    C.dnf_cover.cache_clear()
+    with patch.object(C, "DNF_BRANCH_CAP", cap):
+        try:
+            return [piece.lp_rows() for piece in C.dnf_cover(expr)]
+        except ResourceLimitError:
+            return "cap"
+
+
+def _unreached_in_or(negated: bool):
+    """phi-B whose phi1 is an Or holding an atom on s2, which no cell maps
+    to: its pull-back is TRUE, or under Not(...) the complement of FALSE,
+    which `not_` leaves unfolded."""
+    from apa_toolkit.difference import ProductState
+    cells = (ProductState("s0", None, None), ProductState("s0", "t0", "a"))
+    unreached = C.atom({"s2": 1}, ">=", F(1, 2) if negated else 0)
+    phi1 = C.or_(C.not_(unreached) if negated else unreached, C.atom({"s0": 2}, "<", 1))
+    return C.make_phi_B(phi1, C.atom({"t0": 1}, "==", 1), LEFT, RIGHT, {"s0": "t0"},
+                        {("s0", "t0"): ("a",)}, cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_derived(), st.sampled_from([1, 2, 3, 4, 6, 9, 4096]))
+@example(_unreached_in_or(False), 4096)
+@example(_unreached_in_or(True), 4096)
+def test_derived_covers_equal_the_covers_of_their_expansions(node, cap):
+    """A derived node's cover and complement cover, built straight from the
+    node, are those of the plain constraint over cells that it stands for
+    (`tests.oracles.expand`): the same pieces in the same order, the same
+    compiled rows, and the same branch count at which the cap is hit."""
+    expanded = expand(node)
+    assert _cover_or_cap(node, cap) == _cover_or_cap(expanded, cap)
+    assert _cover_or_cap(C.negate(node), cap) == _cover_or_cap(C.negate(expanded), cap)
 
 
 def test_piece_support_of_derived_pieces():
