@@ -523,7 +523,7 @@ def _signed(row: _lp.Row, positive: bool):
     a branch (a tuple of rows), an Or of two, or TRUE or FALSE if it names nothing."""
     coeffs, rel, (num, den) = row
     if not coeffs:
-        return TRUE if zero_row_holds(rel, row[2]) == positive else FALSE
+        return TRUE if zero_row_holds(rel, num) == positive else FALSE
     if positive:
         return (row,)
     neg, neg_rhs = {s: -c for s, c in coeffs.items()}, (-num, den)

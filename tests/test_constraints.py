@@ -511,7 +511,7 @@ def test_derived_nodes_present_in_difference_constraints():
 def test_expansion_agrees_with_direct_membership_on_cells(idx):
     """The clause evaluator and the cover that the LPs use agree on every
     grid distribution over all the node's cells."""
-    expr, states = _derived_nodes()[idx]
+    expr, _ = _derived_nodes()[idx]
     pieces = C.dnf_cover(expr)
     checked = 0
     for mass in grid_masses(list(expr.cells), 4):
