@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from apa_toolkit.counterexample import counterexample
-from apa_toolkit.difference import over_diff, prune_unreachable, under_diff
+from apa_toolkit.difference import over_diff, under_diff
 from apa_toolkit.io_cli import export_dot, serialize
 from tests.fixtures import all_failing_pairs, refining_pair
 
@@ -31,9 +31,8 @@ def main() -> int:
     for name, (n1, n2) in all_failing_pairs().items():
         models[f"{name}_n1"] = n1
         models[f"{name}_n2"] = n2
-        models[f"{name}_over"] = prune_unreachable(over_diff(n1, n2))
-        models[f"{name}_under{args.level}"] = prune_unreachable(
-            under_diff(n1, n2, args.level))
+        models[f"{name}_over"] = over_diff(n1, n2)
+        models[f"{name}_under{args.level}"] = under_diff(n1, n2, args.level)
         models[f"{name}_cex"] = counterexample(n1, n2)
     r1, r2 = refining_pair()
     models["refining_n1"], models["refining_n2"] = r1, r2

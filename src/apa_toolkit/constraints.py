@@ -17,9 +17,10 @@ through a state map, for every caller).
 
 Everything is decided exactly over rationals: membership by clause
 evaluation, emptiness/support/optimization by LP over the disjunctive normal
-form of the constraint, whose pieces hold the integer rows the LPs read, a
-derived node's compiled straight from the node.  Strict inequalities (from
-logical complements) are decided via a slack-maximization LP, never by epsilon fudge.
+form of the constraint, whose pieces hold the integer rows the LPs and the
+vertex enumeration read, a derived node's compiled straight from the node.
+Strict inequalities (from logical complements) are decided via a
+slack-maximization LP, never by epsilon fudge.
 """
 
 from __future__ import annotations
@@ -483,11 +484,11 @@ def substitute(phi: ConstraintExpr, groups: Mapping[State, Sequence]) -> Constra
 @dataclass(frozen=True)
 class Piece:
     """One conjunct of a DNF cover: a half-open polyhedron inside the simplex,
-    as compiled rows in lowest terms, the form the LPs read: ((state, int)
-    pairs, rel in {"<=", "<", "=="}, (numerator, den)).  `lp_rows` hands them
-    to `_lp` with dict coeffs, made once per piece, `closure_rows` closes
-    them, and `fraction_rows` makes `Fraction` rows for callers that read
-    rationals (vertices, witnesses, the oracle)."""
+    as compiled rows in lowest terms, the form the LPs and `vertices` read:
+    ((state, int) pairs, rel in {"<=", "<", "=="}, (numerator, den)).
+    `lp_rows` hands them to `_lp` with dict coeffs, made once per piece,
+    `closure_rows` closes them, and `fraction_rows` makes `Fraction` rows for
+    the callers that read rationals (a witness's facet, the oracle)."""
 
     rows: tuple[tuple[tuple[tuple[State, int], ...], str, tuple[int, int]], ...]
 
@@ -704,19 +705,19 @@ class _Box:
 
     @staticmethod
     def of(rows: Iterable, states: Sequence[State]) -> "_Box | None":
-        """The intervals over `states` of (state, coefficient) pair rows, or
-        None if a row names two states or a state outside `states`."""
+        """The intervals over `states` of a piece's compiled rows, or None if
+        a row names two states or a state outside `states`."""
         lo: dict = {}
         hi: dict = {}
         consistent = True
         for coeffs, rel, rhs in rows:
             if len(coeffs) > 1 or (coeffs and coeffs[0][0] not in states):
                 return None
-            t, c = coeffs[0] if coeffs else (None, ZERO)
+            t, c = coeffs[0] if coeffs else (None, 0)
             if c == 0:
                 consistent = consistent and zero_row_holds(rel, rhs)
                 continue
-            end = (Fraction(rhs[0], c) if isinstance(rhs, tuple) else rhs / c, rel == "<")
+            end = (Fraction(rhs[0], c), rel == "<")
             # of two ends at the same bound, the open one is tighter
             if c > 0 or rel == "==":
                 hi[t] = min(hi.get(t, (ONE, False)), end, key=lambda b: (b[0], not b[1]))
@@ -782,59 +783,11 @@ def supportable_states(phi: ConstraintExpr, states: Sequence[State]) -> tuple[St
 
 
 # ---------------------------------------------------------------------------
-# Polytopes and vertex enumeration (double description over rationals)
+# Vertex enumeration over a piece's closure (double description over rationals)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Polytope:
-    """Closed convex subset of the simplex over `states` (non-strict rows only)."""
-
-    states: tuple[State, ...]
-    rows: tuple[tuple[tuple[tuple[State, Fraction], ...], str, Fraction], ...]
-
-    def __post_init__(self):
-        states = set(self.states)
-        for coeffs, rel, _ in self.rows:
-            if rel not in ("<=", "=="):
-                raise InputError(f"polytope rows must use <= or ==, got {rel!r}")
-            if outside := [s for s, _ in coeffs if s not in states]:
-                raise InputError(f"a polytope row names {outside[0]!r}, not one of its states")
-
-    @staticmethod
-    def make(states: Sequence[State], rows: Iterable[tuple[Mapping[State, Fraction], str, Fraction]]) -> "Polytope":
-        """Normalize >=/"> rows to <= form; strict rows are rejected."""
-        norm = []
-        for coeffs, rel, rhs in rows:
-            cs = tuple(sorted(((s, as_fraction(c)) for s, c in dict(coeffs).items() if as_fraction(c) != 0),
-                              key=lambda kv: str(kv[0])))
-            rhs = as_fraction(rhs)
-            if rel == ">=":
-                cs, rel, rhs = tuple((s, -c) for s, c in cs), "<=", -rhs
-            norm.append((cs, rel, rhs))
-        return Polytope(tuple(states), tuple(norm))
-
-    @staticmethod
-    def from_piece(piece: Piece, states: Sequence[State]) -> "Polytope":
-        rows = tuple((coeffs, "<=" if rel == "<" else rel, rhs) for coeffs, rel, rhs in piece.fraction_rows())
-        return Polytope(tuple(states), rows)
-
-    def halfspaces(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-        """Rows as (normal vector over states, rhs), equalities split in two."""
-        idx = {s: i for i, s in enumerate(self.states)}
-        out = []
-        for coeffs, rel, rhs in self.rows:
-            vec = [ZERO] * len(self.states)
-            for s, c in coeffs:
-                vec[idx[s]] += c
-            if rel in ("<=", "=="):
-                out.append((tuple(vec), rhs))
-            if rel == "==":
-                out.append((tuple(-c for c in vec), -rhs))
-        return out
-
-
-def _rank(vectors: list[tuple[Fraction, ...]]) -> int:
+def _rank(vectors: list[tuple]) -> int:
     rows = [list(v) for v in vectors]
     rank = 0
     cols = len(rows[0]) if rows else 0
@@ -856,31 +809,36 @@ def _rank(vectors: list[tuple[Fraction, ...]]) -> int:
     return rank
 
 
-def vertices(poly: Polytope, dim_cap: int = VERTEX_DIM_CAP) -> list[Distribution]:
-    """Exact V-representation, sorted by the coordinate tuple in the order
-    of `poly.states`; raises ResourceLimitError beyond `dim_cap` states.
+def vertices(piece: Piece, states: Sequence[State], dim_cap: int = VERTEX_DIM_CAP) -> list[Distribution]:
+    """Exact V-representation of the closure of the piece (strict rows
+    closed) inside the simplex over `states`, sorted by the coordinate tuple
+    in the order of `states`; raises ResourceLimitError beyond `dim_cap`
+    states, before either enumeration runs, and InputError if a row names a
+    state outside `states`.
 
-    A polytope whose rows each name at most one state (every interval
+    A piece whose rows each name at most one state (every interval
     constraint gives one) is a box cut by the simplex, and its vertices are
     found in closed form (`_box_vertices`); any other goes through double
-    description (`_double_description`).  Both give the same list.
+    description (`_double_description`).  Both read the compiled rows and
+    give the same list.
     """
-    n = len(poly.states)
+    n = len(states)
     if n > dim_cap:
         raise ResourceLimitError(f"vertex enumeration capped at dimension {dim_cap}, got {n}")
     if n == 0:
         return []
-    verts = _box_vertices(poly)
+    verts = _box_vertices(piece, states)
     if verts is None:
-        verts = _double_description(poly)
-    return [Distribution.of(dict(zip(poly.states, v))) for v in sorted(verts)]
+        verts = _double_description(piece, states)
+    return [Distribution.of(dict(zip(states, v))) for v in sorted(verts)]
 
 
-def _box_vertices(poly: Polytope) -> list[tuple[Fraction, ...]] | None:
-    """The vertices of a polytope whose rows each name at most one state, as
-    coordinate tuples in no set order; None if a row names two states.
+def _box_vertices(piece: Piece, states: Sequence[State]) -> list[tuple[Fraction, ...]] | None:
+    """The vertices of the closure of a piece whose rows each name at most
+    one state of `states`, as coordinate tuples in no set order; None if a
+    row names two states or one outside `states`.
 
-    Such a polytope is a box, lo_s <= x_s <= hi_s with 0 <= lo_s and
+    Such a closure is a box, lo_s <= x_s <= hi_s with 0 <= lo_s and
     hi_s <= 1, cut by the simplex row sum x = 1; `_Box` reads the bounds
     and decides emptiness.  A point of it is a vertex iff at least n - 1
     coordinates sit at a bound, since the simplex row and the unit rows of
@@ -892,14 +850,14 @@ def _box_vertices(poly: Polytope) -> list[tuple[Fraction, ...]] | None:
     running sum plus the least (greatest) completion lies above (below) 1;
     each vertex is reached once.
     """
-    box = _Box.of(poly.rows, poly.states)
+    box = _Box.of(piece.rows, states)
     if box is None:
         return None
     if not box.nonempty:
         return []
-    n = len(poly.states)
-    lo = [box.lo.get(s, (ZERO, False))[0] for s in poly.states]
-    hi = [box.hi.get(s, (ONE, False))[0] for s in poly.states]
+    n = len(states)
+    lo = [box.lo.get(s, (ZERO, False))[0] for s in states]
+    hi = [box.hi.get(s, (ONE, False))[0] for s in states]
     rest_lo, rest_hi = [ZERO] * (n + 1), [ZERO] * (n + 1)
     for i in range(n - 1, -1, -1):
         rest_lo[i], rest_hi[i] = rest_lo[i + 1] + lo[i], rest_hi[i + 1] + hi[i]
@@ -929,24 +887,42 @@ def _box_vertices(poly: Polytope) -> list[tuple[Fraction, ...]] | None:
     return out
 
 
-def _double_description(poly: Polytope) -> list[tuple[Fraction, ...]]:
-    """The vertices of a polytope over at least one state, as coordinate
-    tuples in no set order, by incremental double description.
+def _halfspaces(piece: Piece, states: Sequence[State]) -> list[tuple[tuple[int, ...], int]]:
+    """The closure of the piece as integer halfspaces (normal over `states`,
+    rhs), in row order: each row times its own denominator, "<" closed to
+    "<=", "==" split in two.  A positive factor moves no vertex."""
+    idx = {s: i for i, s in enumerate(states)}
+    out = []
+    for coeffs, rel, (num, _) in piece.rows:
+        vec = [0] * len(states)
+        for s, c in coeffs:
+            if s not in idx:
+                raise InputError(f"a piece row names {s!r}, not one of its states")
+            vec[idx[s]] = c
+        out.append((tuple(vec), num))
+        if rel == "==":
+            out.append((tuple(-c for c in vec), -num))
+    return out
 
-    Starts from the simplex vertices and cuts one halfspace at a time; new
-    vertices arise on edges between kept and cut vertices, with adjacency
-    decided by a rank test on the common tight constraints.
+
+def _double_description(piece: Piece, states: Sequence[State]) -> list[tuple[Fraction, ...]]:
+    """The vertices of the closure of a piece over at least one state, as
+    coordinate tuples in no set order, by incremental double description.
+
+    Starts from the simplex vertices and cuts one halfspace of `_halfspaces`
+    at a time; new vertices arise on edges between kept and cut vertices,
+    with adjacency decided by a rank test on the common tight constraints.
     """
-    n = len(poly.states)
+    n = len(states)
     ones = tuple(ONE for _ in range(n))
 
     # Each vertex: coordinate tuple. Tight sets recomputed against processed rows.
     verts: list[tuple[Fraction, ...]] = [
         tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
     ]
-    processed: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    processed: list[tuple[tuple[int, ...], int]] = []
 
-    def tight_normals(v: tuple[Fraction, ...], w: tuple[Fraction, ...]) -> list[tuple[Fraction, ...]]:
+    def tight_normals(v: tuple[Fraction, ...], w: tuple[Fraction, ...]) -> list[tuple]:
         normals = [ones]
         for i in range(n):
             if v[i] == 0 and w[i] == 0:
@@ -956,7 +932,7 @@ def _double_description(poly: Polytope) -> list[tuple[Fraction, ...]]:
                 normals.append(a)
         return normals
 
-    for a, b in poly.halfspaces():
+    for a, b in _halfspaces(piece, states):
         vals = [sum(c * x for c, x in zip(a, v)) - b for v in verts]
         keep = [v for v, val in zip(verts, vals) if val <= 0]
         cut = [(v, val) for v, val in zip(verts, vals) if val > 0]

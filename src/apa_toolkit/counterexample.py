@@ -65,7 +65,7 @@ def _default_member(phi: ConstraintExpr, states: tuple) -> Distribution:
     best = None
     best_key = None
     for piece in C.dnf_cover(phi):
-        for v in C.vertices(C.Polytope.from_piece(piece, states)):
+        for v in C.vertices(piece, states):
             if not C.sat_member(phi, v):
                 continue
             key = tuple(v[s] for s in states)

@@ -15,7 +15,7 @@ right one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import constraints as C
 from .constraints import ConstraintExpr, State
@@ -27,24 +27,14 @@ BOT = None   # second component: right execution already broken
 EPS = None   # third component: no action earmarked
 
 
-@dataclass(frozen=True)
-class ProductState:
-    """(left state, right state or bot, earmarked action or eps[, level]),
-    whose hash is computed once; a copy or unpickled state is built anew."""
+class ProductState(NamedTuple):
+    """(left state, right state or bot, earmarked action or eps[, level]);
+    a tuple, so it hashes and compares in C."""
 
     s1: State
     s2: State | None
     e: Action | None
     k: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.s1, self.s2, self.e, self.k)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return ProductState, (self.s1, self.s2, self.e, self.k)
 
     def __str__(self) -> str:
         parts = [str(self.s1),

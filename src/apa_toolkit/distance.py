@@ -34,7 +34,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import _lp
 from . import constraints as C
-from .constraints import ConstraintExpr, Distribution, Piece, Polytope, State
+from .constraints import ConstraintExpr, Distribution, Piece, State
 from .errors import InputError, PreconditionError
 from .model import APA, PA, is_svnf, obligations, pa_as_apa
 from .refinement import satisfies
@@ -110,7 +110,7 @@ def _outer_points(phi: ConstraintExpr, states: tuple, dim_cap: int) -> tuple[Dis
     """
     points: list[Distribution] = []
     for piece in _feasible_pieces(phi, states):
-        for v in C.vertices(Polytope.from_piece(piece, states), dim_cap):
+        for v in C.vertices(piece, states, dim_cap):
             if v not in points:
                 points.append(v)
     return tuple(points)

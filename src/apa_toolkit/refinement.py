@@ -41,7 +41,7 @@ the rows of a right-hand piece back through a state map with the one kernel
     and `_lp.feasible` do.
 
 "Mass at s" is `piece_point` with the strict row mu(s) > 0; `_sim_witness`
-and `unmatched_witness` read its vertex.
+and `unmatched_witness` read its vertex through `_mass_witness`.
 
 The `RefinementAnalysis`, created before the fixpoint with one
 `model.successor_table` per side, is the one context of the deterministic
@@ -198,12 +198,10 @@ def _sim_witness(phi1, states1: tuple, mapping: tuple, phi2, states2: tuple):
     zero_rows = [({s: ONE}, "==", ZERO) for s in unmapped]
     pieces = C.dnf_cover(phi1)
 
-    for piece in pieces:
-        # (i) mass on an unmapped successor
-        for s in unmapped:
-            point = C.piece_point(piece, states1, [({s: ONE}, ">", ZERO)])
-            if point is not None:
-                return WitnessDistribution(Distribution.of(point), SupportAtState(s))
+    # (i) mass on an unmapped successor
+    witness = _mass_witness(pieces, states1, [(s, SupportAtState(s)) for s in unmapped])
+    if witness is not None:
+        return witness
     for piece in pieces:
         # (ii) fully mapped, image outside Sat(phi2)
         for neg_piece in C.dnf_cover(C.negate(phi2)):
@@ -217,6 +215,18 @@ def _sim_witness(phi1, states1: tuple, mapping: tuple, phi2, states2: tuple):
                     coeffs, rel, rhs = neg_piece.fraction_rows()[0]
                     facet = LinearAtom(coeffs, {"<": ">=", "<=": ">", "==": "=="}[rel], rhs)
                 return WitnessDistribution(Distribution.of(point), FacetViolation(facet))
+    return None
+
+
+def _mass_witness(pieces, states1: tuple, reasons: list) -> WitnessDistribution | None:
+    """The first point with mass at s, for (s, reason) in `reasons`, pieces
+    outer and `reasons` inner (`piece_point` with the strict row
+    mu(s) > 0), as a witness for that reason; None if there is none."""
+    for piece in pieces:
+        for s, reason in reasons:
+            point = C.piece_point(piece, states1, [({s: ONE}, ">", ZERO)])
+            if point is not None:
+                return WitnessDistribution(Distribution.of(point), reason)
     return None
 
 
@@ -531,13 +541,8 @@ def unmatched_witness(analysis: RefinementAnalysis, s1: State, s2: State, e: Act
     if witness is not None:
         return witness
     outside = _pairs_outside(analysis, s1, s2, e, relation)
-    states1 = analysis.n1.states
-    for piece in C.dnf_cover(analysis.constraints_on(s1, s2, e)[0]):
-        for s, t in outside:
-            point = C.piece_point(piece, states1, [({s: ONE}, ">", ZERO)])
-            if point is not None:
-                return WitnessDistribution(Distribution.of(point), ReachesPair(s, t))
-    return None
+    return _mass_witness(C.dnf_cover(analysis.constraints_on(s1, s2, e)[0]), analysis.n1.states,
+                         [(s, ReachesPair(s, t)) for s, t in outside])
 
 
 def lemma_indplus_witness(analysis: RefinementAnalysis, s1: State, s2: State,

@@ -417,11 +417,17 @@ def _convex_rows(draw, states=STATES):
     return rows
 
 
+def _piece(rows):
+    """The one piece of the conjunction of the rows, rows that name no state
+    included, whose closure `vertices` enumerates."""
+    [piece] = C.dnf_cover(C.and_(*(C.atom(coeffs, rel, rhs) for coeffs, rel, rhs in rows)))
+    return piece
+
+
 @settings(max_examples=100, deadline=None)
 @given(_convex_rows())
 def test_vertices_match_square_subsystem_enumeration(rows):
-    poly = C.Polytope.make(STATES, rows)
-    got = {_point_key(v.mass) for v in C.vertices(poly)}
+    got = {_point_key(v.mass) for v in C.vertices(_piece(rows), STATES)}
     oracle_rows = list(rows) + [({s: F(1) for s in STATES}, "==", F(1))]
     want = {_point_key(p) for p in basic_points(oracle_rows, STATES)}
     assert got == want
@@ -456,11 +462,11 @@ def test_box_vertices_equal_double_description(rows):
     """On a box cut by the simplex, `vertices` takes the closed form, and its
     list equals double description's, sorted and converted as before, and
     the square-subsystem oracle's vertex set."""
-    poly = C.Polytope.make(BOX_STATES, rows)
-    assert C._box_vertices(poly) is not None
-    got = C.vertices(poly)
+    piece = _piece(rows)
+    assert C._box_vertices(piece, BOX_STATES) is not None
+    got = C.vertices(piece, BOX_STATES)
     by_dd = sorted((C.Distribution.of(dict(zip(BOX_STATES, v)))
-                    for v in C._double_description(poly)),
+                    for v in C._double_description(piece, BOX_STATES)),
                    key=lambda mu: tuple(mu[s] for s in BOX_STATES))
     assert got == by_dd
     oracle_rows = list(rows) + [({s: F(1) for s in BOX_STATES}, "==", F(1))]
@@ -473,16 +479,18 @@ def test_vertices_of_interval_pieces_take_the_closed_form(monkeypatch):
     monkeypatch.setattr(C, "_double_description", None)
     phi = C.interval_constraint({"s0": (F(1, 4), F(1, 2)), "s1": (0, F(3, 4))}, zero=["s2"])
     (piece,) = C.dnf_cover(phi)
-    assert [mu.mass for mu in C.vertices(C.Polytope.from_piece(piece, STATES))] == \
+    assert [mu.mass for mu in C.vertices(piece, STATES)] == \
         [{"s0": F(1, 4), "s1": F(3, 4)}, {"s0": F(1, 2), "s1": F(1, 2)}]
 
 
-def test_vertices_dimension_cap():
+def test_vertices_dimension_cap(monkeypatch):
     """The cap is checked before either enumeration."""
+    monkeypatch.setattr(C, "_box_vertices", None)
+    monkeypatch.setattr(C, "_double_description", None)
     big = [f"x{i}" for i in range(13)]
     for rows in ([], [({"x0": F(1)}, "<=", F(1, 2))], [({"x0": F(1), "x1": F(1)}, "<=", F(1, 2))]):
         with pytest.raises(ResourceLimitError):
-            C.vertices(C.Polytope.make(big, rows), dim_cap=12)
+            C.vertices(_piece(rows), big, dim_cap=12)
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +660,6 @@ def test_state_outside_the_given_states_is_an_input_error():
                  lambda: C.piece_feasible(piece, states),
                  lambda: C.prepare_piece(piece, states),
                  lambda: C.piece_max(piece, states, {"s0": F(1)}),
-                 lambda: C.vertices(C.Polytope.make(states, [({"zz": 1}, "<=", F(1, 2))]))):
+                 lambda: C.vertices(piece, states)):
         with pytest.raises(InputError, match="'zz'"):
             call()

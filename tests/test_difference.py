@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import pickle
-from dataclasses import replace
+import random
 
 import pytest
 
@@ -10,12 +10,13 @@ from apa_toolkit import constraints as C
 from apa_toolkit.difference import (DifferenceAPA, ProductState, over_diff,
                                     prune_unreachable, under_diff)
 from apa_toolkit.errors import InputError, PreconditionError
+from apa_toolkit.generators import random_pair
 from apa_toolkit.model import make_apa, validate
 from apa_toolkit.oracle import GridSpec, brute_satisfies, enumerate_implementations
 from apa_toolkit.refinement import refines, satisfies
-from tests.fixtures import (deferral_implementation_split, deferral_pair,
-                            interval_implementation_diff, interval_pair,
-                            refining_pair)
+from tests.fixtures import (all_failing_pairs, deferral_implementation_split,
+                            deferral_pair, interval_implementation_diff,
+                            interval_pair, refining_pair)
 
 
 def test_difference_needs_a_failed_refinement():
@@ -27,16 +28,15 @@ def test_difference_needs_a_failed_refinement():
 
 
 def test_equal_product_states_built_apart_hash_equal():
-    """A product state computes its hash once, at construction, as the
-    dataclass hash of its four fields; equal states built apart, copied or
-    read back from a document hash equal."""
+    """A product state hashes as the tuple of its four fields; equal states
+    built apart, copied or read back from a document hash equal."""
     a = ProductState("s0", "t0", "a", 2)
     b = ProductState("".join(["s", "0"]), "t0", "a", 1 + 1)
     assert a is not b and a == b and hash(a) == hash(b) == hash(("s0", "t0", "a", 2))
     assert {a: 1}[b] == 1 and len({a, b}) == 1
-    for copy in (pickle.loads(pickle.dumps(a)), replace(b, k=2)):
+    for copy in (pickle.loads(pickle.dumps(a)), b._replace(k=2)):
         assert copy == a and hash(copy) == hash(a)
-    moved = replace(a, k=3)
+    moved = a._replace(k=3)
     assert moved == ProductState("s0", "t0", "a", 3) and hash(moved) == hash(("s0", "t0", "a", 3))
     assert repr(a) == "ProductState(s1='s0', s2='t0', e='a', k=2)"
     from apa_toolkit.io_cli import parse, serialize
@@ -133,6 +133,21 @@ def test_under_approximation_implementations_lie_in_the_true_difference():
         if count >= 8:
             break
     assert count > 0
+
+
+def test_every_difference_is_closed_under_reachability():
+    """The builder emits only states reachable from the initial ones, so
+    `prune_unreachable` returns every difference as it is: over and under at
+    K = 1..3, on the failing fixtures and the failing `random_pair` seeds
+    0-29."""
+    pairs = list(all_failing_pairs().values())
+    pairs += [(n1, n2) for n1, n2 in map(random_pair, map(random.Random, range(30)))
+              if not refines(n1, n2)]
+    diffs = [d for n1, n2 in pairs
+             for d in (over_diff(n1, n2), *(under_diff(n1, n2, k) for k in (1, 2, 3)))]
+    assert len(diffs) == 108
+    for d in diffs:
+        assert prune_unreachable(d) is d
 
 
 def test_prune_unreachable_preserves_membership():

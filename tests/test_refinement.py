@@ -25,7 +25,7 @@ from tests.fixtures import (all_failing_pairs, deferral_implementation_late,
                             incomparable_pairs, interval_implementation_in,
                             interval_pair, may_gap_pair, multi_piece_pair,
                             refining_pair)
-from tests.test_constraints import STATES, _coeff, _convex_rows, _rhs
+from tests.test_constraints import STATES, _coeff, _convex_rows, _piece, _rhs
 from tests.oracles import rational_row
 
 
@@ -736,7 +736,7 @@ def test_sim_witness_agrees_with_vertex_pushforward(rows1, mapping, rows2):
             image[mapping[s]] = image.get(mapping[s], F(0)) + mu[s]
         return C.sat_member(phi2, image)
 
-    vertices = C.vertices(C.Polytope.make(STATES, rows1))
+    vertices = C.vertices(_piece(rows1), STATES)
     assert (witness is None) == all(lands(v) for v in vertices)
     if witness is not None:
         # The returned witness must itself demonstrate the failure.
