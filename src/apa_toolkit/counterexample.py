@@ -60,19 +60,14 @@ class CounterexamplePA(PA):
 
 def _default_member(phi: ConstraintExpr, states: tuple) -> Distribution:
     """Deterministic satisfying distribution for a general constraint: the
-    lexicographically least piece-closure vertex that actually satisfies it,
-    else any interior point (strict rows can cut off every vertex)."""
-    best = None
-    best_key = None
-    for piece in C.dnf_cover(phi):
-        for v in C.vertices(piece, states):
-            if not C.sat_member(phi, v):
-                continue
-            key = tuple(v[s] for s in states)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-    if best is not None:
-        return best
+    lexicographically least piece-closure vertex that actually satisfies it
+    (`vertices` lists a piece's in that order), else any interior point
+    (strict rows can cut off every vertex)."""
+    firsts = [next((v for v in C.vertices(piece, states) if C.sat_member(phi, v)), None)
+              for piece in C.dnf_cover(phi)]
+    firsts = [v for v in firsts if v is not None]
+    if firsts:
+        return min(firsts, key=lambda v: tuple(v[s] for s in states))
     mu = C.sat_nonempty(phi, states)
     if mu is None:
         raise InputError("constraint has no satisfying distribution")

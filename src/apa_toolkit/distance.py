@@ -15,13 +15,15 @@ Every sweep poses the same transport polytopes with new costs, one per
 (left vertex, right piece) pair.  One `state_distances` call does once what
 does not change between sweeps.  It finds each left constraint's vertices
 (`constraints.vertices`, in closed form on interval pieces) and each right
-constraint's nonempty pieces, numbers each distinct vertex and piece, and
-keys the tableaux on those numbers.  Phase 1 runs once per polytope
-(`_lp.prepare`).  Each sweep converts the distances to `Fraction`s once, one
-per state pair, and re-prices the prepared tableaux from their last optimal
-basis (`_lp.reprice_value`).  Bland's rule terminates from any feasible
-basis, and the optimal value does not depend on the basis phase 2 starts
-from; the optimal coupling may, but the distance reads the value alone, and
+constraint's nonempty pieces, and numbers each distinct vertex, with its
+transport variables, and each distinct piece.  `_expr_distance` prepares a
+tableau on its first use into the call's `tableaux`, keyed on (vertex
+number, piece number), so phase 1 runs once per polytope (`_lp.prepare`).
+Each sweep converts the distances to `Fraction`s once, one per state pair,
+and re-prices the prepared tableaux from their last optimal basis
+(`_lp.reprice_value`).  Bland's rule terminates from any feasible basis, and
+the optimal value does not depend on the basis phase 2 starts from; the
+optimal coupling may, but the distance reads the value alone, and
 `reprice_value` builds no coupling.  The tableaux are dropped when the call
 returns.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from . import _lp
 from . import constraints as C
@@ -81,12 +83,9 @@ class DistanceTable:
 
 
 def compatible(n1: APA, n2: APA, s1: State, s2: State) -> bool:
-    """False iff no implementation could witness a finite distance: differing
-    valuations, a left action the right bans, or a right requirement the left
-    cannot be forced to meet: some `model.obligations` group is empty."""
-    return n1.valuation_of(s1) == n2.valuation_of(s2) and all(
-        group for a in sorted(set(n1.actions) | set(n2.actions))
-        for group in obligations(n1.transitions_from(s1, a), n2.transitions_from(s2, a)))
+    """False iff no implementation could witness a finite distance (see
+    `_pair_terms`)."""
+    return _pair_terms(n1, n2, s1, s2) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -108,88 +107,46 @@ def _outer_points(phi: ConstraintExpr, states: tuple, dim_cap: int) -> tuple[Dis
     right cover), since the half-open pieces are dense in their closures and
     the inner value is continuous.
     """
-    points: list[Distribution] = []
-    for piece in _feasible_pieces(phi, states):
-        for v in C.vertices(piece, states, dim_cap):
-            if v not in points:
-                points.append(v)
-    return tuple(points)
+    return tuple(dict.fromkeys(v for piece in _feasible_pieces(phi, states)
+                               for v in C.vertices(piece, states, dim_cap)))
 
 
-class _Vertex(NamedTuple):
-    """A left vertex as `state_distances` numbers it: equal vertices share a
-    number."""
-
-    number: int
-    mu: Distribution
-    cells: tuple  # (transport variable, the (left, right) state pair pricing it)
-
-
-class _RightPiece(NamedTuple):
-    """A right piece as `state_distances` numbers it: equal pieces share a
-    number."""
-
-    number: int
-    piece: Piece
-
-
-def _transport_tableau(tableaux: dict, vertex: _Vertex, right: _RightPiece,
-                       states2: tuple) -> _lp.Tableau:
-    """The prepared tableau of the transport LP from a left vertex into the
-    closure of a right piece (the couplings of the vertex with any
-    distribution in it), taken from `tableaux` or made by phase 1 and added
-    there.
-
-    The tableaux key on the two numbers, so equal vertices share one
-    tableau.
-    """
-    key = (vertex.number, right.number)
-    tableau = tableaux.get(key)
-    if tableau is not None:
-        return tableau
-    mu = vertex.mu
-    supp = mu.support()
-    variables = [(s, t) for s in supp for t in states2]
-    rows = [({(s, t): ONE for t in states2}, "==", mu[s]) for s in supp] + \
-        C.pull_back(right.piece.closure_rows(), C.preimages({var: var[1] for var in variables}))
-    tableau = tableaux[key] = _lp.prepare(rows, variables)
-    assert tableau is not None, "a nonempty piece admits a coupling with mu"
-    return tableau
-
-
-def _transport_value(tableau: _lp.Tableau, vertex: _Vertex, cost: dict) -> Fraction:
-    """Cheapest coupling over the prepared transport tableau of a vertex; a
-    variable costs the `cost` entry of its state pair, the current distance
-    as a `Fraction`.  Phase 2 starts from the tableau's last optimal basis,
-    and only the value is read (`_lp.reprice_value`)."""
-    return _lp.reprice_value(tableau, {var: cost[cell] for var, cell in vertex.cells},
-                             maximize=False)
-
-
-def _expr_distance(points1: tuple[_Vertex, ...], pieces2: tuple[_RightPiece, ...],
-                   states2: tuple, cost: dict, tableaux: dict) -> tuple[float, bool]:
+def _expr_distance(points1: tuple, pieces2: tuple, states2: tuple, cost: dict,
+                   tableaux: dict) -> tuple[float, bool]:
     """(value, exact): distance between two constraint expressions, given by
-    the numbered `_outer_points` of the left one and the numbered
-    `_feasible_pieces` of the right one, under the sweep's `cost`.
+    the numbered `_outer_points` of the left one, each (number, vertex, its
+    transport variables), and the numbered `_feasible_pieces` of the right
+    one, each (number, piece), under the sweep's `cost`.
 
-    With a multi-piece right cover the inner value is only piecewise convex,
-    so the vertex scan yields a certified lower bound (exact=False).
-    `tableaux` holds the prepared transport tableaux of one
-    `state_distances` call.
+    Each inner value is the cheapest coupling of the vertex with a
+    distribution in the closure of a right piece; a transport variable
+    (s, t) costs the current distance of (s, t) as a `Fraction`.  `tableaux`
+    holds the prepared transport tableaux of one `state_distances` call,
+    keyed on (vertex number, piece number): a tableau is made by phase 1
+    (`_lp.prepare`) on its first use and re-priced from its last optimal
+    basis on every use (`_lp.reprice_value`).  With a multi-piece right
+    cover the inner value is only piecewise convex, so the vertex scan yields
+    a certified lower bound (exact=False).
     """
     if not pieces2:
         return 1.0, True  # nothing to transport into
     if not points1:
         return 0.0, True  # supremum over an empty set
-    exact = len(pieces2) == 1
     best = Fraction(0)
-    for vertex in points1:
-        inner = min(_transport_value(_transport_tableau(tableaux, vertex, right, states2),
-                                     vertex, cost)
-                    for right in pieces2)
-        if inner > best:
-            best = inner
-    return min(float(best), 1.0), exact
+    for i, mu, variables in points1:
+        objective = {var: cost[var] for var in variables}
+        values = []
+        for j, piece in pieces2:
+            tableau = tableaux.get((i, j))
+            if tableau is None:
+                rows = [({(s, t): ONE for t in states2}, "==", mu[s]) for s in mu.support()] + \
+                    C.pull_back(piece.closure_rows(),
+                                C.preimages({var: var[1] for var in variables}))
+                tableau = tableaux[i, j] = _lp.prepare(rows, variables)
+                assert tableau is not None, "a nonempty piece admits a coupling with mu"
+            values.append(_lp.reprice_value(tableau, objective, maximize=False))
+        best = max(best, min(values))
+    return min(float(best), 1.0), len(pieces2) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +157,19 @@ def _expr_distance(points1: tuple[_Vertex, ...], pieces2: tuple[_RightPiece, ...
 def _pair_terms(n1: APA, n2: APA, s1: State, s2: State):
     """The max-min structure of the distance equation at one state pair: a
     list of min-groups, one per `model.obligations` group, each a nonempty
-    list of (left phi, right phi)."""
+    list of (left phi, right phi).
+
+    None iff no implementation could witness a finite distance: differing
+    valuations, a left action the right bans, or a right requirement the
+    left cannot be forced to meet, on an action of either side: some group
+    is empty."""
+    if n1.valuation_of(s1) != n2.valuation_of(s2):
+        return None
     terms = []
-    for a in n1.actions:
+    for a in dict.fromkeys((*n1.actions, *n2.actions)):
         for group in obligations(n1.transitions_from(s1, a), n2.transitions_from(s2, a)):
-            assert group, "compatible pairs never minimize over an empty set"
+            if not group:
+                return None
             terms.append([(n1.constraint(t1.constraint_id), n2.constraint(t2.constraint_id))
                           for t1, t2 in group])
     return terms
@@ -218,8 +183,7 @@ def state_distances(n1: APA, n2: APA, params: DistanceParams | None = None) -> D
     lam = params.lam
     states1, states2 = tuple(n1.states), tuple(n2.states)
     pairs = [(s1, s2) for s1 in states1 for s2 in states2]
-    incompat = {p for p in pairs if not compatible(n1, n2, *p)}
-    terms = {p: _pair_terms(n1, n2, *p) for p in pairs if p not in incompat}
+    terms = {p: tl for p in pairs if (tl := _pair_terms(n1, n2, *p)) is not None}
 
     # Constraint pairs by index, with metadata reused across sweeps: which
     # left states can carry mass (the d-slice that feeds the transport
@@ -230,28 +194,27 @@ def state_distances(n1: APA, n2: APA, params: DistanceParams | None = None) -> D
                     key=lambda cp: (str(cp[0]), str(cp[1])))
     combo_index = {cp: i for i, cp in enumerate(combos)}
     terms = {p: [[combo_index[cp] for cp in opts] for opts in tl] for p, tl in terms.items()}
-    # Each distinct left vertex and right piece is numbered once per call;
-    # the transport tableaux key on the numbers (see _transport_tableau).
-    vertex_ids: dict = {}
+    # Each distinct left vertex is numbered once per call, with its transport
+    # variables, and so is each distinct right piece; the transport tableaux
+    # key on the two numbers (see _expr_distance).
+    outer = {l: _outer_points(l, states1, params.vertex_dim_cap)
+             for l in dict.fromkeys(l for l, _ in combos)}
+    vertices = {mu: (i, mu, tuple((s, t) for s in mu.support() for t in states2))
+                for i, mu in enumerate(dict.fromkeys(mu for points in outer.values()
+                                                     for mu in points))}
+    points1 = {l: tuple(vertices[mu] for mu in points) for l, points in outer.items()}
     piece_ids: dict = {}
-
-    def vertex(mu: Distribution) -> _Vertex:
-        return _Vertex(vertex_ids.setdefault(mu, len(vertex_ids)), mu,
-                       tuple(((s, t), (s, t)) for s in mu.support() for t in states2))
-
-    points1 = {l: tuple(vertex(mu) for mu in _outer_points(l, states1, params.vertex_dim_cap))
-               for l in dict.fromkeys(l for l, _ in combos)}
-    pieces2 = {r: tuple(_RightPiece(piece_ids.setdefault(piece, len(piece_ids)), piece)
+    pieces2 = {r: tuple((piece_ids.setdefault(piece, len(piece_ids)), piece)
                         for piece in _feasible_pieces(r, states2))
                for r in dict.fromkeys(r for _, r in combos)}
     problems = [(points1[l], pieces2[r]) for l, r in combos]
-    dims1 = [tuple(sorted({s for v in points for s in v.mu.support()}, key=str))
+    dims1 = [tuple(sorted({s for _, mu, _ in points for s in mu.support()}, key=str))
              for points, _ in problems]
 
-    d = {p: (1.0 if p in incompat else 0.0) for p in pairs}
+    d = {p: (0.0 if p in terms else 1.0) for p in pairs}  # incompatible pairs pin at 1
     threshold = params.epsilon * (1 - lam) / lam
     cache: dict = {}
-    tableaux: dict = {}  # prepared transport tableaux, see _transport_tableau
+    tableaux: dict = {}  # prepared transport tableaux, see _expr_distance
     exact = True
     residual = float("inf")
     iterations = 0
@@ -263,7 +226,7 @@ def state_distances(n1: APA, n2: APA, params: DistanceParams | None = None) -> D
         new = {}
         residual = 0.0
         for p in pairs:
-            if p in incompat:
+            if p not in terms:
                 new[p] = 1.0
                 continue
             best = 0.0

@@ -45,6 +45,18 @@ def test_compatibility_predicate():
     m1, m2 = may_gap_pair()
     assert not compatible(m1, m2, "s0", "t0")   # left Must b unmatched
     assert not compatible(m2, m1, "t0", "s0")   # right Must b not Must on left
+    # an action only the right automaton has: a Must transition on it is a
+    # requirement the left can never meet, a May transition is none
+    for modality, compat in ((Modality.MUST, False), (Modality.MAY, True)):
+        r2 = make_apa(states=n2.states, actions=["a", "b"], ap=n2.ap,
+                      labeling={"t0": [[]], "t1": [["p"]], "t2": [["q"]]},
+                      transitions=[("t0", "a", "phi2", Modality.MUST),
+                                   ("t0", "b", "psi", modality)],
+                      initial=n2.initial, constraints={"phi2": n2.constraint("phi2"),
+                                                       "psi": C.atom({"t1": 1}, "==", 1)})
+        assert compatible(n1, r2, "s0", "t0") is compat, modality
+        table = state_distances(n1, r2)
+        assert table.value("s0", "t0") == (pytest.approx(0.05, abs=2 * EPS) if compat else 1.0)
 
 
 def test_interval_distance_scales_with_the_discount():
@@ -196,12 +208,23 @@ class _ColdLp:
         return _lp.solve(objective, *system, maximize=maximize).value
 
 
+class _NoStore(dict):
+    """A tableau store that keeps nothing: every transport LP is posed anew
+    from its own rows, whatever the store would have been keyed on."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def test_warm_started_tables_equal_cold_solves(monkeypatch):
     inputs = _distance_inputs()
     params = [DistanceParams(lam=0.5), DistanceParams(lam=0.9)]
     warm = {(name, p): state_distances(a, b, p)
             for name, (a, b) in inputs.items() for p in params}
     monkeypatch.setattr(distance, "_lp", _ColdLp())
+    expr_distance = distance._expr_distance  # its last argument is the tableau store
+    monkeypatch.setattr(distance, "_expr_distance",
+                        lambda *args: expr_distance(*args[:-1], _NoStore()))
     for (name, p), table in warm.items():
         cold = state_distances(*inputs[name], p)
         assert (table.d, table.iterations, table.residual, table.exact) == \
